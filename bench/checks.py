@@ -99,6 +99,12 @@ class _Checker:
         if xi != 1.0 - (1.0 - pe[0]) * (1.0 - pe[1]):
             fail.add(op, f"xi = {xi!r} is not 1-(1-pe1)(1-pe2)")
 
+    def xi_matches(self, fail: _Failures, op: str, params, xi: float) -> None:
+        """A returned two-hop DEP against the combination of the two arbiter slot DEPs."""
+        pe1 = self.slot_reference(params.p_s, params)
+        pe2 = self.slot_reference(params.p_r, params)
+        fail.near(op, "xi", xi, 1.0 - (1.0 - pe1) * (1.0 - pe2), 2 * REF_TOL)
+
     def hops_match(self, fail: _Failures, op: str, params, t: float, hops, antennas) -> None:
         for label, p, hop in (("hop1", params.p_s, hops[0]), ("hop2", params.p_r, hops[1])):
             ref = outage_reference(p, t, params.sigma_n2, params.rho, *antennas)
@@ -165,8 +171,9 @@ def _check_single(ck: _Checker, fail: _Failures, inputs, outputs, rng) -> int:
     for kind in ("dep", "throughput", "power_limit"):
         _grid_errors(fail, kind, outputs[kind])
     for i in _sample(rng, len(inputs["dep"]), GRID_SAMPLE):
-        if outputs["dep"][i][1] is None:
-            fail.guard(f"dep[{i}]", ck.dep_matches, ck.params(inputs["dep"][i]))
+        xi, err = outputs["dep"][i]
+        if err is None:
+            fail.guard(f"dep[{i}]", ck.xi_matches, ck.params(inputs["dep"][i]), xi)
     for i in _sample(rng, len(inputs["throughput"]), GRID_SAMPLE):
         row, err = outputs["throughput"][i]
         if err is None:
@@ -202,8 +209,8 @@ def _check_tasmrc(ck: _Checker, fail: _Failures, inputs, outputs, rng) -> int:
         fail.guard(f"solve[{prob['n_t']}x{prob['n_r']}]", ck.optimum, prob, out,
                    (prob["n_t"], prob["n_r"]))
     attempted = len(outputs["solves"])
-    for sw, rows in zip(inputs["sweeps"], outputs["sweeps"]):
-        kind = f"sweep[{sw['n_t']}x{sw['n_r']}]"
+    for j, (sw, rows) in enumerate(zip(inputs["sweeps"], outputs["sweeps"])):
+        kind = f"sweep[{j}:{sw['n_t']}x{sw['n_r']}]"
         _grid_errors(fail, kind, rows)
         antennas = (sw["n_t"], sw["n_r"])
         params = ck.params(sw, antennas)

@@ -51,13 +51,11 @@ MIN_SETUP_SAMPLES = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
-END_TO_END = {
-    "wall_s": "s",
-    "setup_s": "s",
-    "op_p50_s": "s",
-    "work_per_s": "1/s",
-    "peak_rss_mb": "MB",
-}
+# Metric names and units, in one place: the benchmark's BENCHMARK.json.
+_SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+END_TO_END = {m["name"]: m["unit"] for m in _SPEC["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in _SPEC["per_layer"]}
+
 # The user-level call whose median latency is op_p50_s, and the unit of
 # work_per_s, per workload.
 PRIMARY_OP = {"single_design": "solve", "tasmrc_design": "solve", "mc_validate": "validate",
@@ -74,31 +72,6 @@ NAMED_METRICS = (
     ("peak_rss_mb", "MB", "peak_rss_mb", None),
     ("error_rate", "ratio", "error_rate", None),
 )
-
-PER_LAYER = {
-    "specfun.calls": "count", "specfun.self_s": "s", "specfun.us_per_call": "us",
-    "detection.min_dep.calls": "count", "detection.min_dep.self_s": "s",
-    "throughput.single.calls": "count", "throughput.single.self_s": "s",
-    "optimize.single.calls": "count", "optimize.single.self_s": "s",
-    "optimize.single.evals_per_solve": "count", "optimize.single.grid_fallback_ratio": "ratio",
-    "channel.gain_cdf.calls": "count", "channel.gain_cdf.self_s": "s",
-    "channel.gain_cdf.us_per_call": "us",
-    "throughput.outage_multi.calls": "count", "throughput.outage_multi.self_s": "s",
-    "throughput.outage_multi.distinct_ratio": "ratio",
-    "optimize.multi.calls": "count", "optimize.multi.self_s": "s",
-    "optimize.multi.feasible_ratio": "ratio",
-    "channel.sampler.draws": "count", "channel.sampler.self_s": "s",
-    "channel.sampler.ns_per_draw": "ns",
-    "detection.mc.trials": "count", "detection.mc.self_s": "s", "detection.mc.ns_per_trial": "ns",
-    "throughput.mc.trials": "count", "throughput.mc.self_s": "s",
-    "throughput.mc.ns_per_trial": "ns",
-    "detection.reference.calls": "count", "detection.reference.self_s": "s",
-    "throughput.paper.calls": "count", "throughput.paper.self_s": "s",
-    "report.build.self_s": "s",
-    "validation.run.self_s": "s", "validation.run.checks_failed": "count",
-    "cli.interp_s": "s", "cli.import_s": "s", "cli.main_s": "s",
-    "trace.overhead_s": "s",
-}
 
 
 class BenchError(RuntimeError):
@@ -335,9 +308,12 @@ def measure(runner: Runner, workload: str, seed: int, seconds: float, traced: bo
     attempted, failures = tally(plain, twins)
     if traced:
         metrics, units = per_layer(runner, plain, twins), PER_LAYER
-        metrics = {name: metrics[name] for name in PER_LAYER}
     else:
         metrics, units = end_to_end(runner, workload, seed, plain), END_TO_END
+    missing = units.keys() - metrics.keys()
+    if missing:
+        raise BenchError(f"BENCHMARK.json names metrics the run does not measure: {sorted(missing)}")
+    metrics = {name: metrics[name] for name in units}
     rec = record(workload, seed, seconds, traced, len(plain), metrics, units, attempted, failures)
     print_table(f"{workload} seed={seed} rounds={len(plain)} trace={int(traced)} "
                 f"attempted={attempted} failed={len(failures)}", metrics, units)

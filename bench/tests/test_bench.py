@@ -37,18 +37,12 @@ def _bindings():
 
 def test_self_time_of_synthetic_nested_spans():
     # 0: root [0, 10]; 1: child [1, 4] with 2: grandchild [2, 3];
-    # 3: child [3, 6] overlapping 1; 4: child [9, 12] running past the root.
-    parent = [-1, 0, 1, 0, 0]
-    start = [0.0, 1.0, 2.0, 3.0, 9.0]
-    end = [10.0, 4.0, 3.0, 6.0, 12.0]
-    # Children of the root cover [1, 6] and [9, 10]: 6 of its 10 seconds.
-    assert list(self_times(parent, start, end)) == [4.0, 2.0, 1.0, 3.0, 3.0]
-    # The same spans recorded out of start order.
-    order = [0, 4, 3, 1, 2]
-    where = {old: new for new, old in enumerate(order)}
-    shuffled = self_times([where.get(parent[i], -1) for i in order],
-                          [start[i] for i in order], [end[i] for i in order])
-    assert list(shuffled) == [4.0, 3.0, 3.0, 2.0, 1.0]
+    # 3: child [5, 9] with 4: grandchild [6, 8].
+    parent = [-1, 0, 1, 0, 3]
+    start = [0.0, 1.0, 2.0, 5.0, 6.0]
+    end = [10.0, 4.0, 3.0, 9.0, 8.0]
+    # The root's children cover 3 + 4 of its 10 seconds.
+    assert list(self_times(parent, start, end)) == [3.0, 2.0, 1.0, 2.0, 2.0]
 
 
 def test_layer_summary_counts_entries_into_a_layer_once():
@@ -143,6 +137,15 @@ def test_checks_flag_wrong_outputs():
     assert [f.split(":")[0] for f in failures] == [
         "cli[dep]", "cli[throughput]", "cli[throughput-2x8]", "cli[sweep]"]
     assert "differ" in failures[0]
+
+    # A timed two-hop DEP is compared itself, not recomputed.
+    ck, fail = checks._Checker(lib), checks._Failures()
+    params = workloads.system_params(lib["model"],
+                                     workloads.make_inputs("single_design", 1, 0)["dep"][0])
+    xi = lib["detection"].min_dep_two_hop(params)
+    ck.xi_matches(fail, "dep[0]", params, xi)
+    ck.xi_matches(fail, "dep[1]", params, xi + 1e-8)
+    assert list(fail.by_op) == ["dep[1]"]
 
     report = lib["report"].build_discrepancy_report()
     outputs = {"validation": [], "report": [r.row() for r in report][:-1]}

@@ -222,35 +222,15 @@ class NullTracer:
 
 
 def self_times(parent, start, end) -> array:
-    """Each span's duration minus the part of it that its children cover.
+    """Each span's duration minus the durations of its direct children.
 
-    Children are clipped to the parent's interval and merged, so
-    overlapping children are not counted twice.  One pass in start order
-    keeps, per parent, the current merged run of its children.
+    Spans come from one thread's wrapper stack and close in a `finally`
+    block, so a child lies inside its parent and siblings never overlap.
     """
-    n = len(start)
-    order = range(n)
-    if any(start[i] > start[i + 1] for i in range(n - 1)):
-        order = sorted(order, key=start.__getitem__)
-    result = array("d", (end[i] - start[i] for i in range(n)))
-    run_lo = array("d", [math.nan]) * n
-    run_hi = array("d", [math.nan]) * n
-    for i in order:
-        p = parent[i]
-        if p < 0:
-            continue
-        lo, hi = max(start[i], start[p]), min(end[i], end[p])
-        if hi <= lo:
-            continue
-        if run_hi[p] == run_hi[p] and lo <= run_hi[p]:
-            run_hi[p] = max(run_hi[p], hi)
-            continue
-        if run_hi[p] == run_hi[p]:
-            result[p] -= run_hi[p] - run_lo[p]
-        run_lo[p], run_hi[p] = lo, hi
-    for p in range(n):
-        if run_hi[p] == run_hi[p]:
-            result[p] -= run_hi[p] - run_lo[p]
+    result = array("d", (e - s for s, e in zip(start, end)))
+    for i, p in enumerate(parent):
+        if p >= 0:
+            result[p] -= end[i] - start[i]
     return result
 
 

@@ -138,18 +138,21 @@ def _tasmrc_design(lib, inputs, span) -> Round:
                              for prob in inputs["problems"]]
     throughput, rate = lib["throughput"], lib["model"].RateParams
     sweeps = []
-    with span("bench.sweep"):
-        start = perf()
-        for sw in inputs["sweeps"]:
-            params = _params(lib, sw, (sw["n_t"], sw["n_r"]))
-            rows = []
-            for t in sw["rates"]:
-                out, err = _attempt(throughput.throughput_multi, params, rate(t))
-                rows.append((None, err) if err else
-                            ([out.p_out_hop1, out.p_out_hop2, out.p_out, out.eta], None))
-            sweeps.append(rows)
-        # One phase: the three antenna pairs cost very differently per point.
-        rnd.work.append((sum(len(rows) for rows in sweeps), perf() - start))
+    for k in range(workloads.N_SWEEP_SETS):
+        # One phase per set of sweeps: the antenna pairs cost very
+        # differently per point.
+        with span("bench.sweep"):
+            start = perf()
+            done = len(sweeps)
+            for sw in _chunk(inputs["sweeps"], k, workloads.N_SWEEP_SETS):
+                params = _params(lib, sw, (sw["n_t"], sw["n_r"]))
+                rows = []
+                for t in sw["rates"]:
+                    out, err = _attempt(throughput.throughput_multi, params, rate(t))
+                    rows.append((None, err) if err else
+                                ([out.p_out_hop1, out.p_out_hop2, out.p_out, out.eta], None))
+                sweeps.append(rows)
+            rnd.work.append((sum(len(rows) for rows in sweeps[done:]), perf() - start))
     rnd.outputs["sweeps"] = sweeps
     rnd.facts["evaluations"] = sum(s.get("evaluations", 0) for s in rnd.outputs["solves"])
     return rnd
