@@ -92,9 +92,15 @@ def sample_tas_mrc_gain(n_t: int, n_r: int, rng: np.random.Generator, size: int 
     return gain[0] if size is None else gain
 
 
+# Gains are capped here before the branch CDF: below it no partial sum
+# overflows (x^j / j! < e^x), and at it the CDF of Gamma(n_r, 1) is 1 to
+# double precision for every n_r up to 400.
+_GAIN_CAP = 700.0
+
+
 def _branch_cdf(n_r: int, x):
     # CDF of Gamma(n_r, 1): 1 - e^{-x} sum_{j<n_r} x^j / j!, by term recurrence.
-    x = np.asarray(x, dtype=float)
+    x = np.minimum(np.asarray(x, dtype=float), _GAIN_CAP)
     term = np.ones_like(x)
     total = np.ones_like(x)
     for j in range(1, n_r):

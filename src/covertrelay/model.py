@@ -145,8 +145,15 @@ class RateParams:
 
     @property
     def kappa(self) -> float:
-        """SNR threshold 2^(2t) - 1 of the half-duplex outage event."""
-        return math.expm1(2.0 * self.t * math.log(2.0))
+        """SNR threshold 2^(2t) - 1 of the half-duplex outage event.
+
+        Infinite past the float range (t > ~512), where every hop is in
+        outage.
+        """
+        try:
+            return math.expm1(2.0 * self.t * math.log(2.0))
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)

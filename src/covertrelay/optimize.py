@@ -1,13 +1,20 @@
 """Covert-throughput maximization under covertness/reliability/power budgets.
 
-Single-antenna: first-order (KKT) stationarity with active-set
-enumeration, seeded from a coarse feasibility scan, with a dense-grid
-fallback.  Multi-antenna: a feasibility-filtered triple grid scan with
-early exit once the rate loop has passed its peak.
+Single-antenna: covertness, (1 - Pe(p_s))(1 - Pe(p_r)) <= epsilon,
+depends only on the powers, and eta and the reliability both grow with
+each power, so the optimum lies on the covertness frontier, capped at
+P_max.  By the symmetry in the powers, the outer search bisects log p_s
+over the half p_s >= p_r of the frontier on the sign of eta's analytic
+tangential derivative; for each frontier point the inner search takes
+the peak of t S(t) or the root of S(t) = 1 - delta, whichever comes
+first (S is the product of the hop success probabilities).  The rate
+domain is t >= 1e-3 bit/s/Hz.  Method "kkt" certifies the result: the
+active multipliers, fitted to `lagrangian_gradient` by least squares,
+are nonnegative and leave a stationarity residual below 1e-6 eta.
 
-The power grids are logarithmically spaced by default: under a tight
-covertness budget the feasible powers live several decades below P_max,
-where a linear grid of any practical size has no points at all.
+Multi-antenna: a feasibility-filtered triple grid scan over log-spaced
+power grids (a tight covertness budget puts the feasible powers decades
+below P_max), with early exit once the rate loop has passed its peak.
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import min_dep_slot, min_dep_two_hop
+from .detection import _scaled_ei_gap, min_dep_slot, min_dep_two_hop
 from .errors import InfeasibleError, NumericError
 from .model import ConstraintSet, RateParams, SystemParams
-from .specfun import ei_diff, expint_ei_scaled
-from .throughput import outage_hop_multi_reference, throughput_single
+from .specfun import ei_diff
+from .throughput import outage_hop_multi_reference, outage_hop_single, throughput_single
 
 __all__ = [
     "Optimum",
@@ -32,12 +39,18 @@ __all__ = [
     "covert_power_limit",
 ]
 
-_FEAS_SLACK = 1e-9
 _ACTIVITY_TOL = 1e-6
-# Lowest power considered by the scans, as a fraction of P_max; six
-# decades comfortably brackets the covertness-limited regime.
+# Lowest power of the multi-antenna grids, as a fraction of P_max; six
+# decades comfortably bracket the covertness-limited regime.
 _POWER_SPAN = 1e-6
-_T_SCAN_LO, _T_SCAN_HI = 1e-3, 4.0
+# Lowest power the covertness bisection considers, as a fraction of P_max.
+_POWER_FLOOR = 1e-12
+# The single-antenna rate domain starts at _T_FLOOR; the rate bracket
+# starts at _T_BRACKET and doubles while eta still rises.
+_T_FLOOR, _T_BRACKET = 1e-3, 4.0
+# Largest stationarity residual the KKT certificate accepts, relative to eta.
+_CERT_TOL = 1e-6
+_CONSTRAINTS = ("covertness", "reliability", "power_s", "power_r")
 
 
 @dataclass(frozen=True)
@@ -97,32 +110,21 @@ def _ei_gap_dkappa(p: float, kappa: float, params: SystemParams) -> float:
     return (math.expm1(-kappa * params.mu2 / p) - math.expm1(-kappa * params.mu1 / p)) / kappa
 
 
-def _dep_gap(p: float, params: SystemParams) -> float:
-    # B(p) = e^{-mu2/p} [Ei(mu2/p) - Ei(mu1/p)]; 1 - Pe* = B / (2 ln rho).
-    u, v = params.mu2 / p, params.mu1 / p
-    return expint_ei_scaled(u) - math.exp(v - u) * expint_ei_scaled(v)
-
-
 def _dep_gap_dp(p: float, params: SystemParams) -> float:
-    b = _dep_gap(p, params)
+    # B(p) = e^{-mu2/p} [Ei(mu2/p) - Ei(mu1/p)]; 1 - Pe* = B / (2 ln rho).
+    b = _scaled_ei_gap(params.mu2 / p, params.mu1 / p)
     return (params.mu2 / p**2) * b + (math.exp((params.mu1 - params.mu2) / p) - 1.0) / p
-
-
-def _surface(p_s: float, p_r: float, t: float, params: SystemParams):
-    """(eta, p_out, xi_star) of the single-antenna scenario at a point."""
-    base = params.with_powers(p_s, p_r)
-    out = throughput_single(base, RateParams(t))
-    return out.eta, out.p_out, min_dep_two_hop(base)
 
 
 def _lagrangian_value(x, mult, constraints: ConstraintSet, params: SystemParams) -> float:
     p_s, p_r, t = x
     k1, k2, k3, k4 = mult
-    eta, p_out, xi = _surface(p_s, p_r, t, params)
+    base = params.with_powers(p_s, p_r)
+    out = throughput_single(base, RateParams(t))
     return (
-        -eta
-        + k1 * (1.0 - constraints.epsilon - xi)
-        + k2 * (p_out - constraints.delta)
+        -out.eta
+        + k1 * (1.0 - constraints.epsilon - min_dep_two_hop(base))
+        + k2 * (out.p_out - constraints.delta)
         + k3 * (p_s - constraints.p_max)
         + k4 * (p_r - constraints.p_max)
     )
@@ -151,7 +153,7 @@ def lagrangian_gradient(
     c = 4.0 * math.log(params.rho) ** 2
     g1, g2 = _ei_gap(p_s, kappa, params), _ei_gap(p_r, kappa, params)
     dg1, dg2 = _ei_gap_dp(p_s, kappa, params), _ei_gap_dp(p_r, kappa, params)
-    b1, b2 = _dep_gap(p_s, params), _dep_gap(p_r, params)
+    b1, b2 = (_scaled_ei_gap(params.mu2 / p, params.mu1 / p) for p in (p_s, p_r))
     db1, db2 = _dep_gap_dp(p_s, params), _dep_gap_dp(p_r, params)
     dkappa_dt = 2.0 ** (2.0 * t) * 2.0 * math.log(2.0)
     dgk1 = _ei_gap_dkappa(p_s, kappa, params)
@@ -187,20 +189,31 @@ def lagrangian_gradient(
 
 
 # ---------------------------------------------------------------------------
-# Feasibility helpers.
+# Covertness-frontier search.
 # ---------------------------------------------------------------------------
 
 
-def _feasible(p_s, p_r, t, constraints, params, slack=_FEAS_SLACK):
-    eta, p_out, xi = _surface(p_s, p_r, t, params)
-    checks = {
-        "covertness": xi - (1.0 - constraints.epsilon),
-        "reliability": constraints.delta - p_out,
-        "power_s": constraints.p_max - p_s,
-        "power_r": constraints.p_max - p_r,
-    }
-    ok = all(v >= -slack for v in checks.values())
-    return ok, eta, checks
+def _bisect(holds, lo: float, hi: float, rel: float) -> float:
+    """Last x in [lo, hi) where holds(x), to `rel` relative, by bisection in log x.
+
+    `holds` must be true below a threshold and false above it; hi counts
+    as false, and lo is returned when holds fails everywhere above it.
+    """
+    while hi / lo >= 1.0 + rel:
+        mid = math.sqrt(lo * hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _largest_power(covert, p_max: float) -> float | None:
+    """Largest p in [_POWER_FLOOR p_max, p_max] with covert(p), else None."""
+    if covert(p_max):
+        return p_max
+    lo = p_max * _POWER_FLOOR
+    return _bisect(covert, lo, p_max, 1e-14) if covert(lo) else None
 
 
 def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> float:
@@ -210,222 +223,151 @@ def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> fl
     even full power stays covert.
     """
     target = 1.0 - epsilon
-
-    def xi_at(p: float) -> float:
-        return min_dep_two_hop(params.with_powers(p, p))
-
-    if xi_at(p_max) >= target:
-        return p_max
-    lo = p_max * 1e-12
-    if xi_at(lo) < target:
+    p_cov = _largest_power(lambda p: min_dep_two_hop(params.with_powers(p, p)) >= target, p_max)
+    if p_cov is None:
         raise InfeasibleError(
             "covertness constraint unsatisfiable even at vanishing power", "covertness"
         )
-    hi = p_max
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if xi_at(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-14:
-            break
-    return lo
+    return p_cov
 
 
-def _coarse_scan(constraints: ConstraintSet, params: SystemParams, n: int = 20):
-    p_grid = np.geomspace(constraints.p_max * _POWER_SPAN, constraints.p_max, n)
-    t_grid = np.geomspace(_T_SCAN_LO, _T_SCAN_HI, n)
-    best = None
-    for p_s in p_grid:
-        # Covertness depends only on the powers; prune before the t loop.
-        for p_r in p_grid:
-            xi = min_dep_two_hop(params.with_powers(float(p_s), float(p_r)))
-            if xi < 1.0 - constraints.epsilon - _FEAS_SLACK:
-                continue
-            for t in t_grid:
-                ok, eta, _ = _feasible(float(p_s), float(p_r), float(t), constraints, params)
-                if ok and (best is None or eta > best[0]):
-                    best = (eta, float(p_s), float(p_r), float(t))
-    return best
+def _best_rate(p_s: float, p_r: float, delta: float, params: SystemParams) -> float | None:
+    """Best rate t >= _T_FLOOR at fixed powers, or None if none is reliable.
 
-
-# ---------------------------------------------------------------------------
-# KKT active-set solver.
-# ---------------------------------------------------------------------------
-
-_CONSTRAINTS = ("covertness", "reliability", "power_s", "power_r")
-
-
-def _kkt_residual(z, active, constraints, params):
-    """Stationarity (elasticity-scaled) plus active-constraint equalities.
-
-    z = (log p_s, log p_r, log t, multipliers of active constraints).
+    S(t), the product of the hop success probabilities, falls with t and
+    t S(t) is unimodal, so the best rate is the peak of t S(t) or the
+    root of S(t) = 1 - delta, whichever comes first: one bisection on
+    "reliable and eta still rising".
     """
-    p_s, p_r, t = (math.exp(v) for v in z[:3])
-    mult = dict.fromkeys(_CONSTRAINTS, 0.0)
-    for name, m in zip(active, z[3:]):
-        mult[name] = m
-    grad = lagrangian_gradient(
-        p_s, p_r, t,
-        (mult["covertness"], mult["reliability"], mult["power_s"], mult["power_r"]),
-        constraints, params,
+
+    def reliable(rate: RateParams) -> bool:
+        hop_s = outage_hop_single(p_s, rate, params)
+        return 1.0 - (1.0 - hop_s) * (1.0 - outage_hop_single(p_r, rate, params)) <= delta
+
+    def rising(t: float) -> bool:
+        rate = RateParams(t)
+        if not reliable(rate):
+            return False
+        kappa = rate.kappa
+        dlog_s = sum(_ei_gap_dkappa(p, kappa, params) / _ei_gap(p, kappa, params)
+                     for p in (p_s, p_r))
+        # d(t S)/dt > 0  <=>  1 + t dlog S/dt > 0, with dkappa/dt = 2 ln 2 (kappa + 1).
+        return 1.0 + t * 2.0 * math.log(2.0) * (kappa + 1.0) * dlog_s > 0.0
+
+    lo, hi = _T_FLOOR, _T_BRACKET
+    if not rising(lo):
+        return lo if reliable(RateParams(lo)) else None
+    while rising(hi):
+        lo, hi = hi, 2.0 * hi
+    return _bisect(rising, lo, hi, 1e-13)
+
+
+def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams):
+    """(p_s, p_r, t): the frontier partner of p_s and their best rate, or None."""
+    target = 1.0 - constraints.epsilon
+    pe_s = min_dep_slot(p_s, params)
+    p_r = _largest_power(
+        lambda p: 1.0 - (1.0 - pe_s) * (1.0 - min_dep_slot(p, params)) >= target,
+        constraints.p_max,
     )
-    eta, p_out, xi = _surface(p_s, p_r, t, params)
-    res = [grad[0] * p_s, grad[1] * p_r, grad[2] * t]
-    gaps = {
-        "covertness": xi - (1.0 - constraints.epsilon),
-        "reliability": constraints.delta - p_out,
-        "power_s": (constraints.p_max - p_s) / constraints.p_max,
-        "power_r": (constraints.p_max - p_r) / constraints.p_max,
+    t = None if p_r is None else _best_rate(p_s, p_r, constraints.delta, params)
+    return None if t is None else (p_s, p_r, t)
+
+
+def _rises(point, params: SystemParams) -> bool:
+    """Whether eta grows as a feasible frontier point moves to larger p_s.
+
+    With beta(p) the power elasticity of the DEP gap B and gamma(p) that
+    of the outage gap G, the frontier has d log p_r / d log p_s =
+    -beta(p_s)/beta(p_r).  At the best rate, whether the peak of t S(t)
+    or the reliability root, eta moves with the sign of
+    d log S / d log p_s = gamma(p_s) - gamma(p_r) beta(p_s)/beta(p_r).
+    """
+    if point is None:
+        return False
+    p_s, p_r, t = point
+    kappa = RateParams(t).kappa
+
+    def gamma(p: float) -> float:
+        return p * _ei_gap_dp(p, kappa, params) / _ei_gap(p, kappa, params)
+
+    def beta(p: float) -> float:
+        return p * _dep_gap_dp(p, params) / _scaled_ei_gap(params.mu2 / p, params.mu1 / p)
+
+    return gamma(p_s) * beta(p_r) > gamma(p_r) * beta(p_s)
+
+
+def _active_set(p_s, p_r, p_out, constraints, params) -> frozenset:
+    """Constraints whose slack is within _ACTIVITY_TOL of their scale."""
+    xi = min_dep_two_hop(params.with_powers(p_s, p_r))
+    slacks = {
+        "covertness": (xi - (1.0 - constraints.epsilon), max(constraints.epsilon, 1e-12)),
+        "reliability": (constraints.delta - p_out, max(constraints.delta, 1e-12)),
+        "power_s": (constraints.p_max - p_s, constraints.p_max),
+        "power_r": (constraints.p_max - p_r, constraints.p_max),
     }
-    for name in active:
-        res.append(gaps[name])
-    return np.array(res), mult, (eta, p_out, xi)
+    return frozenset(n for n, (gap, scale) in slacks.items() if abs(gap) <= _ACTIVITY_TOL * scale)
 
 
-def _newton_solve(z0, active, constraints, params, max_iter=200, tol=1e-10):
-    z = np.array(z0, dtype=float)
-    res, _, _ = _kkt_residual(z, active, constraints, params)
-    norm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if norm <= tol:
-            break
-        n = len(z)
-        jac = np.empty((n, n))
-        for i in range(n):
-            h = 1e-7 * max(abs(z[i]), 1.0)
-            zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
-            rp, _, _ = _kkt_residual(zp, active, constraints, params)
-            rm, _, _ = _kkt_residual(zm, active, constraints, params)
-            jac[:, i] = (rp - rm) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        damping = 1.0
-        improved = False
-        for _ in range(40):
-            z_try = z + damping * step
-            if not np.all(np.isfinite(z_try)) or np.any(z_try[:3] > 50) or np.any(z_try[:3] < -80):
-                damping *= 0.5
-                continue
-            try:
-                res_try, _, _ = _kkt_residual(z_try, active, constraints, params)
-            except (ValueError, ArithmeticError, OverflowError):
-                damping *= 0.5
-                continue
-            norm_try = float(np.max(np.abs(res_try)))
-            if norm_try < norm:
-                z, res, norm = z_try, res_try, norm_try
-                improved = True
-                break
-            damping *= 0.5
-        if not improved:
-            break
-    return z, norm
+def _kkt_certificate(p_s, p_r, t, eta, active, constraints, params) -> KktPoint:
+    """Multipliers of the active constraints, by least squares on stationarity.
 
+    Works on the elasticity-scaled gradient x * dL/dx, which is affine in
+    the multipliers.  At the rate floor, the bound of the rate domain,
+    stationarity in t relaxes to dL/dt >= 0.  Raises NumericError unless
+    the residual is below _CERT_TOL eta and no multiplier is negative
+    beyond that tolerance.
+    """
+    x = np.array([p_s, p_r, t])
 
-def _fine_grid(constraints: ConstraintSet, params: SystemParams, n: int = 60):
-    p_grid = np.geomspace(constraints.p_max * _POWER_SPAN, constraints.p_max, n)
-    t_grid = np.geomspace(_T_SCAN_LO, _T_SCAN_HI, n)
-    best = None
-    for p_s in p_grid:
-        for p_r in p_grid:
-            xi = min_dep_two_hop(params.with_powers(float(p_s), float(p_r)))
-            if xi < 1.0 - constraints.epsilon - _FEAS_SLACK:
-                continue
-            for t in t_grid:
-                ok, eta, _ = _feasible(float(p_s), float(p_r), float(t), constraints, params)
-                if not ok:
-                    continue
-                key = (eta, -float(p_s), -float(p_r), -float(t))
-                if best is None or key > best[0]:
-                    best = (key, float(p_s), float(p_r), float(t), eta)
-    return best
+    def scaled_gradient(mult) -> np.ndarray:
+        return x * np.array(lagrangian_gradient(p_s, p_r, t, mult, constraints, params))
+
+    base = scaled_gradient((0.0, 0.0, 0.0, 0.0))
+    idx = [i for i, name in enumerate(_CONSTRAINTS) if name in active]
+    cols = np.array([scaled_gradient(np.eye(4)[i]) - base for i in idx]).T.reshape(3, len(idx))
+    rows = 2 if t == _T_FLOOR else 3
+    k = np.linalg.lstsq(cols[:rows], -base[:rows], rcond=None)[0]
+    stationarity = base + cols @ k
+    residual = float(np.max(np.abs(stationarity[:rows])))
+    tol = _CERT_TOL * eta
+    mult = np.zeros(4)
+    mult[idx] = k
+    if (residual > tol or stationarity[2] < -tol
+            or np.any(k * np.max(np.abs(cols), axis=0, initial=0.0) < -tol)):
+        raise NumericError(
+            f"no KKT certificate at (p_s, p_r, t) = ({p_s}, {p_r}, {t}): "
+            f"residual {residual}, multipliers {mult.tolist()}"
+        )
+    return KktPoint(p_s, p_r, t, *(float(m) for m in mult), residual)
 
 
 def optimize_single(constraints: ConstraintSet, params_template: SystemParams) -> Optimum:
     """Maximize single-antenna covert throughput over (p_s, p_r, t).
 
-    Enumerates active/inactive patterns of the four inequality
-    constraints, solves each pattern's stationarity system by damped
-    Newton from the best coarse-scan point, and returns the best
-    converged feasible candidate; falls back to a fine grid scan when no
-    pattern converges.
+    Searches the covertness frontier as the module docstring describes.
+    Raises InfeasibleError when no covert powers have a reliable rate
+    t >= 1e-3, and NumericError when the optimum fails its KKT
+    certificate.
     """
     params = params_template
-    start = _coarse_scan(constraints, params)
-    if start is None:
-        # The log grid can straddle a narrow feasible sliver; probe the
-        # covertness-limited corner directly before declaring infeasibility.
-        try:
-            p_cov = covert_power_limit(constraints.epsilon, params, constraints.p_max)
-        except InfeasibleError:
-            raise
-        probe = None
-        for t in np.geomspace(_T_SCAN_LO, _T_SCAN_HI, 200):
-            ok, eta, _ = _feasible(p_cov, p_cov, float(t), constraints, params)
-            if ok and (probe is None or eta > probe[0]):
-                probe = (eta, p_cov, p_cov, float(t))
-        if probe is None:
-            raise InfeasibleError(
-                "no feasible point found by the coarse scan or the covertness-corner probe",
-                "reliability",
-            )
-        start = probe
-    start_eta, ps0, pr0, t0 = start
+    p_max = constraints.p_max
+    p_cov = covert_power_limit(constraints.epsilon, params, p_max)
 
-    best_candidate = None
-    for pattern in range(16):
-        active = tuple(name for i, name in enumerate(_CONSTRAINTS) if pattern >> i & 1)
-        z0 = [math.log(ps0), math.log(pr0), math.log(t0)] + [1e-2] * len(active)
-        try:
-            solved = _newton_solve(z0, active, constraints, params)
-        except (ValueError, ArithmeticError, OverflowError):
-            continue
-        if solved is None:
-            continue
-        z, norm = solved
-        if norm > 1e-8:
-            continue
-        res, mult, (eta, p_out, xi) = _kkt_residual(z, active, constraints, params)
-        if any(mult[name] < -1e-10 for name in active):
-            continue
-        p_s, p_r, t = (math.exp(v) for v in z[:3])
-        ok, eta, _gaps = _feasible(p_s, p_r, t, constraints, params)
-        if not ok:
-            continue
-        point = KktPoint(p_s, p_r, t, mult["covertness"], mult["reliability"],
-                         mult["power_s"], mult["power_r"], norm)
-        if best_candidate is None or eta > best_candidate[0]:
-            best_candidate = (eta, point, frozenset(active))
+    def rises(p_s: float) -> bool:
+        return _rises(_frontier_point(p_s, constraints, params), params)
 
-    # A converged pattern can still be a spurious stationary point (e.g.
-    # the degenerate t -> 0 corner); never return anything worse than the
-    # feasible scan point that seeded the solves.
-    if best_candidate is not None and best_candidate[0] >= start_eta - 1e-12:
-        eta, point, active = best_candidate
-        return Optimum(point.p_s, point.p_r, point.t, eta, active, method="kkt")
-
-    fine = _fine_grid(constraints, params)
-    if fine is None:
-        raise InfeasibleError("feasible region empty on the fine grid", "covertness")
-    _, p_s, p_r, t, eta = fine
-    return Optimum(p_s, p_r, t, eta, _active_set(p_s, p_r, t, constraints, params), method="grid")
-
-
-def _active_set(p_s, p_r, t, constraints, params) -> frozenset:
-    _, _, gaps = _feasible(p_s, p_r, t, constraints, params)
-    scales = {
-        "covertness": max(constraints.epsilon, 1e-12),
-        "reliability": max(constraints.delta, 1e-12),
-        "power_s": constraints.p_max,
-        "power_r": constraints.p_max,
-    }
-    return frozenset(n for n, gap in gaps.items() if abs(gap) <= _ACTIVITY_TOL * scales[n])
+    # On the half p_s >= p_r: the end p_s = P_max if eta still rises
+    # there, else the last point at which it rises.
+    p_s = p_max if p_cov == p_max or rises(p_max) else _bisect(rises, p_cov, p_max, 1e-10)
+    best = _frontier_point(p_s, constraints, params)
+    if best is None:
+        raise InfeasibleError("no rate t >= 1e-3 is reliable at covert powers", "reliability")
+    p_s, p_r, t = best
+    out = throughput_single(params.with_powers(p_s, p_r), RateParams(t))
+    active = _active_set(p_s, p_r, out.p_out, constraints, params)
+    _kkt_certificate(p_s, p_r, t, out.eta, active, constraints, params)
+    return Optimum(p_s, p_r, t, out.eta, active, method="kkt")
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +419,6 @@ def optimize_multi(
     best = None
     v = 0
     saw_covert = False
-    saw_reliable = False
     stop = False
     for p_s in ps_grid:
         p_s = float(p_s)
@@ -490,29 +431,30 @@ def optimize_multi(
                 continue
             saw_covert = True
             peak = -math.inf
-            t = h3
+            k = 1
             while True:
+                # k * h3, not a running sum, so every rate lies on the grid.
+                t = k * h3
                 rate = RateParams(t)
                 hop1 = outage_hop_multi_reference(p_s, rate, params, ant.n_s, ant.n_rr)
                 hop2 = outage_hop_multi_reference(p_r, rate, params, ant.n_rt, ant.n_d)
                 p_out = 1.0 - (1.0 - hop1) * (1.0 - hop2)
                 if p_out > constraints.delta:
                     break
-                saw_reliable = True
                 eta = t * (1.0 - p_out)
                 v += 1
                 if evaluations is not None:
                     evaluations.append((p_s, p_r, t, eta))
                 key = (eta, -p_s, -p_r, -t)
                 if best is None or key > best[0]:
-                    best = (key, p_s, p_r, t, eta)
+                    best = (key, p_s, p_r, t, eta, p_out)
                 peak = max(peak, eta)
                 if v >= v_max:
                     stop = True
                     break
                 if eta + phi < peak:
                     break
-                t += h3
+                k += 1
             if stop:
                 break
 
@@ -521,28 +463,6 @@ def optimize_multi(
         raise InfeasibleError(
             f"no grid point satisfies the constraints (tightest: {tightest})", tightest
         )
-    _, p_s, p_r, t, eta = best
-    return Optimum(p_s, p_r, t, eta,
-                   _active_set_multi(p_s, p_r, t, constraints, params), method="grid")
-
-
-def _active_set_multi(p_s, p_r, t, constraints, params) -> frozenset:
-    ant = params.antennas
-    rate = RateParams(t)
-    xi = min_dep_two_hop(params.with_powers(p_s, p_r))
-    hop1 = outage_hop_multi_reference(p_s, rate, params, ant.n_s, ant.n_rr)
-    hop2 = outage_hop_multi_reference(p_r, rate, params, ant.n_rt, ant.n_d)
-    p_out = 1.0 - (1.0 - hop1) * (1.0 - hop2)
-    gaps = {
-        "covertness": xi - (1.0 - constraints.epsilon),
-        "reliability": constraints.delta - p_out,
-        "power_s": constraints.p_max - p_s,
-        "power_r": constraints.p_max - p_r,
-    }
-    scales = {
-        "covertness": max(constraints.epsilon, 1e-12),
-        "reliability": max(constraints.delta, 1e-12),
-        "power_s": constraints.p_max,
-        "power_r": constraints.p_max,
-    }
-    return frozenset(n for n, gap in gaps.items() if abs(gap) <= _ACTIVITY_TOL * scales[n])
+    _, p_s, p_r, t, eta, p_out = best
+    return Optimum(p_s, p_r, t, eta, _active_set(p_s, p_r, p_out, constraints, params),
+                   method="grid")

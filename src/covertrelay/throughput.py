@@ -101,7 +101,10 @@ def outage_hop_single(p: float, rate: RateParams, params: SystemParams) -> float
     if rate.t == 0.0:
         return 0.0
     kappa = rate.kappa
-    gap = ei_diff(kappa * params.mu2 / p, kappa * params.mu1 / p)
+    x2 = kappa * params.mu2 / p
+    if x2 == math.inf:
+        return 1.0  # the SNR threshold exceeds the float range: certain outage
+    gap = ei_diff(x2, kappa * params.mu1 / p)
     value = 1.0 - gap / (2.0 * math.log(params.rho))
     return clamp_unit_interval(value, "outage_hop_single")
 
@@ -135,6 +138,8 @@ def outage_hop_multi_reference(
     if cached is not None:
         return cached
     kappa = rate.kappa
+    if kappa == math.inf:
+        return 1.0
     two_ln_rho = 2.0 * math.log(params.rho)
 
     def integrand(x: float) -> float:

@@ -109,6 +109,13 @@ class TestTasMrcGain:
             assert np.all(np.diff(f) >= 0)
             assert np.all((0.0 <= f) & (f <= 1.0))
 
+    def test_cdf_is_one_at_huge_gains(self):
+        # The branch partial sum would overflow (or give inf - inf) here.
+        for x in (math.inf, 1e300, 800.0):
+            assert tas_mrc_gain_cdf(2, 8, x) == 1.0
+        assert tas_mrc_gain_cdf(1, 1, math.inf) == 1.0
+        assert np.array_equal(tas_mrc_gain_cdf(4, 4, np.array([math.inf, 1e300])), [1.0, 1.0])
+
     def test_more_antennas_stochastically_larger(self):
         x = np.linspace(0.05, 30.0, 300)
         base = tas_mrc_gain_cdf(2, 2, x)

@@ -54,6 +54,14 @@ class TestThroughput:
         t, h1, h2, p_out, eta = (float(v) for v in rows[0])
         assert eta == pytest.approx(t * (1.0 - p_out), rel=1e-12)
 
+    def test_overflowing_rate_is_certain_outage(self, tmp_path):
+        for extra in ([], ["--nt", "2", "--nr", "8"]):
+            out = tmp_path / "tp.csv"
+            assert main(["throughput", "--t", "600", "--out", str(out), *extra]) == 0
+            _, _, rows = read_csv(out)
+            t, h1, h2, p_out, eta = (float(v) for v in rows[0])
+            assert (t, p_out, eta) == (600.0, 1.0, 0.0)
+
     def test_multi_antenna_beats_single(self, tmp_path):
         single, multi = tmp_path / "s.csv", tmp_path / "m.csv"
         main(["throughput", "--t", "1.5", "--out", str(single)])

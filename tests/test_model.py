@@ -102,6 +102,9 @@ class TestBudgetsAndRate:
         assert RateParams(1.5).kappa == pytest.approx(7.0, rel=1e-15)
         # expm1 keeps precision at tiny rates where 2^(2t) - 1 cancels.
         assert RateParams(1e-12).kappa == pytest.approx(2e-12 * math.log(2.0), rel=1e-16)
+        # 2^(2t) leaves the float range near t = 512.
+        assert math.isfinite(RateParams(500.0).kappa)
+        assert RateParams(600.0).kappa == math.inf
 
     def test_rate_rejects_negative(self):
         with pytest.raises(ValueError):

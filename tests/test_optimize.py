@@ -1,9 +1,11 @@
-"""Constrained throughput maximization: gradients, KKT solver, grid scan."""
+"""Constrained throughput maximization: gradients, frontier search, grid scan."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertrelay.errors import InfeasibleError
 from covertrelay.model import (
@@ -118,6 +120,68 @@ class TestOptimizeSingle:
             optimize_single(ConstraintSet(1e-6, 1e-9, 5.0), BASE)
         assert err.value.tightest_constraint in ("covertness", "reliability")
 
+    def test_power_cap_returned_exactly(self):
+        # Loose covertness: the optimum sits at the p_s cap, which must not
+        # be overshot by rounding.
+        opt = optimize_single(ConstraintSet(0.999, 0.5, 5.0), BASE)
+        assert opt.p_s == 5.0
+        assert opt.p_r < 5.0
+        assert "power_s" in opt.active_constraints
+        assert opt.method == "kkt"
+
+    def test_rate_floor_bounds_the_search(self):
+        # Covert powers this small put the peak of eta(t) below the 1e-3
+        # rate domain, so the optimum sits on its floor.
+        constraints = ConstraintSet(2.4e-6, 0.86, 12.5)
+        params = SystemParams(1.0, 1.0, dbm_to_watts(-7.9), 1.54)
+        opt = optimize_single(constraints, params)
+        assert opt.t == 1e-3
+        assert opt.method == "kkt"
+        point = params.with_powers(opt.p_s, opt.p_r)
+        assert throughput_single(point, RateParams(0.9e-3)).eta > opt.eta
+
+    def test_beats_symmetric_covert_point(self):
+        # The equal-power covertness limit at its largest reliable rate is
+        # a feasible point with eta = 0.0415409; the optimum is no worse.
+        constraints = ConstraintSet(0.24054067507978932, 0.06820260572459631, 5.0)
+        params = SystemParams(1.0, 1.0, dbm_to_watts(2.019407782976227), 2.83239012351763)
+        p_cov = covert_power_limit(constraints.epsilon, params, constraints.p_max)
+        point = params.with_powers(p_cov, p_cov)
+        lo, hi = 1e-3, 4.0
+        assert throughput_single(point, RateParams(lo)).p_out <= constraints.delta
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if throughput_single(point, RateParams(mid)).p_out <= constraints.delta:
+                lo = mid
+            else:
+                hi = mid
+        symmetric_eta = throughput_single(point, RateParams(lo)).eta
+        assert symmetric_eta == pytest.approx(0.0415409, rel=1e-5)
+        opt = optimize_single(constraints, params)
+        assert opt.method == "kkt"
+        assert opt.eta >= symmetric_eta
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        epsilon=st.floats(0.05, 0.5, exclude_min=True, exclude_max=True),
+        delta=st.floats(0.05, 0.5, exclude_min=True, exclude_max=True),
+        rho=st.floats(1.01, 3.0),
+    )
+    def test_result_is_feasible_and_certified(self, epsilon, delta, rho):
+        constraints = ConstraintSet(epsilon, delta, 5.0)
+        params = SystemParams(1.0, 1.0, SIGMA_N2, rho)
+        try:
+            opt = optimize_single(constraints, params)
+        except InfeasibleError:
+            return
+        assert 0.0 < opt.p_s <= constraints.p_max and 0.0 < opt.p_r <= constraints.p_max
+        point = params.with_powers(opt.p_s, opt.p_r)
+        assert min_dep_two_hop(point) >= 1.0 - epsilon - 1e-9
+        out = throughput_single(point, RateParams(opt.t))
+        assert out.p_out <= delta + 1e-9
+        assert opt.eta == out.eta
+        assert opt.method == "kkt"
+
 
 class TestOptimizeMulti:
     PARAMS = SystemParams(1.0, 1.0, SIGMA_N2, 1.5, AntennaConfig(2, 8, 2, 8))
@@ -128,6 +192,7 @@ class TestOptimizeMulti:
         assert evals, "scan should record feasible points"
         assert opt.eta >= max(e[3] for e in evals)
         assert opt.method == "grid"
+        assert opt.t == round(opt.t / 0.01) * 0.01
 
     def test_deterministic(self):
         a = optimize_multi(BUDGETS, self.PARAMS)

@@ -70,6 +70,11 @@ class TestSingleAntenna:
 
     def test_huge_rate_saturates(self):
         assert outage_hop_single(1.0, RateParams(30.0), BASE) >= 1.0 - 1e-9
+        # kappa overflows at t = 600; at t = 511 only kappa * mu2 / p does.
+        assert outage_hop_single(1.0, RateParams(600.0), BASE) == 1.0
+        assert outage_hop_single(1e-6, RateParams(511.0), BASE) == 1.0
+        out = throughput_single(BASE, RateParams(600.0))
+        assert out.p_out == 1.0 and out.eta == 0.0
 
     def test_monotone_in_rate_and_power(self):
         ts = np.linspace(0.01, 4.0, 60)
@@ -121,6 +126,12 @@ class TestMultiAntenna:
             5.020616396887715e-47, rel=1e-6
         )
 
+    def test_overflowing_rate_is_certain_outage(self):
+        assert outage_hop_multi_reference(1.0, RateParams(600.0), BASE, 2, 8) == 1.0
+        params = SystemParams(1.0, 1.0, SIGMA_N2, 1.5, AntennaConfig(2, 8, 2, 8))
+        out = throughput_multi(params, RateParams(600.0))
+        assert out.p_out == 1.0 and out.eta == 0.0
+
     def test_more_antennas_never_hurt(self):
         rate = RateParams(1.5)
         base = outage_hop_multi_reference(1.0, rate, BASE, 2, 2)
@@ -165,6 +176,11 @@ class TestMultiAntenna:
 
 
 class TestMcOutage:
+    def test_overflowing_rate_is_certain_outage(self):
+        for n_t, n_r in ((1, 1), (2, 8)):
+            est = mc_outage_hop(1.0, RateParams(600.0), BASE, n_t, n_r, 10_000, RngSpec(5))
+            assert est.mean == 1.0
+
     def test_reproducible(self):
         a = mc_outage_hop(0.01, RateParams(1.5), BASE, 2, 2, 10_000, RngSpec(3, 1))
         b = mc_outage_hop(0.01, RateParams(1.5), BASE, 2, 2, 10_000, RngSpec(3, 1))
