@@ -100,14 +100,37 @@ _GAIN_CAP = 700.0
 
 def _branch_cdf(n_r: int, x):
     # CDF of Gamma(n_r, 1): 1 - e^{-x} sum_{j<n_r} x^j / j!, by term recurrence.
-    x = np.minimum(np.asarray(x, dtype=float), _GAIN_CAP)
+    shape = np.shape(x)
+    x = np.minimum(np.ravel(np.asarray(x, dtype=float)), _GAIN_CAP)
     term = np.ones_like(x)
     total = np.ones_like(x)
     for j in range(1, n_r):
         term = term * x / j
         total = total + term
-    # 1 - e^{-x} * total, written to stay accurate when the CDF is tiny.
-    return -np.expm1(-x + np.log(total))
+    # 1 - e^{-x} * total carries ~1e-16 absolute error, so below n_r/2,
+    # where the CDF can be far smaller, the lower series replaces it.
+    cdf = -np.expm1(-x + np.log(total))
+    low = x < 0.5 * n_r
+    if np.any(low):
+        cdf[low] = _lower_series(n_r, x[low])
+    return cdf.reshape(shape)
+
+
+def _lower_series(n_r: int, x: np.ndarray) -> np.ndarray:
+    # e^{-x} x^{n_r} / n_r! * sum_k x^k n_r! / (n_r + k)!; below n_r/2 each
+    # term is less than half the one before it.
+    lead = np.exp(-x)
+    for j in range(1, n_r + 1):
+        lead = lead * x / j
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    k = n_r
+    while True:
+        k += 1
+        term = term * x / k
+        if np.all(term < 1e-17 * total):
+            return lead * total
+        total = total + term
 
 
 def tas_mrc_gain_cdf(n_t: int, n_r: int, x):
@@ -128,9 +151,12 @@ def tas_mrc_gain_pdf(n_t: int, n_r: int, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("gain must be >= 0")
-    branch_pdf = np.exp((n_r - 1) * np.log(arr, where=arr > 0, out=np.full_like(arr, -np.inf)) - arr)
-    branch_pdf = branch_pdf / math.factorial(n_r - 1)
+    # Capped at the largest float, where the density is 0 (at inf it would be inf - inf).
+    gain = np.minimum(arr, np.finfo(float).max)
     if n_r == 1:
-        branch_pdf = np.exp(-arr)
+        branch_pdf = np.exp(-gain)
+    else:
+        log_gain = np.log(gain, where=gain > 0, out=np.full_like(gain, -np.inf))
+        branch_pdf = np.exp((n_r - 1) * log_gain - gain) / math.factorial(n_r - 1)
     value = n_t * _branch_cdf(n_r, arr) ** (n_t - 1) * branch_pdf
     return float(value) if np.isscalar(x) or arr.ndim == 0 else value

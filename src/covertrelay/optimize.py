@@ -15,6 +15,11 @@ are nonnegative and leave a stationarity residual below 1e-6 eta.
 Multi-antenna: a feasibility-filtered triple grid scan over log-spaced
 power grids (a tight covertness budget puts the feasible powers decades
 below P_max), with early exit once the rate loop has passed its peak.
+Hop outages are read from tables with one column per (antennas, power)
+of a covert pair and one row per rate k h3.  The Gauss-Legendre kernel
+`throughput.noise_expectation` fills them, with its 64/128-node error
+estimate and refinement up to 1024 nodes, and a column's rows are
+doubled whenever the rate loop needs one it does not have.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .detection import _scaled_ei_gap, min_dep_slot, min_dep_two_hop
 from .errors import InfeasibleError, NumericError
 from .model import ConstraintSet, RateParams, SystemParams
 from .specfun import ei_diff
-from .throughput import outage_hop_multi_reference, outage_hop_single, throughput_single
+from .throughput import noise_expectation, outage_hop_single, throughput_single
 
 __all__ = [
     "Optimum",
@@ -51,6 +56,9 @@ _T_FLOOR, _T_BRACKET = 1e-3, 4.0
 # Largest stationarity residual the KKT certificate accepts, relative to eta.
 _CERT_TOL = 1e-6
 _CONSTRAINTS = ("covertness", "reliability", "power_s", "power_r")
+# Rows of a multi-antenna outage column before its first doubling.
+_FIRST_ROWS = 16
+_NO_ROWS = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -151,18 +159,23 @@ def lagrangian_gradient(
     k1, k2, k3, k4 = (float(m) for m in multipliers)
     kappa = RateParams(t).kappa
     c = 4.0 * math.log(params.rho) ** 2
-    g1, g2 = _ei_gap(p_s, kappa, params), _ei_gap(p_r, kappa, params)
-    dg1, dg2 = _ei_gap_dp(p_s, kappa, params), _ei_gap_dp(p_r, kappa, params)
     b1, b2 = (_scaled_ei_gap(params.mu2 / p, params.mu1 / p) for p in (p_s, p_r))
     db1, db2 = _dep_gap_dp(p_s, params), _dep_gap_dp(p_r, params)
-    dkappa_dt = 2.0 ** (2.0 * t) * 2.0 * math.log(2.0)
-    dgk1 = _ei_gap_dkappa(p_s, kappa, params)
-    dgk2 = _ei_gap_dkappa(p_r, kappa, params)
+    if kappa * params.mu2 / min(p_s, p_r) == math.inf:
+        # A hop's SNR threshold exceeds the float range: certain outage, so
+        # eta, p_out and all their partials vanish.
+        g1 = g2 = dg1 = dg2 = dprod_dt = 0.0
+    else:
+        g1, g2 = _ei_gap(p_s, kappa, params), _ei_gap(p_r, kappa, params)
+        dg1, dg2 = _ei_gap_dp(p_s, kappa, params), _ei_gap_dp(p_r, kappa, params)
+        dkappa_dt = 2.0 ** (2.0 * t) * 2.0 * math.log(2.0)
+        dgk1 = _ei_gap_dkappa(p_s, kappa, params)
+        dgk2 = _ei_gap_dkappa(p_r, kappa, params)
+        dprod_dt = (dgk1 * g2 + g1 * dgk2) * dkappa_dt
 
     # eta = t G1 G2 / c;  p_out = 1 - G1 G2 / c;  xi* = 1 - B1 B2 / c.
     d_ps = -t * dg1 * g2 / c + k1 * db1 * b2 / c - k2 * dg1 * g2 / c + k3
     d_pr = -t * g1 * dg2 / c + k1 * b1 * db2 / c - k2 * g1 * dg2 / c + k4
-    dprod_dt = (dgk1 * g2 + g1 * dgk2) * dkappa_dt
     d_t = -(g1 * g2 + t * dprod_dt) / c - k2 * dprod_dt / c
 
     grad = (d_ps, d_pr, d_t)
@@ -416,6 +429,23 @@ def optimize_multi(
             slot_dep[p] = min_dep_slot(p, params)
         return slot_dep[p]
 
+    # Hop outages at the rates k * h3, one column per (antennas, power),
+    # built only for powers of covert pairs.  The scan asks for the rows
+    # of a column in order, so doubling it always covers row k.
+    kappas: list[float] = []
+    columns: dict[tuple, np.ndarray] = {}
+
+    def outage(n_t: int, n_r: int, p: float, k: int) -> float:
+        col = columns.get((n_t, n_r, p), _NO_ROWS)
+        if k > col.size:
+            rows = max(_FIRST_ROWS, 2 * col.size)
+            kappas.extend(RateParams(j * h3).kappa for j in range(len(kappas) + 1, rows + 1))
+            y = np.array(kappas[col.size : rows]) / p
+            col = columns[(n_t, n_r, p)] = np.concatenate(
+                (col, noise_expectation(n_t, n_r, y, params))
+            )
+        return float(col[k - 1])
+
     best = None
     v = 0
     saw_covert = False
@@ -435,9 +465,8 @@ def optimize_multi(
             while True:
                 # k * h3, not a running sum, so every rate lies on the grid.
                 t = k * h3
-                rate = RateParams(t)
-                hop1 = outage_hop_multi_reference(p_s, rate, params, ant.n_s, ant.n_rr)
-                hop2 = outage_hop_multi_reference(p_r, rate, params, ant.n_rt, ant.n_d)
+                hop1 = outage(ant.n_s, ant.n_rr, p_s, k)
+                hop2 = outage(ant.n_rt, ant.n_d, p_r, k)
                 p_out = 1.0 - (1.0 - hop1) * (1.0 - hop2)
                 if p_out > constraints.delta:
                     break

@@ -1,8 +1,9 @@
 """Independent quadrature oracles for the special-function layer.
 
 These deliberately avoid the library's own series/continued-fraction
-machinery: everything is adaptive quadrature of defining integrals, so
-agreement between the two is meaningful evidence of correctness.
+machinery: everything is adaptive quadrature of defining integrals, or of
+scipy's incomplete gamma function, so agreement between the two is
+meaningful evidence of correctness.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 
 from scipy import integrate
+from scipy.special import gammainc
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -67,3 +69,19 @@ def oracle_ei_diff(x: float, y: float) -> float:
     )
     # int_lo^hi e^{-t}/t dt = E1(lo) - E1(hi) = Ei(-hi) - Ei(-lo) > 0.
     return value if x > y else -value
+
+
+def oracle_tas_mrc_outage(p: float, kappa: float, sigma2: float, rho: float,
+                          n_t: int, n_r: int) -> float:
+    """TAS/MRC hop outage by quadrature over the noise exponent.
+
+    With the noise sigma2 * rho^(2u - 1), u uniform on [0, 1], the outage
+    is the mean over u of P(gain < kappa * noise / p), where the gain CDF
+    is scipy's regularized lower incomplete gamma to the n_t power.
+    """
+
+    def integrand(u: float) -> float:
+        return gammainc(n_r, kappa * sigma2 * rho ** (2.0 * u - 1.0) / p) ** n_t
+
+    value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=400)
+    return value

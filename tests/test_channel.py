@@ -1,10 +1,11 @@
 """Samplers: reproducibility, distributional checks, exact CDF/PDF."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from covertrelay.channel import (
     RngSpec,
@@ -115,6 +116,26 @@ class TestTasMrcGain:
             assert tas_mrc_gain_cdf(2, 8, x) == 1.0
         assert tas_mrc_gain_cdf(1, 1, math.inf) == 1.0
         assert np.array_equal(tas_mrc_gain_cdf(4, 4, np.array([math.inf, 1e300])), [1.0, 1.0])
+
+    def test_cdf_matches_incomplete_gamma_in_the_lower_tail(self):
+        # The branch CDF is scipy's regularized lower incomplete gamma; in
+        # the lower tail the CDF is far below the 1e-16 resolution of 1 - F.
+        x = np.geomspace(1e-8, 699.0, 2000)
+        for n_r in (1, 2, 4, 8, 16):
+            for n_t in (1, 3):
+                got = tas_mrc_gain_cdf(n_t, n_r, x)
+                ref = special.gammainc(n_r, x) ** n_t
+                assert np.all(got >= 0.0)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert 0.0 < tas_mrc_gain_cdf(1, 8, 1e-4) == pytest.approx(2.48e-37, rel=1e-3)
+
+    def test_pdf_is_zero_at_infinite_gain(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tas_mrc_gain_pdf(2, 8, math.inf) == 0.0
+            assert tas_mrc_gain_pdf(1, 1, math.inf) == 0.0
+            pdf = tas_mrc_gain_pdf(4, 4, np.array([0.0, 3.0, math.inf]))
+        assert pdf[0] == 0.0 and pdf[1] > 0.0 and pdf[2] == 0.0
 
     def test_more_antennas_stochastically_larger(self):
         x = np.linspace(0.05, 30.0, 300)

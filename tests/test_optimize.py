@@ -22,7 +22,7 @@ from covertrelay.optimize import (
     optimize_multi,
     optimize_single,
 )
-from covertrelay.throughput import throughput_single
+from covertrelay.throughput import throughput_multi, throughput_single
 
 SIGMA_N2 = dbm_to_watts(-5.0)
 BASE = SystemParams(1.0, 1.0, SIGMA_N2, 1.5)
@@ -39,6 +39,15 @@ class TestGradient:
             t = float(np.exp(rng.uniform(math.log(0.05), math.log(2.5))))
             mult = tuple(float(m) for m in rng.uniform(0.0, 2.0, 4))
             lagrangian_gradient(p_s, p_r, t, mult, BUDGETS, BASE, debug=True)
+
+    def test_certain_outage_leaves_covertness_and_power_terms(self):
+        # At t = 600 kappa is inf: eta and p_out are flat, so dL/dt = 0 and
+        # the power partials are those of the covertness and power terms.
+        mult = (0.3, 0.2, 0.1, 0.4)
+        d_ps, d_pr, d_t = lagrangian_gradient(1.0, 1.0, 600.0, mult, BUDGETS, BASE, debug=True)
+        assert d_t == 0.0
+        assert d_ps > mult[2] and d_pr > mult[3]
+        assert lagrangian_gradient(1.0, 1.0, 600.0, (0, 0, 0, 0), BUDGETS, BASE) == (0, 0, 0)
 
     def test_rejects_boundary_point(self):
         with pytest.raises(ValueError):
@@ -193,6 +202,38 @@ class TestOptimizeMulti:
         assert opt.eta >= max(e[3] for e in evals)
         assert opt.method == "grid"
         assert opt.t == round(opt.t / 0.01) * 0.01
+
+    @pytest.mark.parametrize("n_t,n_r,t,eta,evaluated", [
+        (2, 2, 0.21, 0.19093112390269013, 14186),
+        (2, 8, 0.81, 0.7347114905359198, 68984),
+        (4, 4, 0.6, 0.5411819345802916, 45574),
+    ])
+    def test_default_optima(self, n_t, n_r, t, eta, evaluated):
+        # The paper's default grid at the CLI's operating point.
+        evals = []
+        params = SystemParams(1.0, 1.0, SIGMA_N2, 1.5, AntennaConfig(n_t, n_r, n_t, n_r))
+        opt = optimize_multi(BUDGETS, params, evaluations=evals)
+        assert (opt.p_s, opt.p_r, opt.t) == (1.2385381779958556e-4, 1.4240179342179008e-4, t)
+        assert opt.eta == pytest.approx(eta, rel=1e-12, abs=0)
+        assert len(evals) == evaluated
+
+    def test_evaluations_match_throughput_multi(self):
+        # The outage tables against the scalar path, on a 5 % sample.
+        evals = []
+        optimize_multi(BUDGETS, self.PARAMS, evaluations=evals)
+        for p_s, p_r, t, eta in evals[::20]:
+            out = throughput_multi(self.PARAMS.with_powers(p_s, p_r), RateParams(t))
+            assert abs(eta - out.eta) <= 1e-12
+
+    def test_linear_steps(self):
+        # Linear power grids with steps h1 and h2 up to P_max = 1 mW.
+        evals = []
+        budgets = ConstraintSet(0.15, 0.1, 1e-3)
+        opt = optimize_multi(budgets, self.PARAMS, steps=(1e-5, 2e-5, 0.02), evaluations=evals)
+        assert (opt.p_s, opt.p_r, opt.t) == (0.00015000000000000001, 0.00012, 0.8)
+        assert opt.eta == pytest.approx(0.7307596345415696, rel=1e-12, abs=0)
+        assert len(evals) == 12124
+        assert opt.eta >= max(e[3] for e in evals)
 
     def test_deterministic(self):
         a = optimize_multi(BUDGETS, self.PARAMS)

@@ -13,10 +13,12 @@ from covertrelay.model import (
     dbm_to_watts,
 )
 from covertrelay.specfun import ei_diff
+from oracles import oracle_tas_mrc_outage
 from covertrelay.throughput import (
     ThroughputOutcome,
     capacity_hop,
     mc_outage_hop,
+    noise_expectation,
     outage_hop_multi_paper,
     outage_hop_multi_reference,
     outage_hop_single,
@@ -115,16 +117,54 @@ class TestMultiAntenna:
                 assert abs(single - multi) < 1e-9
 
     def test_frozen_values(self):
+        # abs=0: pytest.approx's default abs=1e-12 would accept any of these.
+        # The (2,8) and (4,4) values are oracle_tas_mrc_outage's.
         rate = RateParams(1.5)
         assert outage_hop_multi_reference(1.0, rate, BASE, 2, 2) == pytest.approx(
-            8.970077373835423e-12, rel=1e-6
+            8.970077373835423e-12, rel=1e-6, abs=0
         )
         assert outage_hop_multi_reference(1.0, rate, BASE, 2, 8) == pytest.approx(
-            2.0715336747069208e-32, rel=1e-6
+            1.0291306756825152e-50, rel=1e-6, abs=0
         )
         assert outage_hop_multi_reference(1.0, rate, BASE, 4, 4) == pytest.approx(
-            5.020616396887715e-47, rel=1e-6
+            5.020380043951484e-47, rel=1e-6, abs=0
         )
+
+    @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 2), (2, 8), (4, 4)])
+    def test_matches_incomplete_gamma_oracle(self, n_t, n_r):
+        # Up to rho = 1e6, where 128 nodes are not enough and the kernel
+        # must refine.
+        for rho in (1.01, 1.5, 3.0, 10.0, 1e3, 1e6):
+            params = SystemParams(1.0, 1.0, SIGMA_N2, rho)
+            for p in np.geomspace(5e-6, 5.0, 7):
+                for t in np.geomspace(0.01, 5.0, 7):
+                    rate = RateParams(float(t))
+                    got = outage_hop_multi_reference(float(p), rate, params, n_t, n_r)
+                    ref = oracle_tas_mrc_outage(float(p), rate.kappa, SIGMA_N2, rho, n_t, n_r)
+                    assert abs(got - ref) <= 1e-12, (rho, p, t)
+                    if ref > 1e-300:
+                        assert abs(got - ref) <= 1e-10 * ref, (rho, p, t)
+
+    def test_panels_resolve_huge_noise_uncertainty(self):
+        # A single 1024-node rule no longer resolves the outage at rho = 1e30.
+        for rho in (1e10, 1e30):
+            params = SystemParams(1.0, 1.0, SIGMA_N2, rho)
+            for p in (1e-4, 1.0):
+                for t in (0.1, 1.5):
+                    rate = RateParams(t)
+                    got = outage_hop_multi_reference(p, rate, params, 2, 8)
+                    ref = oracle_tas_mrc_outage(p, rate.kappa, SIGMA_N2, rho, 2, 8)
+                    assert abs(got - ref) <= 1e-12, (rho, p, t)
+
+    def test_kernel_is_elementwise(self):
+        # An array of thresholds gives the scalar wrapper's values exactly.
+        rates = [RateParams(t) for t in (0.3, 1.5, 4.0)]
+        y = np.array([[r.kappa / p for r in rates] for p in (1e-4, 1.0)])
+        table = noise_expectation(2, 8, y, BASE)
+        assert table.shape == y.shape
+        for i, p in enumerate((1e-4, 1.0)):
+            for j, rate in enumerate(rates):
+                assert table[i, j] == outage_hop_multi_reference(p, rate, BASE, 2, 8)
 
     def test_overflowing_rate_is_certain_outage(self):
         assert outage_hop_multi_reference(1.0, RateParams(600.0), BASE, 2, 8) == 1.0
