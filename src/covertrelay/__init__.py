@@ -30,7 +30,7 @@ from .detection import (
     optimal_threshold,
 )
 from .optimize import KktPoint, Optimum, optimize_multi, optimize_single
-from .specfun import Tolerance, ei_diff, expint_ei, expint_ei_scaled, upper_gamma
+from .specfun import ei_diff, expint_ei, expint_ei_scaled, upper_gamma
 from .throughput import (
     ThroughputOutcome,
     capacity_hop,
@@ -57,7 +57,6 @@ __all__ = [
     "RngSpec",
     "SystemParams",
     "ThroughputOutcome",
-    "Tolerance",
     "capacity_hop",
     "dbm_to_watts",
     "dep_slot_paper",

@@ -62,6 +62,30 @@ def worker_generators(spec: RngSpec, workers: int) -> list[np.random.Generator]:
     ]
 
 
+# Smallest trial count a Monte-Carlo estimator accepts.
+_MIN_MC_SAMPLES = 1000
+
+
+def _mc_count(spec: RngSpec, n: int, workers: int, chunk: int, count):
+    """Sum of count(gen, m) over n trials, drawn in chunks of at most `chunk`.
+
+    count draws m trials from gen and returns their hits (an int, or an
+    array of counts).  The trials are split into `workers` shards, the
+    first n % workers one trial longer, each drawn from its own generator
+    of worker_generators.
+    """
+    if n < _MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {_MIN_MC_SAMPLES} samples, got {n}")
+    gens = worker_generators(spec, workers)
+    base, extra = divmod(n, workers)
+    total = 0
+    for w, gen in enumerate(gens):
+        shard = base + (w < extra)
+        for done in range(0, shard, chunk):
+            total = total + count(gen, min(chunk, shard - done))
+    return total
+
+
 def sample_noise_power(params: SystemParams, rng: np.random.Generator, size: int | None = None):
     """Log-uniform receiver noise power on [mu1, mu2].
 
@@ -108,9 +132,10 @@ def _branch_cdf(n_r: int, x):
         term = term * x / j
         total = total + term
     # 1 - e^{-x} * total carries ~1e-16 absolute error, so below n_r/2,
-    # where the CDF can be far smaller, the lower series replaces it.
+    # and wherever it comes out below 1e-3 (x up to ~n_r for large n_r),
+    # the lower series replaces it.
     cdf = -np.expm1(-x + np.log(total))
-    low = x < 0.5 * n_r
+    low = (x < 0.5 * n_r) | (cdf < 1e-3)
     if np.any(low):
         cdf[low] = _lower_series(n_r, x[low])
     return cdf.reshape(shape)
@@ -118,7 +143,7 @@ def _branch_cdf(n_r: int, x):
 
 def _lower_series(n_r: int, x: np.ndarray) -> np.ndarray:
     # e^{-x} x^{n_r} / n_r! * sum_k x^k n_r! / (n_r + k)!; below n_r/2 each
-    # term is less than half the one before it.
+    # term is less than half the one before it, and below n_r it converges.
     lead = np.exp(-x)
     for j in range(1, n_r + 1):
         lead = lead * x / j

@@ -10,15 +10,18 @@ Exit codes: 0 success, 2 invalid parameters, 3 infeasible optimization,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .detection import min_dep_slot, min_dep_two_hop, optimal_threshold
+from .detection import DetectionOutcome, min_dep_slot, min_dep_two_hop, optimal_threshold
 from .errors import InfeasibleError, NumericError
 from .model import (
+    NOISE_GRID_DBM,
     AntennaConfig,
     ConstraintSet,
     RateParams,
@@ -45,8 +48,6 @@ EXIT_NUMERIC = 4
 DEFAULT_P_MAX = 5.0
 DEFAULT_T_REF = 0.5
 
-_SWEEP_VARIABLES = ("p", "p_s", "p_r", "rho", "sigma_n2_dbm", "t", "epsilon", "n_t", "n_r")
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -54,25 +55,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_line(values) -> str:
-    fields = []
-    for value in values:
-        text = _fmt(value)
-        if any(ch in text for ch in ',"\n'):
-            text = '"' + text.replace('"', '""') + '"'
-        fields.append(text)
-    return ",".join(fields)
-
-
-def _write_csv(out: str | None, params_line: str, header: list[str], rows) -> None:
-    lines = [f"# params: {params_line}", _csv_line(header)]
-    lines.extend(_csv_line(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _write_csv(out: str | None, params_line: str, header, rows) -> None:
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", newline="", encoding="utf-8")) as handle:
+        handle.write(f"# params: {params_line}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 @dataclass
@@ -127,31 +116,26 @@ def _params_line(res: _Resolved, params: SystemParams, extra: dict | None = None
 
 def _cmd_dep(res: _Resolved) -> int:
     params = _system_params(res)
-    tau = optimal_threshold(params)
-    pe1 = min_dep_slot(params.p_s, params)
-    pe2 = min_dep_slot(params.p_r, params)
-    xi = min_dep_two_hop(params)
+    pe1, pe2 = (min_dep_slot(p, params) for p in (params.p_s, params.p_r))
+    outcome = DetectionOutcome.combine(optimal_threshold(params), pe1, pe2)
     _write_csv(
         res.get("out", None, str),
         _params_line(res, params),
         ["tau_star_w", "pe1_star", "pe2_star", "xi_star"],
-        [(tau, pe1, pe2, xi)],
+        [astuple(outcome)],
     )
     return EXIT_OK
 
 
-def _is_multi(params: SystemParams) -> bool:
-    return not params.antennas.is_single
-
-
-def _throughput(params: SystemParams, rate: RateParams):
-    return throughput_multi(params, rate) if _is_multi(params) else throughput_single(params, rate)
+def _throughput(params: SystemParams, t: float):
+    single = params.antennas.is_single
+    return (throughput_single if single else throughput_multi)(params, RateParams(t))
 
 
 def _cmd_throughput(res: _Resolved) -> int:
     params = _system_params(res)
     t = res.get("t", DEFAULT_T_REF)
-    out = _throughput(params, RateParams(t))
+    out = _throughput(params, t)
     _write_csv(
         res.get("out", None, str),
         _params_line(res, params, {"t": t}),
@@ -159,6 +143,85 @@ def _cmd_throughput(res: _Resolved) -> int:
         [(t, out.p_out_hop1, out.p_out_hop2, out.p_out, out.eta)],
     )
     return EXIT_OK
+
+
+def _with_antennas(params: SystemParams, n_t: int, n_r: int) -> SystemParams:
+    return replace(params, antennas=AntennaConfig(n_t, n_r, n_t, n_r))
+
+
+# How each variable of `sweep` and of figures 3-8 moves a point (params, t)
+# to value v; epsilon moves both powers to the covert power limit under
+# the power cap.
+_SWEEPS = {
+    "p": lambda s, t, v, cap: (s.with_powers(v, v), t),
+    "p_s": lambda s, t, v, cap: (s.with_powers(v, s.p_r), t),
+    "p_r": lambda s, t, v, cap: (s.with_powers(s.p_s, v), t),
+    "rho": lambda s, t, v, cap: (replace(s, rho=v), t),
+    "sigma_n2_dbm": lambda s, t, v, cap: (replace(s, sigma_n2=dbm_to_watts(v)), t),
+    "t": lambda s, t, v, cap: (s, v),
+    "epsilon": lambda s, t, v, cap: (s.with_powers(*[covert_power_limit(v, s, cap)] * 2), t),
+    "n_t": lambda s, t, v, cap: (
+        replace(s, antennas=replace(s.antennas, n_s=round(v), n_rt=round(v))), t),
+    "n_r": lambda s, t, v, cap: (
+        replace(s, antennas=replace(s.antennas, n_rr=round(v), n_d=round(v))), t),
+}
+
+
+def _sweep_rows(base: SystemParams, variable: str, grid, values, outer=None,
+                t: float = DEFAULT_T_REF, p_max: float = DEFAULT_P_MAX) -> list:
+    """Rows (outer value, inner value, *values(params, t)) around a base point.
+
+    The inner variable runs over `grid` for each value of the optional
+    `outer` (variable, grid); both move the point (base, t) by `_SWEEPS`.
+    """
+    starts = [((), base, t)]
+    if outer is not None:
+        name, outer_grid = outer
+        starts = [((float(v),), *_SWEEPS[name](base, t, float(v), p_max)) for v in outer_grid]
+    rows = []
+    for lead, params, start_t in starts:
+        for v in grid:
+            point = _SWEEPS[variable](params, start_t, float(v), p_max)
+            rows.append((*lead, float(v), *values(*point)))
+    return rows
+
+
+def _xi(params: SystemParams, t: float) -> tuple:
+    return (min_dep_two_hop(params),)
+
+
+def _xi_outage_eta(params: SystemParams, t: float) -> tuple:
+    out = _throughput(params, t)
+    return min_dep_two_hop(params), out.p_out, out.eta
+
+
+def _etas(params: SystemParams, t: float) -> tuple:
+    # Throughput with single antennas and with TAS/MRC (2, 8).
+    return _throughput(params, t).eta, _throughput(_with_antennas(params, 2, 8), t).eta
+
+
+_FIG_BASE = SystemParams(1.0, 1.0, dbm_to_watts(-5.0), 1.5)
+_NOISE_AXIS = ("sigma_n2_dbm", NOISE_GRID_DBM)
+# Figure number -> (header, rows), computed on demand.  Figure 7's antenna
+# pairs are not a product of two axes; each pair, (1, 1) included, goes
+# through the TAS/MRC path.
+_FIGURES = {
+    3: lambda: (("sigma_n2_dbm", "P_watts", "xi_star"), _sweep_rows(
+        _FIG_BASE, "p", np.linspace(0.1, 5.0, 50), _xi, outer=_NOISE_AXIS)),
+    4: lambda: (("sigma_n2_dbm", "rho", "xi_star"), _sweep_rows(
+        _FIG_BASE.with_powers(3.0, 3.0), "rho", np.linspace(1.01, 3.0, 50), _xi,
+        outer=_NOISE_AXIS)),
+    5: lambda: (("p_s", "p_r", "xi_star"), _sweep_rows(
+        _FIG_BASE, "p_r", np.linspace(0.25, 5.0, 20), _xi,
+        outer=("p_s", np.linspace(0.25, 5.0, 20)))),
+    6: lambda: (("t", "eta_single", "eta_multi"), _sweep_rows(
+        _FIG_BASE, "t", np.linspace(0.01, 3.0, 200), _etas)),
+    7: lambda: (("n_t", "n_r", "eta"), [
+        (n_t, n_r, throughput_multi(_with_antennas(_FIG_BASE, n_t, n_r), RateParams(1.5)).eta)
+        for n_t, n_r in ((1, 1), (1, 2), (2, 2), (2, 4), (2, 8), (4, 4), (4, 8))]),
+    8: lambda: (("epsilon", "p_cov_w", "eta_single", "eta_multi"), _sweep_rows(
+        _FIG_BASE, "epsilon", np.linspace(0.05, 0.5, 20), lambda s, t: (s.p_s, *_etas(s, t)))),
+}
 
 
 def _sweep_grid(res: _Resolved):
@@ -183,46 +246,36 @@ def _sweep_grid(res: _Resolved):
 
 def _cmd_sweep(res: _Resolved) -> int:
     variable = res.get("variable", None, str)
-    if variable not in _SWEEP_VARIABLES:
-        raise ValueError(f"--variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
+    if variable not in _SWEEPS:
+        raise ValueError(f"--variable must be one of {tuple(_SWEEPS)}, got {variable!r}")
     base = _system_params(res)
     t = res.get("t", DEFAULT_T_REF)
-    grid = _sweep_grid(res)
-    rows = []
-    for value in grid:
-        value = float(value)
-        params, rate = base, RateParams(t)
-        if variable == "p":
-            params = base.with_powers(value, value)
-        elif variable == "p_s":
-            params = base.with_powers(value, base.p_r)
-        elif variable == "p_r":
-            params = base.with_powers(base.p_s, value)
-        elif variable == "rho":
-            params = SystemParams(base.p_s, base.p_r, base.sigma_n2, value, base.antennas)
-        elif variable == "sigma_n2_dbm":
-            params = SystemParams(base.p_s, base.p_r, dbm_to_watts(value), base.rho, base.antennas)
-        elif variable == "t":
-            rate = RateParams(value)
-        elif variable == "epsilon":
-            p_cov = covert_power_limit(value, base, res.get("p_max", DEFAULT_P_MAX))
-            params = base.with_powers(p_cov, p_cov)
-        elif variable in ("n_t", "n_r"):
-            count = int(round(value))
-            ant = base.antennas
-            if variable == "n_t":
-                ant = AntennaConfig(count, ant.n_rr, count, ant.n_d)
-            else:
-                ant = AntennaConfig(ant.n_s, count, ant.n_rt, count)
-            params = SystemParams(base.p_s, base.p_r, base.sigma_n2, base.rho, ant)
-        out = _throughput(params, rate)
-        rows.append((value, min_dep_two_hop(params), out.p_out, out.eta))
+    rows = _sweep_rows(base, variable, _sweep_grid(res), _xi_outage_eta, t=t,
+                       p_max=res.get("p_max", DEFAULT_P_MAX))
     _write_csv(
         res.get("out", None, str),
         _params_line(res, base, {"variable": variable, "t": t}),
         [variable, "xi_star", "p_out", "eta"],
         rows,
     )
+    return EXIT_OK
+
+
+def _cmd_figures(res: _Resolved) -> int:
+    which = res.get("which", None, str)
+    outdir = res.get("outdir", ".", str)
+    os.makedirs(outdir, exist_ok=True)
+    numbers = range(3, 9) if which in (None, "all") else [int(which)]
+    for number in numbers:
+        if number not in _FIGURES:
+            raise ValueError(f"unknown figure {number}; data figures are 3-8")
+        header, rows = _FIGURES[number]()
+        _write_csv(
+            os.path.join(outdir, f"fig{number}.csv"),
+            f"figure={number} rho=1.5 seed={res.get('seed', 0, int)}",
+            header,
+            rows,
+        )
     return EXIT_OK
 
 
@@ -280,11 +333,10 @@ def _cmd_optimize_multi(res: _Resolved) -> int:
 
 
 def _cmd_validate(res: _Resolved) -> int:
-    checks = run_validation(
-        samples=res.get("samples", 1_000_000, int),
-        seed=res.get("seed", 42, int),
-        workers=res.get("workers", 1, int),
-    )
+    samples = res.get("samples", 1_000_000, int)
+    seed = res.get("seed", 42, int)
+    workers = res.get("workers", 1, int)
+    checks = run_validation(samples=samples, seed=seed, workers=workers)
     rows = [
         (c.name, c.analytic, c.mc_mean, c.mc_stderr, c.n_sigma, "pass" if c.passed else "FAIL")
         for c in checks
@@ -292,8 +344,7 @@ def _cmd_validate(res: _Resolved) -> int:
     out = res.get("out", None, str)
     _write_csv(
         out,
-        f"samples={res.get('samples', 1_000_000, int)} seed={res.get('seed', 42, int)} "
-        f"workers={res.get('workers', 1, int)}",
+        f"samples={samples} seed={seed} workers={workers}",
         ["check", "analytic", "mc_mean", "mc_stderr", "n_sigma", "status"],
         rows,
     )
@@ -303,92 +354,6 @@ def _cmd_validate(res: _Resolved) -> int:
     )
     if not all(c.passed for c in checks):
         raise NumericError("one or more analytic-vs-MC checks failed (see report)")
-    return EXIT_OK
-
-
-def _figure_rows(which: int, res: _Resolved):
-    sigma_grid = (-10.0, -5.0, 3.0)
-    rho = 1.5
-    if which == 3:
-        header = ["sigma_n2_dbm", "P_watts", "xi_star"]
-        rows = []
-        for sigma_dbm in sigma_grid:
-            sigma_n2 = dbm_to_watts(sigma_dbm)
-            for p in np.linspace(0.1, 5.0, 50):
-                p = float(p)
-                rows.append((sigma_dbm, p, min_dep_two_hop(SystemParams(p, p, sigma_n2, rho))))
-        return header, rows
-    if which == 4:
-        header = ["sigma_n2_dbm", "rho", "xi_star"]
-        rows = []
-        for sigma_dbm in sigma_grid:
-            sigma_n2 = dbm_to_watts(sigma_dbm)
-            for r in np.linspace(1.01, 3.0, 50):
-                r = float(r)
-                rows.append((sigma_dbm, r, min_dep_two_hop(SystemParams(3.0, 3.0, sigma_n2, r))))
-        return header, rows
-    if which == 5:
-        header = ["p_s", "p_r", "xi_star"]
-        sigma_n2 = dbm_to_watts(-5.0)
-        rows = []
-        for p_s in np.linspace(0.25, 5.0, 20):
-            for p_r in np.linspace(0.25, 5.0, 20):
-                rows.append(
-                    (float(p_s), float(p_r),
-                     min_dep_two_hop(SystemParams(float(p_s), float(p_r), sigma_n2, rho)))
-                )
-        return header, rows
-    if which == 6:
-        header = ["t", "eta_single", "eta_multi"]
-        sigma_n2 = dbm_to_watts(-5.0)
-        single = SystemParams(1.0, 1.0, sigma_n2, rho)
-        multi = SystemParams(1.0, 1.0, sigma_n2, rho, AntennaConfig(2, 8, 2, 8))
-        rows = []
-        for t in np.linspace(0.01, 3.0, 200):
-            rate = RateParams(float(t))
-            rows.append(
-                (float(t), throughput_single(single, rate).eta, throughput_multi(multi, rate).eta)
-            )
-        return header, rows
-    if which == 7:
-        header = ["n_t", "n_r", "eta"]
-        sigma_n2 = dbm_to_watts(-5.0)
-        rate = RateParams(1.5)
-        rows = []
-        for n_t, n_r in ((1, 1), (1, 2), (2, 2), (2, 4), (2, 8), (4, 4), (4, 8)):
-            params = SystemParams(1.0, 1.0, sigma_n2, rho, AntennaConfig(n_t, n_r, n_t, n_r))
-            rows.append((n_t, n_r, throughput_multi(params, rate).eta))
-        return header, rows
-    if which == 8:
-        header = ["epsilon", "p_cov_w", "eta_single", "eta_multi"]
-        sigma_n2 = dbm_to_watts(-5.0)
-        rate = RateParams(DEFAULT_T_REF)
-        single = SystemParams(1.0, 1.0, sigma_n2, rho)
-        rows = []
-        for eps in np.linspace(0.05, 0.5, 20):
-            p_cov = covert_power_limit(float(eps), single, DEFAULT_P_MAX)
-            s = single.with_powers(p_cov, p_cov)
-            m = SystemParams(p_cov, p_cov, sigma_n2, rho, AntennaConfig(2, 8, 2, 8))
-            rows.append(
-                (float(eps), p_cov, throughput_single(s, rate).eta, throughput_multi(m, rate).eta)
-            )
-        return header, rows
-    raise ValueError(f"unknown figure {which}; data figures are 3-8")
-
-
-def _cmd_figures(res: _Resolved) -> int:
-    which = res.get("which", None, str)
-    outdir = res.get("outdir", ".", str)
-    os.makedirs(outdir, exist_ok=True)
-    numbers = range(3, 9) if which in (None, "all") else [int(which)]
-    for number in numbers:
-        header, rows = _figure_rows(number, res)
-        _write_csv(
-            os.path.join(outdir, f"fig{number}.csv"),
-            f"figure={number} rho=1.5 seed={res.get('seed', 0, int)}",
-            header,
-            rows,
-        )
     return EXIT_OK
 
 
@@ -412,26 +377,23 @@ def _add_constraint_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # The global flags are accepted before and after the verb; SUPPRESS
+    # keeps the verb's parser from clobbering a value given before it.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, help="Monte-Carlo seed, used by validate (default 42)")
+    common.add_argument("--workers", type=int, help="Monte-Carlo worker shards (default 1)")
+    common.add_argument("--config", type=str, help="key = value file supplying flag defaults")
+    common.add_argument("--out", type=str, help="CSV output path (default stdout)")
     parser = argparse.ArgumentParser(
         prog="covertrelay",
         description="Covert two-hop relay performance: detection error probability, "
         "outage, covert throughput, and constrained optimization.",
+        parents=[common],
     )
-    parser.add_argument("--seed", type=int, help="Monte-Carlo seed (default 0)")
-    parser.add_argument("--workers", type=int, help="Monte-Carlo worker shards (default 1)")
-    parser.add_argument("--config", type=str, help="key = value file supplying flag defaults")
-    parser.add_argument("--out", type=str, help="CSV output path (default stdout)")
-    # The same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value given before it.
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--workers", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--config", type=str, default=argparse.SUPPRESS)
-    shared.add_argument("--out", type=str, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, help):  # noqa: A002 - mirrors argparse's keyword
-        return sub.add_parser(name, help=help, parents=[shared])
+    def add_parser(name, help, **kwargs):  # noqa: A002 - mirrors argparse's keyword
+        return sub.add_parser(name, help=help, parents=[common], **kwargs)
 
     sp = add_parser("dep", help="optimal threshold and minimum DEP at one parameter point")
     _add_system_flags(sp)
@@ -442,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("sweep", help="sweep one variable, emitting xi*, outage and throughput")
     _add_system_flags(sp)
-    sp.add_argument("--variable", type=str, help=f"one of {', '.join(_SWEEP_VARIABLES)}")
+    sp.add_argument("--variable", type=str, help=f"one of {', '.join(_SWEEPS)}")
     sp.add_argument("--from", dest="sweep_from", type=float, help="sweep start")
     sp.add_argument("--to", dest="sweep_to", type=float, help="sweep end")
     sp.add_argument("--steps", type=int, help="grid points (default 50)")
@@ -464,7 +426,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", type=float, help="rate-loop convergence tolerance (default 1e-6)")
     sp.add_argument("--v-max", dest="v_max", type=int, help="evaluation cap (default 1e6)")
 
-    sp = add_parser("validate", help="analytic-vs-Monte-Carlo campaign + discrepancy report")
+    sp = add_parser(
+        "validate", help="analytic-vs-Monte-Carlo campaign + discrepancy report",
+        description="Run the analytic-vs-Monte-Carlo campaign and write its CSV to --out. "
+        "The discrepancy report is also written, to discrepancies.csv in the directory "
+        "of --out, or in the working directory when --out is not given.",
+    )
     sp.add_argument("--samples", type=int, help="trials per check (default 1e6)")
 
     sp = add_parser("figures", help="emit the standard figure CSVs (3-8)")
@@ -489,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     config = {}
-    if args.config:
+    if getattr(args, "config", None):
         try:
             config = load_config(args.config)
         except (OSError, ValueError) as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .channel import RngSpec, sample_noise_power, sample_rayleigh_gain, worker_generators
+from .channel import RngSpec, _mc_count, sample_noise_power, sample_rayleigh_gain
 from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, SystemParams
 
@@ -34,7 +34,6 @@ __all__ = [
     "mc_dep_two_hop",
 ]
 
-_MIN_MC_SAMPLES = 1000
 _MC_CHUNK = 2_000_000
 
 
@@ -158,27 +157,6 @@ def min_dep_two_hop(params: SystemParams) -> float:
     return 1.0 - (1.0 - pe1) * (1.0 - pe2)
 
 
-def _shard_counts(n: int, workers: int) -> list[int]:
-    base, extra = divmod(n, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def _mc_slot_sums(p, tau, params, n, rng_spec, workers):
-    fa_sum = 0
-    md_sum = 0
-    for gen, shard in zip(worker_generators(rng_spec, workers), _shard_counts(n, workers)):
-        done = 0
-        while done < shard:
-            m = min(_MC_CHUNK, shard - done)
-            noise_fa = sample_noise_power(params, gen, m)
-            noise_md = sample_noise_power(params, gen, m)
-            gain = sample_rayleigh_gain(gen, m)
-            fa_sum += int(np.count_nonzero(noise_fa > tau))
-            md_sum += int(np.count_nonzero(p * gain + noise_md <= tau))
-            done += m
-    return fa_sum, md_sum
-
-
 def mc_dep_slot(
     p: float,
     tau: float,
@@ -188,13 +166,17 @@ def mc_dep_slot(
     workers: int = 1,
 ) -> McEstimate:
     """Monte-Carlo per-slot DEP: mean(FA) + mean(MD) on independent draws."""
-    if n < _MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {_MIN_MC_SAMPLES} samples, got {n}")
     if p <= 0 or tau <= 0:
         raise ValueError(f"p and tau must be > 0, got ({p}, {tau})")
-    fa_sum, md_sum = _mc_slot_sums(p, tau, params, n, rng, workers)
-    p_fa = fa_sum / n
-    p_md = md_sum / n
+
+    def count(gen, m):
+        noise_fa = sample_noise_power(params, gen, m)
+        noise_md = sample_noise_power(params, gen, m)
+        gain = sample_rayleigh_gain(gen, m)
+        return np.array([np.count_nonzero(noise_fa > tau),
+                         np.count_nonzero(p * gain + noise_md <= tau)])
+
+    p_fa, p_md = (int(hits) / n for hits in _mc_count(rng, n, workers, _MC_CHUNK, count))
     var = p_fa * (1.0 - p_fa) + p_md * (1.0 - p_md)
     return McEstimate(p_fa + p_md, math.sqrt(var / n), n, rng.seed, workers)
 
@@ -213,8 +195,6 @@ def mc_dep_two_hop(
     DEP is 1 - (1 - Pe1)(1 - Pe2) with the per-slot estimates plugged in
     and the standard error propagated through the product.
     """
-    if n < _MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {_MIN_MC_SAMPLES} samples, got {n}")
     est1 = mc_dep_slot(params.p_s, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 1), workers)
     est2 = mc_dep_slot(params.p_r, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 2), workers)
     xi = 1.0 - (1.0 - est1.mean) * (1.0 - est2.mean)

@@ -21,7 +21,12 @@ __all__ = [
     "noise_bounds",
     "rho_from_db",
     "load_config",
+    "NOISE_GRID_DBM",
 ]
+
+# The paper's nominal noise powers in dBm, shared by the figures, the
+# validation campaign and the discrepancy report.
+NOISE_GRID_DBM = (-10.0, -5.0, 3.0)
 
 
 def _require_finite(name: str, value: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import dep_slot_paper, dep_slot_reference
-from .model import RateParams, SystemParams, dbm_to_watts
+from .model import NOISE_GRID_DBM, RateParams, SystemParams, dbm_to_watts
 from .throughput import outage_hop_multi_paper, outage_hop_multi_reference
 
 __all__ = ["DiscrepancyRecord", "build_discrepancy_report", "write_discrepancy_csv"]
@@ -64,21 +64,22 @@ def _record(formula_id, params_desc, paper_value, reference_value) -> Discrepanc
     )
 
 
-def build_discrepancy_report(
-    rho: float = 1.5,
-    sigma_n2_dbm_grid: tuple = (-10.0, -5.0, 3.0),
-    power_grid: tuple = (1.0, 3.0, 5.0),
-    antenna_grid: tuple = ((1, 1), (2, 2), (2, 8), (4, 4)),
-    t: float = 1.5,
-) -> list[DiscrepancyRecord]:
+# The validation grid of the report.
+_RHO = 1.5
+_POWERS = (1.0, 3.0, 5.0)
+_ANTENNAS = ((1, 1), (2, 2), (2, 8), (4, 4))
+_T = 1.5
+
+
+def build_discrepancy_report() -> list[DiscrepancyRecord]:
     """Evaluate both suspect formula families across the validation grid."""
     records: list[DiscrepancyRecord] = []
 
     # Above-threshold DEP branch: tau > mu2 on a per-parameter tau grid.
-    for sigma_dbm in sigma_n2_dbm_grid:
+    for sigma_dbm in NOISE_GRID_DBM:
         sigma_n2 = dbm_to_watts(sigma_dbm)
-        for p in power_grid:
-            params = SystemParams(p, p, sigma_n2, rho)
+        for p in _POWERS:
+            params = SystemParams(p, p, sigma_n2, _RHO)
             for tau in np.geomspace(params.mu2 * 1.001, params.mu2 + 20.0 * p, 10):
                 tau = float(tau)
                 ref = dep_slot_reference(p, tau, params)
@@ -86,26 +87,26 @@ def build_discrepancy_report(
                 records.append(
                     _record(
                         "dep_slot_above_upper_bound",
-                        f"p={p};sigma_n2_dbm={sigma_dbm};rho={rho};tau={tau:.6g}",
+                        f"p={p};sigma_n2_dbm={sigma_dbm};rho={_RHO};tau={tau:.6g}",
                         paper,
                         ref,
                     )
                 )
 
     # Combinatorial TAS/MRC outage, both readings of the ambiguous log factor.
-    rate = RateParams(t)
-    for sigma_dbm in sigma_n2_dbm_grid:
+    rate = RateParams(_T)
+    for sigma_dbm in NOISE_GRID_DBM:
         sigma_n2 = dbm_to_watts(sigma_dbm)
-        for p in power_grid:
-            params = SystemParams(p, p, sigma_n2, rho)
-            for n_t, n_r in antenna_grid:
+        for p in _POWERS:
+            params = SystemParams(p, p, sigma_n2, _RHO)
+            for n_t, n_r in _ANTENNAS:
                 ref = outage_hop_multi_reference(p, rate, params, n_t, n_r)
                 for interp in ("ln_rho_sq_arg", "ln_rho_sq_whole"):
                     value = outage_hop_multi_paper(p, rate, params, n_t, n_r, interp)
                     records.append(
                         _record(
                             f"outage_multi_combinatorial[{interp}]",
-                            f"p={p};sigma_n2_dbm={sigma_dbm};rho={rho};T={t};"
+                            f"p={p};sigma_n2_dbm={sigma_dbm};rho={_RHO};T={_T};"
                             f"n_t={n_t};n_r={n_r}",
                             value.value if value.ok else value.violation,
                             ref,

@@ -10,11 +10,8 @@ an independent quadrature oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
     "expint_ei",
     "expint_ei_scaled",
     "ei_diff",
@@ -24,24 +21,11 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286061
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence control for the iterative special-function kernels."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-15
-    max_iter: int = 500
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not (self.abs_tol > 0):
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# Convergence control of the iterative kernels: relative and absolute
+# tolerance on the last term, and the most terms summed.
+_REL_TOL = 1e-12
+_ABS_TOL = 1e-15
+_MAX_ITER = 500
 
 # Switch points between the series / continued-fraction / asymptotic
 # kernels.  The positive-axis power series is used up to the point where
@@ -52,56 +36,72 @@ _POS_SERIES_CUTOFF = 40.0
 _NEG_SERIES_CUTOFF = 1.0
 
 
-def _ei_series_positive(x: float, tol: Tolerance) -> float:
+def _ei_series_positive(x: float) -> float:
     # Ei(x) = gamma + ln x + sum_{k>=1} x^k / (k * k!), all terms positive.
     total = 0.0
     term = 1.0
-    for k in range(1, tol.max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         term *= x / k
         contrib = term / k
         total += contrib
-        if contrib < tol.rel_tol * abs(total) + tol.abs_tol:
+        if contrib < _REL_TOL * abs(total) + _ABS_TOL:
             return EULER_GAMMA + math.log(x) + total
     raise ArithmeticError(f"Ei power series did not converge for x={x}")
 
 
-def _ei_asymptotic_scaled(x: float, tol: Tolerance) -> float:
+def _ei_asymptotic_scaled(x: float) -> float:
     # e^{-x} Ei(x) ~ (1/x) sum_k k!/x^k; truncated at the smallest term.
     total = 0.0
     term = 1.0 / x
-    for k in range(1, tol.max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         total += term
         nxt = term * k / x
         if nxt >= term:
             break
-        if nxt < tol.rel_tol * abs(total):
+        if nxt < _REL_TOL * abs(total):
             total += nxt
             break
         term = nxt
     return total
 
 
-def _e1_series(z: float, tol: Tolerance) -> float:
+def _ei_asymptotic_excess(x: float) -> float:
+    # x e^{-x} Ei(x) - 1 ~ sum_{k>=1} k!/x^k, truncated as above; summed
+    # directly because the difference cancels for large x.
+    total = 0.0
+    term = 1.0
+    for k in range(1, _MAX_ITER + 1):
+        nxt = term * k / x
+        if nxt >= term:
+            break
+        total += nxt
+        if nxt < _REL_TOL * total:
+            break
+        term = nxt
+    return total
+
+
+def _e1_series(z: float) -> float:
     # E1(z) = -gamma - ln z + sum_{k>=1} (-1)^{k+1} z^k / (k * k!), z in (0, 1].
     total = 0.0
     term = 1.0
-    for k in range(1, tol.max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         term *= -z / k
         contrib = -term / k
         total += contrib
-        if abs(contrib) < tol.rel_tol * abs(total) + tol.abs_tol:
+        if abs(contrib) < _REL_TOL * abs(total) + _ABS_TOL:
             return -EULER_GAMMA - math.log(z) + total
     raise ArithmeticError(f"E1 series did not converge for z={z}")
 
 
-def _e1_continued_fraction(z: float, tol: Tolerance) -> float:
+def _e1_continued_fraction(z: float) -> float:
     # Modified Lentz evaluation of E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(...)))
     tiny = 1e-300
     b = z + 1.0
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for k in range(1, tol.max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         a = -(k * k)
         b += 2.0
         d = 1.0 / (a * d + b)
@@ -110,7 +110,7 @@ def _e1_continued_fraction(z: float, tol: Tolerance) -> float:
             c = tiny
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < tol.rel_tol:
+        if abs(delta - 1.0) < _REL_TOL:
             return math.exp(-z) * h
     raise ArithmeticError(f"E1 continued fraction did not converge for z={z}")
 
@@ -122,7 +122,7 @@ def _check_finite(name: str, x: float) -> float:
     return x
 
 
-def expint_ei(x: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def expint_ei(x: float) -> float:
     """Exponential integral Ei(x) for real nonzero x.
 
     For x < 0 this equals -E1(-x).  The logarithmic singularity at the
@@ -133,15 +133,15 @@ def expint_ei(x: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
         raise ValueError("Ei has a logarithmic singularity at x = 0")
     if x > 0:
         if x <= _POS_SERIES_CUTOFF:
-            return _ei_series_positive(x, tol)
-        return math.exp(x) * _ei_asymptotic_scaled(x, tol)
+            return _ei_series_positive(x)
+        return math.exp(x) * _ei_asymptotic_scaled(x)
     z = -x
     if z <= _NEG_SERIES_CUTOFF:
-        return -_e1_series(z, tol)
-    return -_e1_continued_fraction(z, tol)
+        return -_e1_series(z)
+    return -_e1_continued_fraction(z)
 
 
-def expint_ei_scaled(x: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def expint_ei_scaled(x: float) -> float:
     """e^(-x) * Ei(x) for x > 0, stable for arbitrarily large x.
 
     The unscaled Ei overflows near x = 709; the detection formulas only
@@ -151,8 +151,8 @@ def expint_ei_scaled(x: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     if x <= 0:
         raise ValueError(f"expint_ei_scaled requires x > 0, got {x}")
     if x <= _POS_SERIES_CUTOFF:
-        return math.exp(-x) * _ei_series_positive(x, tol)
-    return _ei_asymptotic_scaled(x, tol)
+        return math.exp(-x) * _ei_series_positive(x)
+    return _ei_asymptotic_scaled(x)
 
 
 # 32-point Gauss-Legendre nodes/weights on [-1, 1] (upper half; symmetric).
@@ -186,7 +186,7 @@ def _gauss_legendre_exp_over_t(a: float, b: float) -> float:
     return half * total
 
 
-def ei_diff(x: float, y: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def ei_diff(x: float, y: float) -> float:
     """Ei(-x) - Ei(-y) for x, y > 0.
 
     Positive whenever x > y.  When the arguments are within ~25% of each
@@ -203,7 +203,7 @@ def ei_diff(x: float, y: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     if hi - lo <= 0.25 * hi:
         gap = _gauss_legendre_exp_over_t(lo, hi)  # = Ei(-hi) - Ei(-lo)
         return gap if x > y else -gap
-    return expint_ei(-x, tol) - expint_ei(-y, tol)
+    return expint_ei(-x) - expint_ei(-y)
 
 
 def upper_gamma(s: int, x: float) -> float:

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    RngSpec,
-    sample_noise_power,
-    sample_rayleigh_gain,
-    sample_tas_mrc_gain,
-    tas_mrc_gain_cdf,
-    worker_generators,
-)
+from .channel import RngSpec, _mc_count, sample_noise_power, sample_tas_mrc_gain, tas_mrc_gain_cdf
 from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, RateParams, SystemParams
 from .specfun import ei_diff, upper_gamma
@@ -46,7 +39,6 @@ __all__ = [
     "mc_outage_hop",
 ]
 
-_MIN_MC_SAMPLES = 1000
 _MC_CHUNK = 1_000_000
 
 
@@ -289,28 +281,15 @@ def mc_outage_hop(
     workers: int = 1,
 ) -> McEstimate:
     """Monte-Carlo hop outage: fraction of trials with capacity below T."""
-    if n < _MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {_MIN_MC_SAMPLES} samples, got {n}")
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
     kappa = rate.kappa
-    hits = 0
-    for gen, shard in zip(worker_generators(rng, workers), _shards(n, workers)):
-        done = 0
-        while done < shard:
-            m = min(_MC_CHUNK, shard - done)
-            if n_t == 1 and n_r == 1:
-                gain = sample_rayleigh_gain(gen, m)
-            else:
-                gain = sample_tas_mrc_gain(n_t, n_r, gen, m)
-            sigma2 = sample_noise_power(params, gen, m)
-            # capacity < T  <=>  p * gain < kappa * sigma2
-            hits += int(np.count_nonzero(p * gain < kappa * sigma2))
-            done += m
-    p_hat = hits / n
+
+    def count(gen, m):
+        gain = sample_tas_mrc_gain(n_t, n_r, gen, m)
+        sigma2 = sample_noise_power(params, gen, m)
+        # capacity < T  <=>  p * gain < kappa * sigma2
+        return int(np.count_nonzero(p * gain < kappa * sigma2))
+
+    p_hat = _mc_count(rng, n, workers, _MC_CHUNK, count) / n
     return McEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), n, rng.seed, workers)
-
-
-def _shards(n: int, workers: int) -> list[int]:
-    base, extra = divmod(n, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .channel import RngSpec
 from .detection import mc_dep_two_hop, min_dep_slot, min_dep_two_hop, mc_dep_slot, optimal_threshold
-from .model import RateParams, SystemParams, dbm_to_watts
+from .model import NOISE_GRID_DBM, RateParams, SystemParams, dbm_to_watts
 from .throughput import (
     mc_outage_hop,
     outage_hop_multi_reference,
@@ -60,7 +60,7 @@ def run_validation(
         return RngSpec(seed, stream)
 
     # Minimum per-slot and two-hop DEP across the noise grid.
-    for sigma_dbm in (-10.0, -5.0, 3.0):
+    for sigma_dbm in NOISE_GRID_DBM:
         sigma_n2 = dbm_to_watts(sigma_dbm)
         for p in (1.0, 3.0):
             params = SystemParams(p, p, sigma_n2, rho)

@@ -1,9 +1,11 @@
-"""Independent quadrature oracles for the special-function layer.
+"""Independent oracles for the library's closed forms and derivatives.
 
-These deliberately avoid the library's own series/continued-fraction
-machinery: everything is adaptive quadrature of defining integrals, or of
-scipy's incomplete gamma function, so agreement between the two is
-meaningful evidence of correctness.
+The special-function oracles deliberately avoid the library's own
+series/continued-fraction machinery: everything is adaptive quadrature of
+defining integrals, or of scipy's incomplete gamma function, so agreement
+between the two is meaningful evidence of correctness.  The Lagrangian
+oracle differentiates the validated throughput and DEP values
+numerically, as a check on their analytic derivatives.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import math
 
 from scipy import integrate
 from scipy.special import gammainc
+
+from covertrelay.detection import min_dep_two_hop
+from covertrelay.model import RateParams
+from covertrelay.throughput import throughput_single
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -85,3 +91,33 @@ def oracle_tas_mrc_outage(p: float, kappa: float, sigma2: float, rho: float,
 
     value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=400)
     return value
+
+
+def oracle_lagrangian_gradient(x, multipliers, constraints, params) -> list[float]:
+    """Central-difference partials of the single-antenna Lagrangian at x = (p_s, p_r, t).
+
+    L = -eta + k1 (1 - epsilon - xi*) + k2 (p_out - delta)
+        + k3 (p_s - P_max) + k4 (p_r - P_max),
+    with a step of 1e-6 of each coordinate.
+    """
+    k1, k2, k3, k4 = multipliers
+
+    def lagrangian(p_s: float, p_r: float, t: float) -> float:
+        point = params.with_powers(p_s, p_r)
+        out = throughput_single(point, RateParams(t))
+        return (
+            -out.eta
+            + k1 * (1.0 - constraints.epsilon - min_dep_two_hop(point))
+            + k2 * (out.p_out - constraints.delta)
+            + k3 * (p_s - constraints.p_max)
+            + k4 * (p_r - constraints.p_max)
+        )
+
+    partials = []
+    for i in range(3):
+        h = 1e-6 * max(abs(x[i]), 1e-6)
+        hi, lo = list(x), list(x)
+        hi[i] += h
+        lo[i] -= h
+        partials.append((lagrangian(*hi) - lagrangian(*lo)) / (2.0 * h))
+    return partials

@@ -129,6 +129,18 @@ class TestTasMrcGain:
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
         assert 0.0 < tas_mrc_gain_cdf(1, 8, 1e-4) == pytest.approx(2.48e-37, rel=1e-3)
 
+    def test_cdf_stays_positive_up_to_the_mean_for_many_branches(self):
+        # From n_r/2 up to n_r the CDF of Gamma(n_r, 1) can still be far
+        # below the 1e-16 resolution of 1 - F for large n_r.
+        for n_r in (50, 100, 200, 400):
+            x = np.linspace(n_r / 2, n_r, 2001)
+            got = tas_mrc_gain_cdf(1, n_r, x)
+            ref = special.gammainc(n_r, x)
+            resolved = ref > 1e-300
+            assert not np.any(got[resolved] <= 0.0)
+            np.testing.assert_allclose(got[resolved], ref[resolved], rtol=1e-10, atol=0)
+        assert tas_mrc_gain_cdf(1, 200, 101) == pytest.approx(2.5393e-18, rel=1e-4)
+
     def test_pdf_is_zero_at_infinite_gain(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

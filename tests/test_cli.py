@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, CSV output, config merging."""
 
 import csv
+import dataclasses
 
+import numpy as np
 import pytest
 
 from covertrelay.cli import main
-from covertrelay.model import dbm_to_watts
+from covertrelay.detection import min_dep_two_hop
+from covertrelay.model import AntennaConfig, RateParams, SystemParams, dbm_to_watts
+from covertrelay.optimize import covert_power_limit
+from covertrelay.throughput import throughput_multi, throughput_single
 
 
 def read_csv(path):
@@ -14,6 +19,15 @@ def read_csv(path):
     lines = text.splitlines()
     rows = list(csv.reader(lines[1:]))
     return lines[0], rows[0], rows[1:]
+
+
+def values(rows):
+    return [[float(v) for v in row] for row in rows]
+
+
+def throughput(params, t):
+    fn = throughput_single if params.antennas.is_single else throughput_multi
+    return fn(params, RateParams(t))
 
 
 class TestDep:
@@ -99,6 +113,106 @@ class TestSweep:
     def test_log_scale_validation(self):
         assert main(["sweep", "--variable", "t", "--from", "0", "--to", "1",
                      "--scale", "log"]) == 2
+
+
+SWEEP_RANGES = {
+    "p": (0.1, 5.0), "p_s": (0.1, 5.0), "p_r": (0.1, 5.0), "rho": (1.01, 3.0),
+    "sigma_n2_dbm": (-10.0, 3.0), "t": (0.1, 2.0), "epsilon": (0.05, 0.5),
+    "n_t": (1.0, 4.0), "n_r": (1.0, 4.0),
+}
+
+
+def swept_point(variable, value, base, t):
+    """(params, t) of a sweep point, built directly from the library types."""
+    if variable == "t":
+        return base, value
+    if variable == "epsilon":
+        p_cov = covert_power_limit(value, base, 5.0)
+        return base.with_powers(p_cov, p_cov), t
+    if variable in ("n_t", "n_r"):
+        k, ant = int(round(value)), base.antennas
+        ant = (AntennaConfig(k, ant.n_rr, k, ant.n_d) if variable == "n_t"
+               else AntennaConfig(ant.n_s, k, ant.n_rt, k))
+        return dataclasses.replace(base, antennas=ant), t
+    fields = {"p": {"p_s": value, "p_r": value}, "p_s": {"p_s": value}, "p_r": {"p_r": value},
+              "rho": {"rho": value}, "sigma_n2_dbm": {"sigma_n2": dbm_to_watts(value)}}
+    return dataclasses.replace(base, **fields[variable]), t
+
+
+class TestSweepMatchesLibrary:
+    @pytest.mark.parametrize("antennas", [(1, 1), (2, 4)])
+    @pytest.mark.parametrize("variable", list(SWEEP_RANGES))
+    def test_every_variable(self, tmp_path, variable, antennas):
+        lo, hi = SWEEP_RANGES[variable]
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--variable", variable, "--from", str(lo), "--to", str(hi),
+                "--steps", "4", "--nt", str(antennas[0]), "--nr", str(antennas[1]),
+                "--out", str(out)]
+        assert main(argv) == 0
+        _, header, rows = read_csv(out)
+        assert header == [variable, "xi_star", "p_out", "eta"]
+        base = SystemParams(1.0, 1.0, dbm_to_watts(-5.0), 1.5, AntennaConfig(*antennas * 2))
+        expected = []
+        for value in np.linspace(lo, hi, 4):
+            params, t = swept_point(variable, float(value), base, 0.5)
+            tp = throughput(params, t)
+            expected.append([float(value), min_dep_two_hop(params), tp.p_out, tp.eta])
+        assert values(rows) == expected
+
+
+def expected_figure(number):
+    """Header and rows of one figure, built directly from the library."""
+    sigma = dbm_to_watts(-5.0)
+    single = SystemParams(1.0, 1.0, sigma, 1.5)
+
+    def multi(params, n_t=2, n_r=8):
+        return dataclasses.replace(params, antennas=AntennaConfig(n_t, n_r, n_t, n_r))
+
+    if number in (3, 4):
+        rows = []
+        for sigma_dbm in (-10.0, -5.0, 3.0):
+            for x in np.linspace(0.1, 5.0, 50) if number == 3 else np.linspace(1.01, 3.0, 50):
+                x = float(x)
+                params = (SystemParams(x, x, dbm_to_watts(sigma_dbm), 1.5) if number == 3
+                          else SystemParams(3.0, 3.0, dbm_to_watts(sigma_dbm), x))
+                rows.append([sigma_dbm, x, min_dep_two_hop(params)])
+        return ["sigma_n2_dbm", "P_watts" if number == 3 else "rho", "xi_star"], rows
+    if number == 5:
+        grid = [float(p) for p in np.linspace(0.25, 5.0, 20)]
+        rows = [[p_s, p_r, min_dep_two_hop(single.with_powers(p_s, p_r))]
+                for p_s in grid for p_r in grid]
+        return ["p_s", "p_r", "xi_star"], rows
+    if number == 6:
+        rows = []
+        for t in np.linspace(0.01, 3.0, 200):
+            rate = RateParams(float(t))
+            rows.append([float(t), throughput_single(single, rate).eta,
+                         throughput_multi(multi(single), rate).eta])
+        return ["t", "eta_single", "eta_multi"], rows
+    if number == 7:
+        rate = RateParams(1.5)
+        pairs = ((1, 1), (1, 2), (2, 2), (2, 4), (2, 8), (4, 4), (4, 8))
+        return ["n_t", "n_r", "eta"], [
+            [n_t, n_r, throughput_multi(multi(single, n_t, n_r), rate).eta] for n_t, n_r in pairs
+        ]
+    rows = []
+    rate = RateParams(0.5)
+    for eps in np.linspace(0.05, 0.5, 20):
+        p_cov = covert_power_limit(float(eps), single, 5.0)
+        point = single.with_powers(p_cov, p_cov)
+        rows.append([float(eps), p_cov, throughput_single(point, rate).eta,
+                     throughput_multi(multi(point), rate).eta])
+    return ["epsilon", "p_cov_w", "eta_single", "eta_multi"], rows
+
+
+def test_every_figure_matches_library(tmp_path):
+    assert main(["figures", "--outdir", str(tmp_path)]) == 0
+    for number in range(3, 9):
+        params_line, header, rows = read_csv(tmp_path / f"fig{number}.csv")
+        assert params_line == f"# params: figure={number} rho=1.5 seed=0"
+        want_header, want_rows = expected_figure(number)
+        assert header == want_header
+        assert values(rows) == want_rows, number
 
 
 class TestOptimize:

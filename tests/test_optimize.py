@@ -15,7 +15,7 @@ from covertrelay.model import (
     SystemParams,
     dbm_to_watts,
 )
-from covertrelay.detection import min_dep_two_hop
+from covertrelay.detection import min_dep_slot, min_dep_two_hop
 from covertrelay.optimize import (
     covert_power_limit,
     lagrangian_gradient,
@@ -24,36 +24,58 @@ from covertrelay.optimize import (
 )
 from covertrelay.throughput import throughput_multi, throughput_single
 
+from oracles import oracle_lagrangian_gradient
+
 SIGMA_N2 = dbm_to_watts(-5.0)
 BASE = SystemParams(1.0, 1.0, SIGMA_N2, 1.5)
 BUDGETS = ConstraintSet(0.15, 0.1, 5.0)
 
 
+def assert_gradient_matches_central_difference(p_s, p_r, t, mult):
+    analytic = lagrangian_gradient(p_s, p_r, t, mult, BASE)
+    numeric = oracle_lagrangian_gradient((p_s, p_r, t), mult, BUDGETS, BASE)
+    for i, (a, fd) in enumerate(zip(analytic, numeric)):
+        # The central difference carries ~eps/h of rounding noise, so
+        # negligible components need an absolute slack as well.
+        scale = max(abs(a), abs(fd), 1e-9)
+        assert abs(a - fd) <= 1e-4 * scale + 1e-7, (i, a, fd)
+    return analytic
+
+
 class TestGradient:
     def test_analytic_matches_finite_difference(self):
-        # debug=True raises if any partial is off by >1e-4 relative.
         rng = np.random.default_rng(7)
         for _ in range(30):
             p_s = float(np.exp(rng.uniform(math.log(1e-5), math.log(4.0))))
             p_r = float(np.exp(rng.uniform(math.log(1e-5), math.log(4.0))))
             t = float(np.exp(rng.uniform(math.log(0.05), math.log(2.5))))
             mult = tuple(float(m) for m in rng.uniform(0.0, 2.0, 4))
-            lagrangian_gradient(p_s, p_r, t, mult, BUDGETS, BASE, debug=True)
+            assert_gradient_matches_central_difference(p_s, p_r, t, mult)
 
     def test_certain_outage_leaves_covertness_and_power_terms(self):
         # At t = 600 kappa is inf: eta and p_out are flat, so dL/dt = 0 and
         # the power partials are those of the covertness and power terms.
         mult = (0.3, 0.2, 0.1, 0.4)
-        d_ps, d_pr, d_t = lagrangian_gradient(1.0, 1.0, 600.0, mult, BUDGETS, BASE, debug=True)
+        d_ps, d_pr, d_t = assert_gradient_matches_central_difference(1.0, 1.0, 600.0, mult)
         assert d_t == 0.0
         assert d_ps > mult[2] and d_pr > mult[3]
-        assert lagrangian_gradient(1.0, 1.0, 600.0, (0, 0, 0, 0), BUDGETS, BASE) == (0, 0, 0)
+        assert lagrangian_gradient(1.0, 1.0, 600.0, (0, 0, 0, 0), BASE) == (0, 0, 0)
+
+    def test_tiny_power_reaches_its_limit(self):
+        # As p_s -> 0, B(p_s) -> p_s / mu2 while the outage terms vanish, so
+        # dL/dp_s -> k1 B(p_r) / (c mu2) with c = 4 ln^2 rho.
+        c = 4.0 * math.log(BASE.rho) ** 2
+        b_r = 2.0 * math.log(BASE.rho) * (1.0 - min_dep_slot(1.0, BASE))
+        for p_s in (1e-20, 1e-100, 1e-160, 1e-200, 1e-300):
+            d_ps, d_pr, d_t = lagrangian_gradient(p_s, 1.0, 1.5, (1.0, 0.0, 0.0, 0.0), BASE)
+            assert d_ps == pytest.approx(b_r / (c * BASE.mu2), rel=1e-9)
+            assert math.isfinite(d_pr) and math.isfinite(d_t)
 
     def test_rejects_boundary_point(self):
         with pytest.raises(ValueError):
-            lagrangian_gradient(0.0, 1.0, 1.0, (0, 0, 0, 0), BUDGETS, BASE)
+            lagrangian_gradient(0.0, 1.0, 1.0, (0, 0, 0, 0), BASE)
         with pytest.raises(ValueError):
-            lagrangian_gradient(1.0, 1.0, 0.0, (0, 0, 0, 0), BUDGETS, BASE)
+            lagrangian_gradient(1.0, 1.0, 0.0, (0, 0, 0, 0), BASE)
 
 
 class TestCovertPowerLimit:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from covertrelay.specfun import (
-    Tolerance,
     ei_diff,
     expint_ei,
     expint_ei_scaled,
@@ -72,14 +71,6 @@ class TestExpintEi:
             expint_ei_scaled(0.0)
         with pytest.raises(ValueError):
             expint_ei_scaled(-2.0)
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            Tolerance(max_iter=0)
 
 
 class TestEiDiff:
