@@ -19,7 +19,6 @@ from .model import SystemParams
 __all__ = [
     "RngSpec",
     "make_generator",
-    "worker_generators",
     "sample_noise_power",
     "sample_rayleigh_gain",
     "sample_tas_mrc_gain",
@@ -44,45 +43,26 @@ class RngSpec:
 
 def make_generator(spec: RngSpec) -> np.random.Generator:
     """Generator for one (seed, stream) pair."""
-    ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(spec.stream,))
+    ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(spec.stream, 0))
     return np.random.default_rng(ss)
-
-
-def worker_generators(spec: RngSpec, workers: int) -> list[np.random.Generator]:
-    """Independent per-worker generators derived from one RngSpec.
-
-    The derivation depends only on (seed, stream, worker index), so a
-    sharded Monte-Carlo run is deterministic for a fixed worker count.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return [
-        np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(spec.stream, w)))
-        for w in range(workers)
-    ]
 
 
 # Smallest trial count a Monte-Carlo estimator accepts.
 _MIN_MC_SAMPLES = 1000
 
 
-def _mc_count(spec: RngSpec, n: int, workers: int, chunk: int, count):
+def _mc_count(spec: RngSpec, n: int, chunk: int, count):
     """Sum of count(gen, m) over n trials, drawn in chunks of at most `chunk`.
 
-    count draws m trials from gen and returns their hits (an int, or an
-    array of counts).  The trials are split into `workers` shards, the
-    first n % workers one trial longer, each drawn from its own generator
-    of worker_generators.
+    count draws m trials from gen, the generator of `spec`, and returns
+    their hits (an int, or an array of counts).
     """
     if n < _MIN_MC_SAMPLES:
         raise ValueError(f"need at least {_MIN_MC_SAMPLES} samples, got {n}")
-    gens = worker_generators(spec, workers)
-    base, extra = divmod(n, workers)
+    gen = make_generator(spec)
     total = 0
-    for w, gen in enumerate(gens):
-        shard = base + (w < extra)
-        for done in range(0, shard, chunk):
-            total = total + count(gen, min(chunk, shard - done))
+    for done in range(0, n, chunk):
+        total = total + count(gen, min(chunk, n - done))
     return total
 
 
@@ -131,11 +111,11 @@ def _branch_cdf(n_r: int, x):
     for j in range(1, n_r):
         term = term * x / j
         total = total + term
-    # 1 - e^{-x} * total carries ~1e-16 absolute error, so below n_r/2,
-    # and wherever it comes out below 1e-3 (x up to ~n_r for large n_r),
-    # the lower series replaces it.
+    # 1 - e^{-x} * total carries an absolute error of about x * 1e-16, so
+    # below n_r, where the CDF can be far smaller, the lower series
+    # replaces it.
     cdf = -np.expm1(-x + np.log(total))
-    low = (x < 0.5 * n_r) | (cdf < 1e-3)
+    low = x < n_r
     if np.any(low):
         cdf[low] = _lower_series(n_r, x[low])
     return cdf.reshape(shape)

@@ -107,7 +107,6 @@ def _params_line(res: _Resolved, params: SystemParams, extra: dict | None = None
         "nt": params.antennas.n_s,
         "nr": params.antennas.n_rr,
         "seed": res.get("seed", 0, int),
-        "workers": res.get("workers", 1, int),
     }
     if extra:
         fields.update(extra)
@@ -335,8 +334,7 @@ def _cmd_optimize_multi(res: _Resolved) -> int:
 def _cmd_validate(res: _Resolved) -> int:
     samples = res.get("samples", 1_000_000, int)
     seed = res.get("seed", 42, int)
-    workers = res.get("workers", 1, int)
-    checks = run_validation(samples=samples, seed=seed, workers=workers)
+    checks = run_validation(samples=samples, seed=seed)
     rows = [
         (c.name, c.analytic, c.mc_mean, c.mc_stderr, c.n_sigma, "pass" if c.passed else "FAIL")
         for c in checks
@@ -344,7 +342,7 @@ def _cmd_validate(res: _Resolved) -> int:
     out = res.get("out", None, str)
     _write_csv(
         out,
-        f"samples={samples} seed={seed} workers={workers}",
+        f"samples={samples} seed={seed}",
         ["check", "analytic", "mc_mean", "mc_stderr", "n_sigma", "status"],
         rows,
     )
@@ -381,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # keeps the verb's parser from clobbering a value given before it.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, help="Monte-Carlo seed, used by validate (default 42)")
-    common.add_argument("--workers", type=int, help="Monte-Carlo worker shards (default 1)")
     common.add_argument("--config", type=str, help="key = value file supplying flag defaults")
     common.add_argument("--out", type=str, help="CSV output path (default stdout)")
     parser = argparse.ArgumentParser(

@@ -163,7 +163,6 @@ def mc_dep_slot(
     params: SystemParams,
     n: int,
     rng: RngSpec,
-    workers: int = 1,
 ) -> McEstimate:
     """Monte-Carlo per-slot DEP: mean(FA) + mean(MD) on independent draws."""
     if p <= 0 or tau <= 0:
@@ -176,9 +175,9 @@ def mc_dep_slot(
         return np.array([np.count_nonzero(noise_fa > tau),
                          np.count_nonzero(p * gain + noise_md <= tau)])
 
-    p_fa, p_md = (int(hits) / n for hits in _mc_count(rng, n, workers, _MC_CHUNK, count))
+    p_fa, p_md = (int(hits) / n for hits in _mc_count(rng, n, _MC_CHUNK, count))
     var = p_fa * (1.0 - p_fa) + p_md * (1.0 - p_md)
-    return McEstimate(p_fa + p_md, math.sqrt(var / n), n, rng.seed, workers)
+    return McEstimate(p_fa + p_md, math.sqrt(var / n), n, rng.seed)
 
 
 def mc_dep_two_hop(
@@ -186,7 +185,6 @@ def mc_dep_two_hop(
     tau: float,
     n: int,
     rng: RngSpec,
-    workers: int = 1,
 ) -> McEstimate:
     """Monte-Carlo two-hop DEP at a common threshold.
 
@@ -195,10 +193,10 @@ def mc_dep_two_hop(
     DEP is 1 - (1 - Pe1)(1 - Pe2) with the per-slot estimates plugged in
     and the standard error propagated through the product.
     """
-    est1 = mc_dep_slot(params.p_s, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 1), workers)
-    est2 = mc_dep_slot(params.p_r, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 2), workers)
+    est1 = mc_dep_slot(params.p_s, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 1))
+    est2 = mc_dep_slot(params.p_r, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 2))
     xi = 1.0 - (1.0 - est1.mean) * (1.0 - est2.mean)
     stderr = math.sqrt(
         ((1.0 - est2.mean) * est1.stderr) ** 2 + ((1.0 - est1.mean) * est2.stderr) ** 2
     )
-    return McEstimate(xi, stderr, n, rng.seed, workers)
+    return McEstimate(xi, stderr, n, rng.seed)

@@ -169,19 +169,12 @@ class McEstimate:
     stderr: float
     n: int
     seed: int
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.stderr < 0:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
         if self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-    def within(self, value: float, n_sigma: float = 3.0) -> bool:
-        """True if `value` lies within n_sigma standard errors of the mean."""
-        return abs(value - self.mean) <= n_sigma * self.stderr
 
 
 def load_config(path: str) -> dict[str, str]:

@@ -14,6 +14,7 @@ import math
 __all__ = [
     "expint_ei",
     "expint_ei_scaled",
+    "ein",
     "ei_diff",
     "upper_gamma",
 ]
@@ -81,8 +82,13 @@ def _ei_asymptotic_excess(x: float) -> float:
     return total
 
 
-def _e1_series(z: float) -> float:
-    # E1(z) = -gamma - ln z + sum_{k>=1} (-1)^{k+1} z^k / (k * k!), z in (0, 1].
+def ein(z: float) -> float:
+    """Ein(z) = E1(z) + gamma + ln z for z >= 0, the entire part of E1."""
+    if not z >= 0:
+        raise ValueError(f"ein requires z >= 0, got {z}")
+    if z > _NEG_SERIES_CUTOFF:
+        return EULER_GAMMA + math.log(z) - expint_ei(-z)
+    # sum_{k>=1} (-1)^{k+1} z^k / (k * k!), all terms below 1 in size.
     total = 0.0
     term = 1.0
     for k in range(1, _MAX_ITER + 1):
@@ -90,8 +96,8 @@ def _e1_series(z: float) -> float:
         contrib = -term / k
         total += contrib
         if abs(contrib) < _REL_TOL * abs(total) + _ABS_TOL:
-            return -EULER_GAMMA - math.log(z) + total
-    raise ArithmeticError(f"E1 series did not converge for z={z}")
+            return total
+    raise ArithmeticError(f"Ein series did not converge for z={z}")
 
 
 def _e1_continued_fraction(z: float) -> float:
@@ -134,10 +140,16 @@ def expint_ei(x: float) -> float:
     if x > 0:
         if x <= _POS_SERIES_CUTOFF:
             return _ei_series_positive(x)
-        return math.exp(x) * _ei_asymptotic_scaled(x)
+        try:
+            return math.exp(x) * _ei_asymptotic_scaled(x)
+        except OverflowError:
+            # e^x overflows past x ~ 709.78 but Ei(x) only past x ~ 716.36,
+            # where the split product overflows to inf.
+            split = math.exp(x - 16.0) if x < 720.0 else math.inf
+            return split * _ei_asymptotic_scaled(x) * math.exp(16.0)
     z = -x
     if z <= _NEG_SERIES_CUTOFF:
-        return -_e1_series(z)
+        return EULER_GAMMA + math.log(z) - ein(z)
     return -_e1_continued_fraction(z)
 
 

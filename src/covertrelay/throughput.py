@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_tas_mrc_gain, tas_mrc_gain_cdf
 from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, RateParams, SystemParams
-from .specfun import ei_diff, upper_gamma
+from .specfun import ei_diff, ein, upper_gamma
 
 __all__ = [
     "ThroughputOutcome",
@@ -102,8 +103,14 @@ def outage_hop_single(p: float, rate: RateParams, params: SystemParams) -> float
     x2 = kappa * params.mu2 / p
     if x2 == math.inf:
         return 1.0  # the SNR threshold exceeds the float range: certain outage
-    gap = ei_diff(x2, kappa * params.mu1 / p)
-    value = 1.0 - gap / (2.0 * math.log(params.rho))
+    x1 = kappa * params.mu1 / p
+    if min(kappa * params.mu1, x1) >= sys.float_info.min:
+        value = 1.0 - ei_diff(x2, x1) / (2.0 * math.log(params.rho))
+    else:
+        # A product below the normal floats has lost its precision, and the
+        # Ei gap with it; the outage is also (Ein(x2) - Ein(x1)) / (2 ln rho).
+        x1, x2 = (kappa * (mu / p) for mu in (params.mu1, params.mu2))
+        value = (ein(x2) - ein(x1)) / (2.0 * math.log(params.rho))
     return clamp_unit_interval(value, "outage_hop_single")
 
 
@@ -141,7 +148,10 @@ def _gl_mean(n_t: int, n_r: int, y: np.ndarray, n: int, params: SystemParams) ->
     rows = max(1, _GL_BLOCK // s.size)
     out = np.empty(y.size)
     for i in range(0, y.size, rows):
-        gain_cdf = tas_mrc_gain_cdf(n_t, n_r, np.multiply.outer(y[i : i + rows], noise))
+        # A gain threshold past the float range is inf, where the CDF is 1.
+        with np.errstate(over="ignore"):
+            gain = np.multiply.outer(y[i : i + rows], noise)
+        gain_cdf = tas_mrc_gain_cdf(n_t, n_r, gain)
         # A row sum, not a matrix product: each value is then independent
         # of the rows computed with it.
         out[i : i + rows] = (gain_cdf * w).sum(axis=1)
@@ -238,6 +248,18 @@ def outage_hop_multi_paper(
             omega = n_r + k - 1
             inner = 0.0
             for j in range(omega + 1):
+                # The gamma argument (j - 1) kappa mu / p is negative at j = 0
+                # (kappa > 0 here).  The test is on j, which no underflow of
+                # the product can flip, and it comes before the coefficient,
+                # whose (kappa / p) ** (omega - j) can overflow there.
+                if j < 1:
+                    return PaperFormulaValue(
+                        None,
+                        "formula-domain-violation: negative incomplete-gamma "
+                        f"argument at j={j}",
+                    )
+                if j == 1:
+                    continue  # the (j - 1) factor is exactly zero
                 coeff = (
                     math.factorial(j)
                     * math.comb(omega, j)
@@ -245,16 +267,8 @@ def outage_hop_multi_paper(
                     * (kappa / p) ** (omega - j)
                     * (kappa / p) ** (-(n_r - 1))
                 )
-                if j == 1:
-                    continue  # the (j - 1) factor is exactly zero
                 arg2 = (j - 1) * kappa * mu2 / p
                 arg1 = (j - 1) * kappa * mu1 / p
-                if arg1 < 0 or arg2 < 0:
-                    return PaperFormulaValue(
-                        None,
-                        "formula-domain-violation: negative incomplete-gamma "
-                        f"argument at j={j}",
-                    )
                 inner += coeff * (j - 1) * (upper_gamma(n_r - 1, arg2) - upper_gamma(n_r - 1, arg1))
             inner += omega * log_term / (s + 1) ** (n_r + k)
             total += outer * inner
@@ -278,7 +292,6 @@ def mc_outage_hop(
     n_r: int,
     n: int,
     rng: RngSpec,
-    workers: int = 1,
 ) -> McEstimate:
     """Monte-Carlo hop outage: fraction of trials with capacity below T."""
     if p <= 0:
@@ -291,5 +304,5 @@ def mc_outage_hop(
         # capacity < T  <=>  p * gain < kappa * sigma2
         return int(np.count_nonzero(p * gain < kappa * sigma2))
 
-    p_hat = _mc_count(rng, n, workers, _MC_CHUNK, count) / n
-    return McEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), n, rng.seed, workers)
+    p_hat = _mc_count(rng, n, _MC_CHUNK, count) / n
+    return McEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), n, rng.seed)

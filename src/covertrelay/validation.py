@@ -50,7 +50,12 @@ def run_validation(
     n_sigma: float = 3.0,
     rho: float = 1.5,
 ) -> list[ValidationCheck]:
-    """Run the standard validation grid and return per-check results."""
+    """Run the standard validation grid and return per-check results.
+
+    `workers` accepts only 1; it stays while bench/worker.py passes it.
+    """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     checks: list[ValidationCheck] = []
     stream = 0
 
@@ -69,7 +74,7 @@ def run_validation(
                 _check(
                     f"min_dep_slot[p={p},sigma={sigma_dbm}dBm]",
                     min_dep_slot(p, params),
-                    mc_dep_slot(p, tau, params, samples, next_spec(), workers),
+                    mc_dep_slot(p, tau, params, samples, next_spec()),
                     n_sigma,
                 )
             )
@@ -77,7 +82,7 @@ def run_validation(
                 _check(
                     f"min_dep_two_hop[p={p},sigma={sigma_dbm}dBm]",
                     min_dep_two_hop(params),
-                    mc_dep_two_hop(params, tau, samples, next_spec(), workers),
+                    mc_dep_two_hop(params, tau, samples, next_spec()),
                     n_sigma,
                 )
             )
@@ -91,7 +96,7 @@ def run_validation(
             _check(
                 f"outage_hop_single[T={t}]",
                 outage_hop_single(1.0, rate, params),
-                mc_outage_hop(1.0, rate, params, 1, 1, samples, next_spec(), workers),
+                mc_outage_hop(1.0, rate, params, 1, 1, samples, next_spec()),
                 n_sigma,
             )
         )
@@ -101,7 +106,7 @@ def run_validation(
             _check(
                 f"outage_hop_multi[T=1.5,n_t={n_t},n_r={n_r}]",
                 outage_hop_multi_reference(1.0, rate, params, n_t, n_r),
-                mc_outage_hop(1.0, rate, params, n_t, n_r, samples, next_spec(), workers),
+                mc_outage_hop(1.0, rate, params, n_t, n_r, samples, next_spec()),
                 n_sigma,
             )
         )

@@ -15,7 +15,6 @@ from covertrelay.channel import (
     sample_tas_mrc_gain,
     tas_mrc_gain_cdf,
     tas_mrc_gain_pdf,
-    worker_generators,
 )
 from covertrelay.model import SystemParams
 
@@ -40,19 +39,6 @@ class TestRngContract:
         a = sample_rayleigh_gain(make_generator(RngSpec(42, 0)), 1000)
         b = sample_rayleigh_gain(make_generator(RngSpec(42, 1)), 1000)
         assert not np.array_equal(a, b)
-
-    def test_worker_generators_deterministic(self):
-        first = [g.random(5) for g in worker_generators(RngSpec(7, 2), 4)]
-        second = [g.random(5) for g in worker_generators(RngSpec(7, 2), 4)]
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
-        # All four workers see distinct substreams.
-        flat = np.concatenate(first)
-        assert len(np.unique(flat)) == len(flat)
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError):
-            worker_generators(RngSpec(7), 0)
 
 
 class TestNoisePower:
@@ -138,7 +124,7 @@ class TestTasMrcGain:
             ref = special.gammainc(n_r, x)
             resolved = ref > 1e-300
             assert not np.any(got[resolved] <= 0.0)
-            np.testing.assert_allclose(got[resolved], ref[resolved], rtol=1e-10, atol=0)
+            np.testing.assert_allclose(got[resolved], ref[resolved], rtol=2e-12, atol=0)
         assert tas_mrc_gain_cdf(1, 200, 101) == pytest.approx(2.5393e-18, rel=1e-4)
 
     def test_pdf_is_zero_at_infinite_gain(self):

@@ -130,13 +130,6 @@ class TestMonteCarlo:
         b = mc_dep_slot(1.0, optimal_threshold(BASE), BASE, 10_000, RngSpec(42, 1))
         assert a == b
 
-    def test_worker_sharding_changes_stream_but_not_statistics(self):
-        tau = optimal_threshold(BASE)
-        serial = mc_dep_slot(0.01, tau, BASE, 200_000, RngSpec(5, 0), workers=1)
-        sharded = mc_dep_slot(0.01, tau, BASE, 200_000, RngSpec(5, 0), workers=4)
-        floor = binom_floor(serial.mean, sharded)
-        assert abs(serial.mean - sharded.mean) <= 6.0 * max(floor, serial.stderr)
-
     def test_slot_estimate_brackets_closed_form(self):
         tau = optimal_threshold(BASE)
         for p in (0.01, 0.1, 1.0):

@@ -7,6 +7,7 @@ import pytest
 
 from covertrelay.specfun import (
     ei_diff,
+    ein,
     expint_ei,
     expint_ei_scaled,
     upper_gamma,
@@ -46,6 +47,17 @@ class TestExpintEi:
             expected = oracle_ei(x) * math.exp(-x)
             assert rel_err(expint_ei_scaled(x), expected) < 1e-10
 
+    def test_finite_past_the_overflow_of_exp(self):
+        # e^x overflows from x ~ 709.78, Ei(x) only from x ~ 716.36.
+        assert rel_err(expint_ei(710.0), 3.15091568820620121493864119169e305) < 1e-13
+        assert expint_ei(717.0) == math.inf
+        assert expint_ei(1e300) == math.inf
+        # Below the overflow of e^x the values are those of e^x times the
+        # scaled series, unchanged.
+        assert expint_ei(100.0) == 2.71555274485377e41
+        assert expint_ei(709.0) == 1.160794336657257e305
+        assert expint_ei(709.78) == 2.529453953646056e305
+
     def test_monotone_increasing_on_positive_axis(self):
         grid = np.geomspace(1e-8, 200.0, 400)
         vals = [expint_ei(float(x)) for x in grid]
@@ -71,6 +83,22 @@ class TestExpintEi:
             expint_ei_scaled(0.0)
         with pytest.raises(ValueError):
             expint_ei_scaled(-2.0)
+
+
+
+class TestEin:
+    def test_matches_e1_plus_gamma_plus_log(self):
+        for z in np.geomspace(0.5, 50.0, 40):
+            z = float(z)
+            expected = -oracle_ei(-z) + 0.57721566490153286061 + math.log(z)
+            assert rel_err(ein(z), expected) < 1e-10
+
+    def test_small_arguments_keep_relative_precision(self):
+        assert ein(0.0) == 0.0
+        assert ein(1e-300) == 1e-300
+        assert ein(1e-8) == pytest.approx(1e-8 - 1e-16 / 4, rel=1e-15)
+        with pytest.raises(ValueError):
+            ein(-1.0)
 
 
 class TestEiDiff:

@@ -105,6 +105,25 @@ class TestSingleAntenna:
             floor = max(est.stderr, math.sqrt(analytic * (1 - analytic) / est.n))
             assert abs(analytic - est.mean) <= 4.0 * floor
 
+    def test_tiny_rates_give_the_first_order_outage(self):
+        # kappa sigma^2 / p below the normal floats: the outage is
+        # E[kappa x / p] = kappa (mu2 - mu1) / (2 p ln rho) to first order.
+        for rho in (1.001, 2.0, 1e3):
+            params = SystemParams(1.0, 1.0, 1.0, rho)
+            for t in (5e-324, 2.2250738585e-313, 1e-310, 2.2e-308):
+                rate = RateParams(t)
+                first = rate.kappa * (params.mu2 - params.mu1) / (2e3 * math.log(rho))
+                got = outage_hop_single(1e3, rate, params)
+                assert got == pytest.approx(first, rel=1e-9, abs=1e-321)
+        # Rates that made the Ei gap raise: x1 and x2 underflow to 0, or
+        # kappa * mu1 does before the division by p.
+        params = SystemParams(1.0, 1.0, 1e-13, 2.0)
+        assert 0.0 <= outage_hop_single(1.0, RateParams(2.2250738585e-313), params) < 1e-300
+        params = SystemParams(1.0, 1.0, 1e-13, 1.25)
+        rate = RateParams(2.3337307066302523e-304)
+        first = rate.kappa * (params.mu2 - params.mu1) / (2e-12 * math.log(1.25))
+        assert outage_hop_single(1e-12, rate, params) == pytest.approx(first, rel=1e-9)
+
 
 class TestMultiAntenna:
     def test_reduces_to_single(self):
@@ -199,6 +218,17 @@ class TestMultiAntenna:
                 v = outage_hop_multi_paper(1.0, rate, BASE, n_t, n_r, interp)
                 assert not v.ok
                 assert "negative incomplete-gamma" in v.violation
+        # Also where (kappa / p) ** omega overflows (t = 100), and where
+        # kappa / p underflows to 0 and the j = 0 argument with it.
+        for p, t, params, n_r in ((1.0, 100.0, BASE, 8),
+                                  (4.0, 5e-324, SystemParams(1.0, 1.0, 1.0, 2.0), 2)):
+            v = outage_hop_multi_paper(p, RateParams(t), params, 2, n_r)
+            assert "negative incomplete-gamma argument at j=0" in v.violation
+
+    def test_threshold_past_the_float_range_is_certain_outage(self):
+        # kappa / p times the noise overflows; the outage is 1, without a warning.
+        params = SystemParams(1.0, 1.0, 1.0, 269.0)
+        assert outage_hop_multi_reference(1e-6, RateParams(498.0), params, 1, 1) == 1.0
 
     def test_verbatim_form_rejects_unknown_interpretation(self):
         with pytest.raises(ValueError):
