@@ -14,7 +14,6 @@ import math
 __all__ = [
     "expint_ei",
     "expint_ei_scaled",
-    "ein",
     "ei_diff",
     "upper_gamma",
 ]
@@ -82,10 +81,10 @@ def _ei_asymptotic_excess(x: float) -> float:
     return total
 
 
-def ein(z: float) -> float:
+def _ein(z: float) -> float:
     """Ein(z) = E1(z) + gamma + ln z for z >= 0, the entire part of E1."""
     if not z >= 0:
-        raise ValueError(f"ein requires z >= 0, got {z}")
+        raise ValueError(f"Ein requires z >= 0, got {z}")
     if z > _NEG_SERIES_CUTOFF:
         return EULER_GAMMA + math.log(z) - expint_ei(-z)
     # sum_{k>=1} (-1)^{k+1} z^k / (k * k!), all terms below 1 in size.
@@ -149,7 +148,7 @@ def expint_ei(x: float) -> float:
             return split * _ei_asymptotic_scaled(x) * math.exp(16.0)
     z = -x
     if z <= _NEG_SERIES_CUTOFF:
-        return EULER_GAMMA + math.log(z) - ein(z)
+        return EULER_GAMMA + math.log(z) - _ein(z)
     return -_e1_continued_fraction(z)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_tas_mrc_gain, tas_mrc_gain_cdf
 from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, RateParams, SystemParams
-from .specfun import ei_diff, ein, upper_gamma
+from .specfun import _ein, ei_diff, upper_gamma
 
 __all__ = [
     "ThroughputOutcome",
@@ -107,10 +107,12 @@ def outage_hop_single(p: float, rate: RateParams, params: SystemParams) -> float
     if min(kappa * params.mu1, x1) >= sys.float_info.min:
         value = 1.0 - ei_diff(x2, x1) / (2.0 * math.log(params.rho))
     else:
-        # A product below the normal floats has lost its precision, and the
-        # Ei gap with it; the outage is also (Ein(x2) - Ein(x1)) / (2 ln rho).
-        x1, x2 = (kappa * (mu / p) for mu in (params.mu1, params.mu2))
-        value = (ein(x2) - ein(x1)) / (2.0 * math.log(params.rho))
+        # A subnormal product loses the Ei gap's precision; the outage is also
+        # (Ein(x2) - Ein(x1)) / (2 ln rho), with x = kappa mu / p formed from
+        # mantissas and exponents so that no subnormal or overflow enters it.
+        (mk, ek), (mp, ep) = math.frexp(kappa), math.frexp(p)
+        x1, x2 = (math.ldexp(mk * mu / mp, ek - ep) for mu in (params.mu1, params.mu2))
+        value = (_ein(x2) - _ein(x1)) / (2.0 * math.log(params.rho))
     return clamp_unit_interval(value, "outage_hop_single")
 
 
@@ -248,10 +250,8 @@ def outage_hop_multi_paper(
             omega = n_r + k - 1
             inner = 0.0
             for j in range(omega + 1):
-                # The gamma argument (j - 1) kappa mu / p is negative at j = 0
-                # (kappa > 0 here).  The test is on j, which no underflow of
-                # the product can flip, and it comes before the coefficient,
-                # whose (kappa / p) ** (omega - j) can overflow there.
+                # The gamma argument (j - 1) kappa mu / p is negative at j = 0 (kappa > 0
+                # here): tested on j, before a coefficient that can overflow there.
                 if j < 1:
                     return PaperFormulaValue(
                         None,

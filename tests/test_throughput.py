@@ -1,6 +1,7 @@
 """Outage and throughput: closed form vs quadrature vs Monte Carlo."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from covertrelay.model import (
     dbm_to_watts,
 )
 from covertrelay.specfun import ei_diff
-from oracles import oracle_tas_mrc_outage
+from oracles import oracle_ei, oracle_tas_mrc_outage
 from covertrelay.throughput import (
     ThroughputOutcome,
     capacity_hop,
@@ -123,6 +124,18 @@ class TestSingleAntenna:
         rate = RateParams(2.3337307066302523e-304)
         first = rate.kappa * (params.mu2 - params.mu1) / (2e-12 * math.log(1.25))
         assert outage_hop_single(1e-12, rate, params) == pytest.approx(first, rel=1e-9)
+
+    def test_subnormal_power_and_threshold(self):
+        # p and kappa * mu1 below the normal floats: mu / p overflows and a
+        # subnormal product rounds coarsely, so x1 and x2 are formed without
+        # either.  The outage is 1 - (Ei(-x2) - Ei(-x1)) / (2 ln rho).
+        params = SystemParams(1.0, 1.0, 1.0, 2.0)
+        for p, t in ((1e-310, 1e-309), (1e-315, 3e-313), (5e-324, 5e-324)):
+            rate = RateParams(t)
+            x1, x2 = (float(Fraction(rate.kappa) * Fraction(mu) / Fraction(p))
+                      for mu in (params.mu1, params.mu2))
+            expected = 1.0 - (oracle_ei(-x2) - oracle_ei(-x1)) / (2.0 * math.log(2.0))
+            assert outage_hop_single(p, rate, params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMultiAntenna:
