@@ -106,18 +106,19 @@ def _branch_cdf(n_r: int, x):
     # CDF of Gamma(n_r, 1): 1 - e^{-x} sum_{j<n_r} x^j / j!, by term recurrence.
     shape = np.shape(x)
     x = np.minimum(np.ravel(np.asarray(x, dtype=float)), _GAIN_CAP)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for j in range(1, n_r):
-        term = term * x / j
-        total = total + term
     # 1 - e^{-x} * total carries an absolute error of about x * 1e-16, so
     # below n_r, where the CDF can be far smaller, the lower series
     # replaces it.
-    cdf = -np.expm1(-x + np.log(total))
     low = x < n_r
-    if np.any(low):
-        cdf[low] = _lower_series(n_r, x[low])
+    cdf = np.empty_like(x)
+    cdf[low] = _lower_series(n_r, x[low])
+    high = x[~low]
+    term = np.ones_like(high)
+    total = np.ones_like(high)
+    for j in range(1, n_r):
+        term = term * high / j
+        total = total + term
+    cdf[~low] = -np.expm1(-high + np.log(total))
     return cdf.reshape(shape)
 
 
