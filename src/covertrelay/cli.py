@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Verbs: dep, sweep, throughput, optimize-single, optimize-multi,
-validate, figures.  All outputs are CSV (stdout or --out) with a
-`# params:` comment line capturing the fully resolved configuration.
+validate, figures.  Each verb accepts only the flags it reads (`_VERBS`);
+--config, accepted before or after the verb, names a file whose keys set
+the verb's flag defaults.  All outputs are CSV (stdout or --out; figures
+write to --outdir) with a `# params:` comment line recording the value
+of each of the verb's flags that names the computed point.
 Exit codes: 0 success, 2 invalid parameters, 3 infeasible optimization,
 4 numeric failure.
 """
@@ -14,7 +17,7 @@ import contextlib
 import csv
 import os
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -47,6 +50,8 @@ EXIT_NUMERIC = 4
 # when comparing unoptimized throughputs.
 DEFAULT_P_MAX = 5.0
 DEFAULT_T_REF = 0.5
+# Noise-uncertainty ratio when neither --rho nor --rho-db is given.
+DEFAULT_RHO = 1.5
 
 
 def _fmt(value) -> str:
@@ -64,62 +69,42 @@ def _write_csv(out: str | None, params_line: str, header, rows) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-@dataclass
-class _Resolved:
-    """Flag values after merging CLI > config file > built-in default."""
+def _system_params(args: argparse.Namespace) -> SystemParams:
+    """The point named by the verb's flags.
 
-    args: argparse.Namespace
-    config: dict
-
-    def get(self, name: str, default=None, cast=float):
-        value = getattr(self.args, name, None)
-        if value is None and name in self.config:
-            value = cast(self.config[name])
-        if value is None:
-            value = default
-        return value
-
-
-def _system_params(res: _Resolved) -> SystemParams:
-    rho = res.get("rho")
-    rho_db = res.get("rho_db")
-    if rho is not None and rho_db is not None:
+    `dep` has no antenna flags, since the warden's DEP does not depend on
+    them. The optimizers have no power flags, since they choose the
+    powers; their point carries unit powers, which they never read.
+    """
+    if args.rho_db is None:
+        rho = DEFAULT_RHO if args.rho is None else args.rho
+    elif args.rho is None:
+        rho = rho_from_db(args.rho_db)
+    else:
         raise ValueError("give either --rho or --rho-db, not both")
-    if rho is None:
-        rho = rho_from_db(rho_db) if rho_db is not None else 1.5
-    n_t = res.get("nt", 1, int)
-    n_r = res.get("nr", 1, int)
-    return SystemParams(
-        p_s=res.get("ps", 1.0),
-        p_r=res.get("pr", 1.0),
-        sigma_n2=dbm_to_watts(res.get("sigma_n_dbm", -5.0)),
-        rho=rho,
-        antennas=AntennaConfig(n_s=n_t, n_rr=n_r, n_rt=n_t, n_d=n_r),
-    )
+    n_t, n_r = (args.nt, args.nr) if "nt" in args else (1, 1)
+    powers = (args.ps, args.pr) if "ps" in args else (1.0, 1.0)
+    return SystemParams(*powers, dbm_to_watts(args.sigma_n_dbm), rho,
+                        AntennaConfig(n_s=n_t, n_rr=n_r, n_rt=n_t, n_d=n_r))
 
 
-def _params_line(res: _Resolved, params: SystemParams, extra: dict | None = None) -> str:
-    fields = {
-        "ps": params.p_s,
-        "pr": params.p_r,
-        "sigma_n2_w": params.sigma_n2,
-        "rho": params.rho,
-        "nt": params.antennas.n_s,
-        "nr": params.antennas.n_rr,
-        "seed": res.get("seed", 0, int),
-    }
-    if extra:
-        fields.update(extra)
+def _params_line(args: argparse.Namespace, params: SystemParams, **extra) -> str:
+    """`# params:` fields for the point's flags that the verb has, then `extra`."""
+    fields = {"ps": params.p_s, "pr": params.p_r} if "ps" in args else {}
+    fields.update(sigma_n2_w=params.sigma_n2, rho=params.rho)
+    if "nt" in args:
+        fields.update(nt=params.antennas.n_s, nr=params.antennas.n_rr)
+    fields.update(extra)
     return " ".join(f"{k}={_fmt(v)}" for k, v in fields.items())
 
 
-def _cmd_dep(res: _Resolved) -> int:
-    params = _system_params(res)
+def _cmd_dep(args: argparse.Namespace) -> int:
+    params = _system_params(args)
     pe1, pe2 = (min_dep_slot(p, params) for p in (params.p_s, params.p_r))
     outcome = DetectionOutcome.combine(optimal_threshold(params), pe1, pe2)
     _write_csv(
-        res.get("out", None, str),
-        _params_line(res, params),
+        args.out,
+        _params_line(args, params),
         ["tau_star_w", "pe1_star", "pe2_star", "xi_star"],
         [astuple(outcome)],
     )
@@ -131,15 +116,14 @@ def _throughput(params: SystemParams, t: float):
     return (throughput_single if single else throughput_multi)(params, RateParams(t))
 
 
-def _cmd_throughput(res: _Resolved) -> int:
-    params = _system_params(res)
-    t = res.get("t", DEFAULT_T_REF)
-    out = _throughput(params, t)
+def _cmd_throughput(args: argparse.Namespace) -> int:
+    params = _system_params(args)
+    out = _throughput(params, args.t)
     _write_csv(
-        res.get("out", None, str),
-        _params_line(res, params, {"t": t}),
+        args.out,
+        _params_line(args, params, t=args.t),
         ["t", "p_out_hop1", "p_out_hop2", "p_out", "eta"],
-        [(t, out.p_out_hop1, out.p_out_hop2, out.p_out, out.eta)],
+        [(args.t, out.p_out_hop1, out.p_out_hop2, out.p_out, out.eta)],
     )
     return EXIT_OK
 
@@ -223,11 +207,8 @@ _FIGURES = {
 }
 
 
-def _sweep_grid(res: _Resolved):
-    lo = res.get("sweep_from")
-    hi = res.get("sweep_to")
-    steps = res.get("steps", 50, int)
-    scale = res.get("scale", "linear", str)
+def _sweep_grid(args: argparse.Namespace):
+    lo, hi, steps, scale = args.sweep_from, args.sweep_to, args.steps, args.scale
     if lo is None or hi is None:
         raise ValueError("sweep requires --from and --to")
     if not lo < hi:
@@ -243,106 +224,76 @@ def _sweep_grid(res: _Resolved):
     return np.linspace(lo, hi, steps)
 
 
-def _cmd_sweep(res: _Resolved) -> int:
-    variable = res.get("variable", None, str)
-    if variable not in _SWEEPS:
-        raise ValueError(f"--variable must be one of {tuple(_SWEEPS)}, got {variable!r}")
-    base = _system_params(res)
-    t = res.get("t", DEFAULT_T_REF)
-    rows = _sweep_rows(base, variable, _sweep_grid(res), _xi_outage_eta, t=t,
-                       p_max=res.get("p_max", DEFAULT_P_MAX))
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.variable not in _SWEEPS:
+        raise ValueError(f"--variable must be one of {tuple(_SWEEPS)}, got {args.variable!r}")
+    base = _system_params(args)
+    rows = _sweep_rows(base, args.variable, _sweep_grid(args), _xi_outage_eta, t=args.t,
+                       p_max=args.p_max)
     _write_csv(
-        res.get("out", None, str),
-        _params_line(res, base, {"variable": variable, "t": t}),
-        [variable, "xi_star", "p_out", "eta"],
+        args.out,
+        _params_line(args, base, variable=args.variable, t=args.t),
+        [args.variable, "xi_star", "p_out", "eta"],
         rows,
     )
     return EXIT_OK
 
 
-def _cmd_figures(res: _Resolved) -> int:
-    which = res.get("which", None, str)
-    outdir = res.get("outdir", ".", str)
-    os.makedirs(outdir, exist_ok=True)
-    numbers = range(3, 9) if which in (None, "all") else [int(which)]
+def _cmd_figures(args: argparse.Namespace) -> int:
+    os.makedirs(args.outdir, exist_ok=True)
+    numbers = range(3, 9) if args.which == "all" else [int(args.which)]
     for number in numbers:
         if number not in _FIGURES:
             raise ValueError(f"unknown figure {number}; data figures are 3-8")
         header, rows = _FIGURES[number]()
         _write_csv(
-            os.path.join(outdir, f"fig{number}.csv"),
-            f"figure={number} rho=1.5 seed={res.get('seed', 0, int)}",
+            os.path.join(args.outdir, f"fig{number}.csv"),
+            f"figure={number} rho=1.5",
             header,
             rows,
         )
     return EXIT_OK
 
 
-def _constraints(res: _Resolved) -> ConstraintSet:
-    return ConstraintSet(
-        epsilon=res.get("epsilon", 0.15),
-        delta=res.get("delta", 0.1),
-        p_max=res.get("p_max", DEFAULT_P_MAX),
-    )
-
-
-def _write_optimum(res, params, constraints, opt) -> None:
+def _optimum(args: argparse.Namespace, solve) -> int:
+    """Write the optimum `solve(constraints, params)` finds under the verb's budgets."""
+    params = _system_params(args)
+    constraints = ConstraintSet(args.epsilon, args.delta, args.p_max)
+    opt = solve(constraints, params)
     _write_csv(
-        res.get("out", None, str),
-        _params_line(
-            res,
-            params,
-            {"epsilon": constraints.epsilon, "delta": constraints.delta,
-             "p_max": constraints.p_max},
-        ),
+        args.out,
+        _params_line(args, params, epsilon=args.epsilon, delta=args.delta, p_max=args.p_max),
         ["p_s", "p_r", "t", "eta", "method", "active_constraints"],
         [(opt.p_s, opt.p_r, opt.t, opt.eta, opt.method,
           "|".join(sorted(opt.active_constraints)) or "none")],
     )
-
-
-def _cmd_optimize_single(res: _Resolved) -> int:
-    params = _system_params(res)
-    constraints = _constraints(res)
-    opt = optimize_single(constraints, params)
-    _write_optimum(res, params, constraints, opt)
     return EXIT_OK
 
 
-def _cmd_optimize_multi(res: _Resolved) -> int:
-    params = _system_params(res)
-    constraints = _constraints(res)
-    h1 = res.get("h1")
-    h2 = res.get("h2")
-    h3 = res.get("h3")
-    steps = None
-    if any(v is not None for v in (h1, h2, h3)):
-        if None in (h1, h2, h3):
+def _cmd_optimize_single(args: argparse.Namespace) -> int:
+    return _optimum(args, optimize_single)
+
+
+def _cmd_optimize_multi(args: argparse.Namespace) -> int:
+    steps = (args.h1, args.h2, args.h3)
+    if None in steps:
+        if steps != (None, None, None):
             raise ValueError("give all of --h1/--h2/--h3 or none")
-        steps = (h1, h2, h3)
-    opt = optimize_multi(
-        constraints,
-        params,
-        steps=steps,
-        phi=res.get("phi", 1e-6),
-        v_max=res.get("v_max", 10**6, int),
-    )
-    _write_optimum(res, params, constraints, opt)
-    return EXIT_OK
+        steps = None
+    return _optimum(args, lambda constraints, params: optimize_multi(
+        constraints, params, steps=steps, phi=args.phi, v_max=args.v_max))
 
 
-def _cmd_validate(res: _Resolved) -> int:
-    samples = res.get("samples", 1_000_000, int)
-    seed = res.get("seed", 42, int)
-    checks = run_validation(samples=samples, seed=seed)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    checks = run_validation(samples=args.samples, seed=args.seed)
     rows = [
         (c.name, c.analytic, c.mc_mean, c.mc_stderr, c.n_sigma, "pass" if c.passed else "FAIL")
         for c in checks
     ]
-    out = res.get("out", None, str)
+    out = args.out
     _write_csv(
         out,
-        f"samples={samples} seed={seed}",
+        f"samples={args.samples} seed={args.seed}",
         ["check", "analytic", "mc_mean", "mc_stderr", "n_sigma", "status"],
         rows,
     )
@@ -355,113 +306,119 @@ def _cmd_validate(res: _Resolved) -> int:
     return EXIT_OK
 
 
-def _add_system_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ps", type=float, help="source transmit power in watts (default 1)")
-    sp.add_argument("--pr", type=float, help="relay transmit power in watts (default 1)")
-    sp.add_argument("--sigma-n-dbm", dest="sigma_n_dbm", type=float,
-                    help="nominal noise power in dBm (default -5)")
-    sp.add_argument("--rho", type=float, help="noise-uncertainty ratio > 1 (default 1.5)")
-    sp.add_argument("--rho-db", dest="rho_db", type=float,
-                    help="noise uncertainty in dB (alternative to --rho)")
-    sp.add_argument("--nt", type=int, help="transmit antennas per hop (default 1)")
-    sp.add_argument("--nr", type=int, help="receive antennas per hop (default 1)")
+# Each flag's add_argument keywords; help shows the default via %(default)s.
+_FLAGS = {
+    "--ps": dict(type=float, default=1.0, help="source transmit power in W (default %(default)s)"),
+    "--pr": dict(type=float, default=1.0, help="relay transmit power in W (default %(default)s)"),
+    "--sigma-n-dbm": dict(dest="sigma_n_dbm", type=float, default=-5.0,
+                          help="nominal noise power in dBm (default %(default)s)"),
+    "--rho": dict(type=float, help=f"noise-uncertainty ratio > 1 (default {DEFAULT_RHO})"),
+    "--rho-db": dict(dest="rho_db", type=float, help="noise uncertainty in dB, instead of --rho"),
+    "--nt": dict(type=int, default=1, help="transmit antennas per hop (default %(default)s)"),
+    "--nr": dict(type=int, default=1, help="receive antennas per hop (default %(default)s)"),
+    "--t": dict(type=float, default=DEFAULT_T_REF,
+                help="target rate in bit/s/Hz (default %(default)s)"),
+    "--epsilon": dict(type=float, default=0.15, help="covertness budget (default %(default)s)"),
+    "--delta": dict(type=float, default=0.1, help="reliability budget (default %(default)s)"),
+    "--p-max": dict(dest="p_max", type=float, default=DEFAULT_P_MAX,
+                    help="per-hop power cap in W (default %(default)s)"),
+    "--variable": dict(type=str, help=f"one of {', '.join(_SWEEPS)}"),
+    "--from": dict(dest="sweep_from", type=float, help="sweep start"),
+    "--to": dict(dest="sweep_to", type=float, help="sweep end"),
+    "--steps": dict(type=int, default=50, help="grid points (default %(default)s)"),
+    "--scale": dict(type=str, default="linear", help="linear or log (default %(default)s)"),
+    "--h1": dict(type=float, help="linear source-power step (default: log grid)"),
+    "--h2": dict(type=float, help="linear relay-power step (default: log grid)"),
+    "--h3": dict(type=float, help="rate step (default 0.01)"),
+    "--phi": dict(type=float, default=1e-6,
+                  help="rate-loop convergence tolerance (default %(default)s)"),
+    "--v-max": dict(dest="v_max", type=int, default=10**6,
+                    help="evaluation cap (default %(default)s)"),
+    "--samples": dict(type=int, default=1_000_000, help="trials per check (default %(default)s)"),
+    "--seed": dict(type=int, default=42, help="Monte-Carlo seed (default %(default)s)"),
+    "--which": dict(type=str, default="all",
+                    help="figure number 3-8 or 'all' (default %(default)s)"),
+    "--outdir": dict(type=str, default=".", help="output directory (default %(default)s)"),
+    "--out": dict(type=str, help="CSV output path (default stdout)"),
+}
+_POWERS = ("--ps", "--pr")
+_NOISE = ("--sigma-n-dbm", "--rho", "--rho-db")
+_ANTENNAS = ("--nt", "--nr")
+_BUDGETS = ("--epsilon", "--delta", "--p-max")
+
+# Verb -> (command, help, flags): each verb has exactly the flags its command reads.
+_VERBS = {
+    "dep": (_cmd_dep, "optimal threshold and minimum DEP at one parameter point",
+            (*_POWERS, *_NOISE, "--out")),
+    "throughput": (_cmd_throughput, "outage and covert throughput at one parameter point",
+                   (*_POWERS, *_NOISE, *_ANTENNAS, "--t", "--out")),
+    "sweep": (_cmd_sweep, "sweep one variable, emitting xi*, outage and throughput",
+              (*_POWERS, *_NOISE, *_ANTENNAS, "--variable", "--from", "--to", "--steps",
+               "--scale", "--t", "--p-max", "--out")),
+    "optimize-single": (_cmd_optimize_single, "KKT throughput maximization, single antenna",
+                        (*_NOISE, *_BUDGETS, "--out")),
+    "optimize-multi": (_cmd_optimize_multi, "grid throughput maximization, TAS/MRC",
+                       (*_NOISE, *_ANTENNAS, *_BUDGETS, "--h1", "--h2", "--h3", "--phi",
+                        "--v-max", "--out")),
+    "validate": (_cmd_validate, "analytic-vs-Monte-Carlo campaign, written to --out; it also "
+                 "writes discrepancies.csv to the directory of --out (default: the working "
+                 "directory)", ("--samples", "--seed", "--out")),
+    "figures": (_cmd_figures, "emit the standard figure CSVs (3-8)", ("--which", "--outdir")),
+}
 
 
-def _add_constraint_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--epsilon", type=float, help="covertness budget (default 0.15)")
-    sp.add_argument("--delta", type=float, help="reliability budget (default 0.1)")
-    sp.add_argument("--p-max", dest="p_max", type=float,
-                    help=f"per-hop power cap in watts (default {DEFAULT_P_MAX})")
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and the parser of each verb, by name.
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    # The global flags are accepted before and after the verb; SUPPRESS
-    # keeps the verb's parser from clobbering a value given before it.
+    --config is the one flag accepted before and after the verb; SUPPRESS
+    keeps the verb's parser from clobbering a value given before it.
+    """
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, help="Monte-Carlo seed, used by validate (default 42)")
-    common.add_argument("--config", type=str, help="key = value file supplying flag defaults")
-    common.add_argument("--out", type=str, help="CSV output path (default stdout)")
+    common.add_argument("--config", type=str, help="key = value file of the verb's flag "
+                        "defaults; a key is the flag's dest (p_max for --p-max)")
     parser = argparse.ArgumentParser(
         prog="covertrelay",
         description="Covert two-hop relay performance: detection error probability, "
         "outage, covert throughput, and constrained optimization.",
         parents=[common],
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
-
-    def add_parser(name, help, **kwargs):  # noqa: A002 - mirrors argparse's keyword
-        return sub.add_parser(name, help=help, parents=[common], **kwargs)
-
-    sp = add_parser("dep", help="optimal threshold and minimum DEP at one parameter point")
-    _add_system_flags(sp)
-
-    sp = add_parser("throughput", help="outage and covert throughput at one parameter point")
-    _add_system_flags(sp)
-    sp.add_argument("--t", type=float, help=f"target rate bit/s/Hz (default {DEFAULT_T_REF})")
-
-    sp = add_parser("sweep", help="sweep one variable, emitting xi*, outage and throughput")
-    _add_system_flags(sp)
-    sp.add_argument("--variable", type=str, help=f"one of {', '.join(_SWEEPS)}")
-    sp.add_argument("--from", dest="sweep_from", type=float, help="sweep start")
-    sp.add_argument("--to", dest="sweep_to", type=float, help="sweep end")
-    sp.add_argument("--steps", type=int, help="grid points (default 50)")
-    sp.add_argument("--scale", type=str, help="linear or log (default linear)")
-    sp.add_argument("--t", type=float, help="target rate for throughput columns")
-    sp.add_argument("--p-max", dest="p_max", type=float,
-                    help="power cap used by the epsilon sweep")
-
-    sp = add_parser("optimize-single", help="KKT throughput maximization, single antenna")
-    _add_system_flags(sp)
-    _add_constraint_flags(sp)
-
-    sp = add_parser("optimize-multi", help="grid throughput maximization, TAS/MRC")
-    _add_system_flags(sp)
-    _add_constraint_flags(sp)
-    sp.add_argument("--h1", type=float, help="linear source-power step (default: log grid)")
-    sp.add_argument("--h2", type=float, help="linear relay-power step (default: log grid)")
-    sp.add_argument("--h3", type=float, help="rate step (default 0.01)")
-    sp.add_argument("--phi", type=float, help="rate-loop convergence tolerance (default 1e-6)")
-    sp.add_argument("--v-max", dest="v_max", type=int, help="evaluation cap (default 1e6)")
-
-    sp = add_parser(
-        "validate", help="analytic-vs-Monte-Carlo campaign + discrepancy report",
-        description="Run the analytic-vs-Monte-Carlo campaign and write its CSV to --out. "
-        "The discrepancy report is also written, to discrepancies.csv in the directory "
-        "of --out, or in the working directory when --out is not given.",
-    )
-    sp.add_argument("--samples", type=int, help="trials per check (default 1e6)")
-
-    sp = add_parser("figures", help="emit the standard figure CSVs (3-8)")
-    sp.add_argument("--which", type=str, help="figure number 3-8 or 'all' (default all)")
-    sp.add_argument("--outdir", type=str, help="output directory (default .)")
-
-    return parser
+    for name, (_, help_text, flags) in _VERBS.items():
+        sp = sub.add_parser(name, help=help_text, description=help_text, parents=[common],
+                            allow_abbrev=False)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+    return parser, sub.choices
 
 
-_COMMANDS = {
-    "dep": _cmd_dep,
-    "throughput": _cmd_throughput,
-    "sweep": _cmd_sweep,
-    "optimize-single": _cmd_optimize_single,
-    "optimize-multi": _cmd_optimize_multi,
-    "validate": _cmd_validate,
-    "figures": _cmd_figures,
-}
+def _parse_with_config(parser: argparse.ArgumentParser, verb: argparse.ArgumentParser,
+                       args: argparse.Namespace, argv: list[str] | None) -> argparse.Namespace:
+    """Parse `argv` again with the --config file's entries as `verb`'s defaults.
+
+    Each key names a flag of the verb by its dest (p_max for --p-max,
+    sweep_from for --from); that flag's type converts the value, and the
+    command line still wins. A key the verb has no flag for is an error.
+    """
+    try:
+        entries = load_config(args.config)
+    except OSError as exc:
+        raise ValueError(exc) from exc
+    unknown = sorted(set(entries) - (set(vars(args)) - {"command", "config"}))
+    if unknown:
+        raise ValueError(f"{args.config}: {args.command} has no flag for key(s) "
+                         f"{', '.join(unknown)}")
+    verb.set_defaults(**entries)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, verb_parsers = _build_parser()
     args = parser.parse_args(argv)
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-    res = _Resolved(args, config)
     try:
-        return _COMMANDS[args.command](res)
+        if "config" in args:
+            args = _parse_with_config(parser, verb_parsers[args.command], args, argv)
+        return _VERBS[args.command][0](args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -322,11 +322,15 @@ def optimize_single(constraints: ConstraintSet, params_template: SystemParams) -
     """Maximize single-antenna covert throughput over (p_s, p_r, t).
 
     Searches the covertness frontier as the module docstring describes.
-    Raises InfeasibleError when no covert powers have a reliable rate
+    Raises ValueError when `params_template` has more than one antenna
+    anywhere, InfeasibleError when no covert powers have a reliable rate
     t >= 1e-3, and NumericError when the optimum fails its KKT
     certificate.
     """
     params = params_template
+    if not params.antennas.is_single:
+        raise ValueError(f"optimize_single needs single antennas, got {params.antennas}; "
+                         "use optimize_multi for TAS/MRC")
     p_max = constraints.p_max
     p_cov = covert_power_limit(constraints.epsilon, params, p_max)
 

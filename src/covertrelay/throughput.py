@@ -233,7 +233,10 @@ def outage_hop_multi_paper(
     rho = params.rho
     mu1, mu2 = params.mu1, params.mu2
     if interpretation == "ln_rho_sq_arg":
-        log_term = math.log(rho**2)
+        try:
+            log_term = math.log(rho**2)
+        except OverflowError:  # rho > ~1.34e154, where rho**2 leaves the float range
+            log_term = 2.0 * math.log(rho)
     else:
         log_term = math.log(rho) ** 2
     if n_r == 1:

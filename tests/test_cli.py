@@ -2,15 +2,22 @@
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import covertrelay
 from covertrelay.cli import main
 from covertrelay.detection import min_dep_two_hop
 from covertrelay.model import AntennaConfig, RateParams, SystemParams, dbm_to_watts
 from covertrelay.optimize import covert_power_limit
 from covertrelay.throughput import throughput_multi, throughput_single
+
+
+SRC = os.path.dirname(os.path.dirname(covertrelay.__file__))
 
 
 def read_csv(path):
@@ -49,8 +56,15 @@ class TestDep:
         assert a.read_text() == b.read_text()
 
     def test_global_flags_accepted_after_subcommand(self, tmp_path):
+        # --config is the one global flag; --seed belongs to validate alone.
+        with pytest.raises(SystemExit) as exc:
+            main(["dep", "--seed", "7"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ps = 3\n")
         out = tmp_path / "dep.csv"
-        assert main(["dep", "--seed", "7", "--out", str(out)]) == 0
+        assert main(["dep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_csv(out)[0].startswith("# params: ps=3 ")
 
     def test_rho_and_rho_db_conflict(self):
         assert main(["dep", "--rho", "1.5", "--rho-db", "3"]) == 2
@@ -209,7 +223,7 @@ def test_every_figure_matches_library(tmp_path):
     assert main(["figures", "--outdir", str(tmp_path)]) == 0
     for number in range(3, 9):
         params_line, header, rows = read_csv(tmp_path / f"fig{number}.csv")
-        assert params_line == f"# params: figure={number} rho=1.5 seed=0"
+        assert params_line == f"# params: figure={number} rho=1.5"
         want_header, want_rows = expected_figure(number)
         assert header == want_header
         assert values(rows) == want_rows, number
@@ -239,7 +253,63 @@ class TestOptimize:
         assert main(["optimize-multi", "--h1", "0.05"]) == 2
 
 
+class TestFlagContract:
+    """Each verb accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dep", "--nt", "2"],
+        ["dep", "--seed", "7"],
+        ["optimize-single", "--ps", "1"],
+        ["optimize-single", "--nt", "2", "--nr", "8"],
+        ["optimize-multi", "--pr", "1"],
+        ["figures", "--out", "x.csv"],
+    ])
+    def test_unread_flag_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_params_line_names_only_the_verbs_flags(self, tmp_path):
+        out = tmp_path / "opt.csv"
+        assert main(["optimize-multi", "--nt", "2", "--nr", "2", "--out", str(out)]) == 0
+        keys = [field.split("=")[0] for field in read_csv(out)[0].split()[2:]]
+        assert keys == ["sigma_n2_w", "rho", "nt", "nr", "epsilon", "delta", "p_max"]
+
+    def test_exit_codes_reach_the_shell(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        for argv, code in ((["dep", "--seed", "7"], 2),
+                           (["optimize-single", "--epsilon", "1e-6", "--delta", "1e-9"], 3)):
+            proc = subprocess.run([sys.executable, "-m", "covertrelay.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == code, proc.stderr
+
+
 class TestConfigFile:
+    # A typo, a flag's name instead of its dest, and a key of another verb.
+    @pytest.mark.parametrize("verb, key", [
+        ("optimize-single", "epsilom"), ("optimize-single", "p-max"), ("dep", "nt"),
+    ])
+    def test_unknown_key_is_invalid_and_named(self, tmp_path, capsys, verb, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        assert main([verb, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_value_is_converted_by_the_flags_type(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nt = 2\nnr = 8\nt = 1.5\n")
+        out = tmp_path / "tp.csv"
+        assert main(["--config", str(cfg), "throughput", "--out", str(out)]) == 0
+        params_line, _, rows = read_csv(out)
+        assert params_line.endswith(" nt=2 nr=8 t=1.5")
+        params = SystemParams(1.0, 1.0, dbm_to_watts(-5.0), 1.5, AntennaConfig(2, 8, 2, 8))
+        assert float(rows[0][4]) == throughput(params, 1.5).eta
+        cfg.write_text("nt = 2.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["throughput", "--config", str(cfg)])
+        assert exc.value.code == 2
+
     def test_file_supplies_defaults_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ps = 3.0\npr = 2.0\nrho = 1.7\n")

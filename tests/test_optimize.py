@@ -1,5 +1,6 @@
 """Constrained throughput maximization: gradients, frontier search, grid scan."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -150,6 +151,12 @@ class TestOptimizeSingle:
         with pytest.raises(InfeasibleError) as err:
             optimize_single(ConstraintSet(1e-6, 1e-9, 5.0), BASE)
         assert err.value.tightest_constraint in ("covertness", "reliability")
+
+    @pytest.mark.parametrize("antennas", [AntennaConfig(2, 8, 2, 8), AntennaConfig(1, 1, 1, 2)])
+    def test_rejects_multiple_antennas(self, antennas):
+        params = dataclasses.replace(BASE, antennas=antennas)
+        with pytest.raises(ValueError, match="optimize_multi"):
+            optimize_single(BUDGETS, params)
 
     def test_power_cap_returned_exactly(self):
         # Loose covertness: the optimum sits at the p_s cap, which must not

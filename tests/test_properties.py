@@ -2,14 +2,19 @@
 
 Domain: p in [1e-12, 1e3] W, sigma^2 in [1e-13, 1] W, rho in [1.001, 1e3],
 t in [0, 600] bit/s/Hz, n_t in 1..4 and n_r in 1..16.  No evaluation may
-raise, and (with warnings as errors) none may warn.
+raise, and (with warnings as errors) none may warn.  The CLI verbs `dep`
+and `throughput` exit 0 over the same domain and 2 outside it.
 """
 
+import contextlib
+import csv
+import io
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertrelay.cli import main
 from covertrelay.detection import min_dep_slot
 from covertrelay.model import RateParams, SystemParams
 from covertrelay.specfun import expint_ei
@@ -81,3 +86,65 @@ def test_ei_has_its_sign_or_overflows_to_inf(x):
     # Within rounding of the root the sign is not resolved.
     if abs(x - EI_ROOT) > 1e-12:
         assert (value > 0.0) == (x > EI_ROOT)
+
+
+# The CLI verbs over the same domain, in the units of their flags.
+sigma_dbm = st.floats(-100.0, 30.0)
+cli_rho = log_uniform(1.001, 1e3)
+
+
+def run_cli(argv):
+    """(exit code, header, first row) of an in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    if code != 0:
+        return code, None, None
+    assert lines[0].startswith("# params:")
+    header, row = csv.reader(lines[1:])
+    return code, header, [float(v) for v in row]
+
+
+def point_flags(p_s, p_r, sigma, rho):
+    return [f"--ps={p_s!r}", f"--pr={p_r!r}", f"--sigma-n-dbm={sigma!r}", f"--rho={rho!r}"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(p_s=powers, p_r=powers, sigma=sigma_dbm, rho=cli_rho)
+def test_cli_dep_reports_probabilities(p_s, p_r, sigma, rho):
+    code, header, row = run_cli(["dep", *point_flags(p_s, p_r, sigma, rho)])
+    assert code == 0
+    assert header == ["tau_star_w", "pe1_star", "pe2_star", "xi_star"]
+    for value in row[1:]:
+        assert 0.0 <= value <= 1.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(p_s=powers, p_r=powers, sigma=sigma_dbm, rho=cli_rho, t=st.floats(0.0, 600.0),
+       ant=st.one_of(st.just((1, 1)), antennas))
+def test_cli_throughput_reports_probabilities(p_s, p_r, sigma, rho, t, ant):
+    argv = ["throughput", *point_flags(p_s, p_r, sigma, rho), f"--t={t!r}",
+            f"--nt={ant[0]}", f"--nr={ant[1]}"]
+    code, header, row = run_cli(argv)
+    assert code == 0
+    assert header == ["t", "p_out_hop1", "p_out_hop2", "p_out", "eta"]
+    for value in row[1:4]:
+        assert 0.0 <= value <= 1.0
+    assert 0.0 <= row[4] <= t
+
+
+@settings(deadline=None, max_examples=40)
+@given(verb=st.sampled_from(["dep", "throughput"]), data=st.data())
+def test_cli_rejects_out_of_domain_flags(verb, data):
+    bad = {
+        "--rho": st.floats(-1e3, 1.0),
+        "--ps": st.floats(-1e3, 0.0),
+        "--pr": st.floats(-1e3, 0.0),
+    }
+    if verb == "throughput":
+        bad.update({"--nt": st.integers(-3, 0), "--nr": st.integers(-3, 0),
+                    "--t": st.floats(-600.0, 0.0, exclude_max=True)})
+    flag = data.draw(st.sampled_from(sorted(bad)))
+    value = data.draw(bad[flag])
+    assert run_cli([verb, f"{flag}={value!r}"])[0] == 2

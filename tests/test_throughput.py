@@ -231,10 +231,12 @@ class TestMultiAntenna:
                 v = outage_hop_multi_paper(1.0, rate, BASE, n_t, n_r, interp)
                 assert not v.ok
                 assert "negative incomplete-gamma" in v.violation
-        # Also where (kappa / p) ** omega overflows (t = 100), and where
-        # kappa / p underflows to 0 and the j = 0 argument with it.
+        # Also where (kappa / p) ** omega overflows (t = 100), where
+        # kappa / p underflows to 0 and the j = 0 argument with it, and
+        # where rho ** 2 overflows (rho > ~1.34e154).
         for p, t, params, n_r in ((1.0, 100.0, BASE, 8),
-                                  (4.0, 5e-324, SystemParams(1.0, 1.0, 1.0, 2.0), 2)):
+                                  (4.0, 5e-324, SystemParams(1.0, 1.0, 1.0, 2.0), 2),
+                                  (1.0, 1.5, SystemParams(1.0, 1.0, 1e-3, 1e160), 2)):
             v = outage_hop_multi_paper(p, RateParams(t), params, 2, n_r)
             assert "negative incomplete-gamma argument at j=0" in v.violation
 
