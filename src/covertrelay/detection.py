@@ -1,7 +1,9 @@
 """Warden-side detection error probability (DEP) of the radiometer.
 
 Three parallel evaluation paths per quantity:
-  * a semi-analytic quadrature reference (the in-repo arbiter),
+  * a semi-analytic quadrature reference (the in-repo arbiter): exact false
+    alarm, and missed detection by the Gauss-Legendre rule and error
+    estimate of `throughput.noise_expectation`,
   * the closed forms built on the exponential-integral machinery,
   * a seeded Monte-Carlo estimator (the final oracle in the tests).
 
@@ -16,11 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_rayleigh_gain
-from .errors import NumericError, clamp_unit_interval
+from .errors import clamp_unit_interval
 from .model import McEstimate, SystemParams
+from .throughput import _gl_refine
 
 __all__ = [
     "DetectionOutcome",
@@ -66,37 +68,45 @@ def noise_cdf(x: float, params: SystemParams) -> float:
         return 0.0
     if x >= params.mu2:
         return 1.0
-    return math.log(x / params.mu1) / (2.0 * math.log(params.rho))
+    # From ln(x / sigma^2), since x / mu1 overflows for large rho.
+    return (1.0 + math.log(x / params.sigma_n2) / math.log(params.rho)) / 2.0
 
 
 def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
-    """Per-slot DEP by direct quadrature of the defining probabilities.
+    """Per-slot DEP by quadrature of the defining probabilities: the arbiter.
 
-    P_FA = P(noise > tau); P_MD = E_y[F_noise(tau - y)] with the received
-    covert power y exponentially distributed with mean p.  This path is
-    the arbiter against which the closed forms are validated.
+    With noise N = sigma^2 rho^s, s uniform on [-1, 1], and g ~ Exp(1),
+    P_FA = P(N > tau) is exact and P_MD = P(p g + N <= tau) is the integral
+    over s in [-1, s_hi] of (1 - e^{-(tau - N)/p}) / 2.  The integrand is 1
+    to double precision where tau - N > 40 p, counted exactly; the layer
+    below tau gets the Gauss-Legendre rule in d = s_hi - s, refined until
+    the DEP is within 1e-12 or raising NumericError.
     """
     if p <= 0 or tau <= 0:
         raise ValueError(f"p and tau must be > 0, got ({p}, {tau})")
-    mu1, mu2 = params.mu1, params.mu2
-    if tau <= mu1:
+    if tau <= params.mu1:
         return 1.0
-    p_fa = 1.0 - noise_cdf(tau, params)
-    # Tail where F_noise(tau - y) = 1, i.e. y <= tau - mu2.
-    p_md = -math.expm1(-(tau - mu2) / p) if tau > mu2 else 0.0
-    lo = max(tau - mu2, 0.0)
-    hi = tau - mu1
+    ln_rho = math.log(params.rho)
+    # Never from tau / mu1, which overflows for large rho.
+    s_hi = 1.0 if tau >= params.mu2 else min(1.0, math.log(tau / params.sigma_n2) / ln_rho)
+    top = min(tau, params.mu2)  # the noise at s_hi
+    gap = tau - top
+    # tau - N = gap - top expm1(-d ln rho), free of cancellation, reaches 40 p at d = cut.
+    x = (40.0 * p - gap) / top
+    if x <= 0:
+        return 1.0  # no false alarm, and a missed detection is certain
+    cut = math.inf if x >= 1 else -math.log1p(-x) / ln_rho
+    width = min(s_hi + 1.0, cut)
+    half = width * ln_rho / 2.0
 
-    def integrand(y: float) -> float:
-        return noise_cdf(tau - y, params) * math.exp(-y / p) / p
+    def mean(s, w, todo):
+        # d = width (1 + s) / 2 on the rule's nodes s.
+        u = (gap - top * np.expm1(-half * (1.0 + s))) / p
+        return np.atleast_1d(w @ -np.expm1(-u))
 
-    value, abserr = integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if abserr > 1e-10:
-        raise NumericError(
-            f"slot-DEP quadrature error {abserr} exceeds 1e-10 at p={p}, tau={tau}"
-        )
-    p_md += value
-    return clamp_unit_interval(p_fa + p_md, "dep_slot_reference")
+    layer = float(_gl_refine(mean, 1, params.rho, lambda i: f"slot DEP at p={p}, tau={tau}")[0])
+    p_md = (s_hi + 1.0 - width + width * layer) / 2.0
+    return clamp_unit_interval((1.0 - s_hi) / 2.0 + p_md, "dep_slot_reference")
 
 
 def _scaled_ei_gap(u: float, v: float) -> float:

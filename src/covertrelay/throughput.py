@@ -144,8 +144,30 @@ def _gl_rule(n: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return s, np.tile(w, panels) / (2 * panels)
 
 
-def _gl_mean(n_t: int, n_r: int, y: np.ndarray, n: int, params: SystemParams) -> np.ndarray:
-    s, w = _gl_rule(n, math.ceil(math.log(params.rho) / math.log(_PANEL_RHO)))
+def _gl_refine(mean, size: int, rho: float, what) -> np.ndarray:
+    """mean(s, w, todo) for todo = arange(size), refined by node doubling.
+
+    (s, w) is the `_gl_rule` with one panel per factor _PANEL_RHO of rho.
+    NumericError names what(i) of the first value i still unresolved.
+    """
+    panels = math.ceil(math.log(rho) / math.log(_PANEL_RHO))
+    out = np.empty(size)
+    todo = np.arange(size)
+    n = _GL_FIRST
+    coarse = mean(*_gl_rule(n, panels), todo)
+    while todo.size:
+        if 2 * n > _GL_MAX:
+            raise NumericError(f"{what(todo[0])} unresolved with {n} nodes per panel")
+        fine = mean(*_gl_rule(2 * n, panels), todo)
+        done = np.abs(fine - coarse) <= _GL_TOL
+        out[todo[done]] = fine[done]
+        todo, coarse = todo[~done], fine[~done]
+        n *= 2
+    return out
+
+
+def _gl_mean(n_t: int, n_r: int, y: np.ndarray, s: np.ndarray, w: np.ndarray,
+             params: SystemParams) -> np.ndarray:
     noise = params.sigma_n2 * params.rho**s
     rows = max(1, _GL_BLOCK // s.size)
     out = np.empty(y.size)
@@ -170,21 +192,8 @@ def noise_expectation(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray
     """
     y = np.asarray(y, dtype=float)
     flat = y.ravel()
-    out = np.empty(flat.size)
-    todo = np.arange(flat.size)
-    n = _GL_FIRST
-    coarse = _gl_mean(n_t, n_r, flat, n, params)
-    while todo.size:
-        if 2 * n > _GL_MAX:
-            raise NumericError(
-                f"TAS/MRC noise expectation unresolved with {n} nodes per panel "
-                f"at y = {flat[todo[0]]}"
-            )
-        fine = _gl_mean(n_t, n_r, flat[todo], 2 * n, params)
-        done = np.abs(fine - coarse) <= _GL_TOL
-        out[todo[done]] = fine[done]
-        todo, coarse = todo[~done], fine[~done]
-        n *= 2
+    out = _gl_refine(lambda s, w, todo: _gl_mean(n_t, n_r, flat[todo], s, w, params), flat.size,
+                     params.rho, lambda i: f"TAS/MRC noise expectation at y = {flat[i]}")
     # The weights sum to 1 only up to rounding.
     return np.minimum(out, 1.0).reshape(y.shape)
 

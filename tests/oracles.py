@@ -15,8 +15,9 @@ import math
 from scipy import integrate
 from scipy.special import gammainc
 
-from covertrelay.detection import min_dep_two_hop
-from covertrelay.model import RateParams
+from covertrelay.detection import min_dep_two_hop, noise_cdf
+from covertrelay.errors import NumericError, clamp_unit_interval
+from covertrelay.model import RateParams, SystemParams
 from covertrelay.throughput import throughput_single
 
 EULER_GAMMA = 0.57721566490153286061
@@ -91,6 +92,36 @@ def oracle_tas_mrc_outage(p: float, kappa: float, sigma2: float, rho: float,
 
     value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=400)
     return value
+
+
+def oracle_dep_slot(p: float, tau: float, params: SystemParams) -> float:
+    """Per-slot DEP by adaptive quadrature of the defining probabilities.
+
+    P_FA = P(noise > tau); P_MD = E_y[F_noise(tau - y)] with the received
+    covert power y exponentially distributed with mean p.  This was the
+    library's `dep_slot_reference` before its Gauss-Legendre rule.
+    """
+    if p <= 0 or tau <= 0:
+        raise ValueError(f"p and tau must be > 0, got ({p}, {tau})")
+    mu1, mu2 = params.mu1, params.mu2
+    if tau <= mu1:
+        return 1.0
+    p_fa = 1.0 - noise_cdf(tau, params)
+    # Tail where F_noise(tau - y) = 1, i.e. y <= tau - mu2.
+    p_md = -math.expm1(-(tau - mu2) / p) if tau > mu2 else 0.0
+    lo = max(tau - mu2, 0.0)
+    hi = tau - mu1
+
+    def integrand(y: float) -> float:
+        return noise_cdf(tau - y, params) * math.exp(-y / p) / p
+
+    value, abserr = integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
+    if abserr > 1e-10:
+        raise NumericError(
+            f"slot-DEP quadrature error {abserr} exceeds 1e-10 at p={p}, tau={tau}"
+        )
+    p_md += value
+    return clamp_unit_interval(p_fa + p_md, "dep_slot_reference")
 
 
 def oracle_lagrangian_gradient(x, multipliers, constraints, params) -> list[float]:

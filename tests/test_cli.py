@@ -353,3 +353,37 @@ class TestValidateAndFigures:
 
     def test_figures_rejects_unknown(self, tmp_path):
         assert main(["figures", "--which", "12", "--outdir", str(tmp_path)]) == 2
+
+
+class TestNumpyOnlyRuntime:
+    """The library and every verb run with numpy alone; scipy is for tests."""
+
+    def run_python(self, code, cwd):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, cwd=cwd, timeout=300)
+
+    def test_every_verb_runs_without_scipy(self, tmp_path):
+        runs = [["dep"], ["throughput"], ["throughput", "--nt", "2", "--nr", "8"],
+                ["sweep", "--variable", "rho", "--from", "1.1", "--to", "3", "--steps", "5"],
+                ["optimize-single"], ["optimize-multi"], ["validate", "--samples", "20000"],
+                ["figures", "--outdir", "tmp"]]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from covertrelay.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}], file=sys.stderr)\n"
+        )
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == str([0] * len(runs))
+        assert (tmp_path / "discrepancies.csv").exists()
+        assert (tmp_path / "tmp" / "fig8.csv").exists()
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        code = ("import sys, covertrelay.cli\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

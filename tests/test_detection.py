@@ -18,6 +18,7 @@ from covertrelay.detection import (
     optimal_threshold,
 )
 from covertrelay.model import SystemParams, dbm_to_watts
+from oracles import oracle_dep_slot
 
 SIGMA_N2 = dbm_to_watts(-5.0)
 BASE = SystemParams(3.0, 3.0, SIGMA_N2, 1.5)
@@ -38,6 +39,11 @@ class TestNoiseCdf:
         xs = np.linspace(BASE.mu1 * 0.9, BASE.mu2 * 1.1, 200)
         vals = [noise_cdf(float(x), BASE) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_no_overflow_for_large_rho(self):
+        # x / mu1 = 1e353 overflows; the CDF is (1 + 153 / 200) / 2.
+        params = SystemParams(1, 1, 1e-3, 1e200)
+        assert noise_cdf(1e150, params) == pytest.approx(0.8825, rel=0, abs=1e-15)
 
 
 class TestOutcome:
@@ -61,7 +67,7 @@ class TestSlotDep:
         assert dep_slot_reference(3.0, BASE.mu1 * 0.5, BASE) == 1.0
         assert dep_slot_paper(3.0, BASE.mu1 * 0.5, BASE) == 1.0
 
-    def test_reference_in_unit_interval_fuzz(self):
+    def fuzz_points(self):
         rng = np.random.default_rng(21)
         for _ in range(60):
             sigma = dbm_to_watts(float(rng.uniform(-20, 5)))
@@ -69,10 +75,33 @@ class TestSlotDep:
             p = float(rng.uniform(0.05, 5.0))
             params = SystemParams(p, p, sigma, rho)
             tau = float(rng.uniform(params.mu1 * 0.5, params.mu2 * 4.0))
-            if tau <= 0:
-                continue
+            if tau > 0:
+                yield p, tau, params
+
+    def test_reference_in_unit_interval_fuzz(self):
+        for p, tau, params in self.fuzz_points():
             val = dep_slot_reference(p, tau, params)
             assert 0.0 <= val <= 1.0
+
+    def test_reference_matches_quad_oracle_fuzz(self):
+        for p, tau, params in self.fuzz_points():
+            assert dep_slot_reference(p, tau, params) == pytest.approx(
+                oracle_dep_slot(p, tau, params), rel=0, abs=1e-12
+            )
+
+    def test_reference_at_large_rho(self):
+        # Missed detection is certain except in a layer 1e-7 wide in the
+        # noise exponent, which a rule over the whole range never samples.
+        params = SystemParams(1, 1, 1e-3, 1e10)
+        value = dep_slot_reference(1.0, params.mu2, params)
+        assert value == pytest.approx(0.99999999782852737, rel=0, abs=1e-12)  # mpmath, 40 digits
+        assert min_dep_slot(1.0, params) == pytest.approx(value, rel=0, abs=1e-12)
+        # tau / mu1 overflows at rho = 1e200.
+        params = SystemParams(1, 1, 1e-3, 1e200)
+        assert dep_slot_reference(1.0, 1e150, params) == pytest.approx(
+            1.0, rel=0, abs=1e-12)  # mpmath: 1 - O(1e-153)
+        assert dep_slot_reference(1e150, 1e150, params) == pytest.approx(
+            0.67481999665161638, rel=0, abs=1e-12)  # mpmath, 40 digits
 
     def test_closed_form_matches_reference_between_bounds(self):
         # The interior branch of the closed form must track the quadrature

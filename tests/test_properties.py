@@ -1,8 +1,9 @@
 """Property suite over the documented domain: probabilities stay in [0, 1].
 
 Domain: p in [1e-12, 1e3] W, sigma^2 in [1e-13, 1] W, rho in [1.001, 1e3],
-t in [0, 600] bit/s/Hz, n_t in 1..4 and n_r in 1..16.  No evaluation may
-raise, and (with warnings as errors) none may warn.  The CLI verbs `dep`
+t in [0, 600] bit/s/Hz, n_t in 1..4 and n_r in 1..16; the slot-DEP
+reference also over rho in [1.001, 1e300] and tau in (0, 4 rho sigma^2].
+No evaluation may raise, and (with warnings as errors) none may warn.  The CLI verbs `dep`
 and `throughput` exit 0 over the same domain and 2 outside it.
 """
 
@@ -11,11 +12,11 @@ import csv
 import io
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covertrelay.cli import main
-from covertrelay.detection import min_dep_slot
+from covertrelay.detection import dep_slot_reference, min_dep_slot
 from covertrelay.model import RateParams, SystemParams
 from covertrelay.specfun import expint_ei
 from covertrelay.throughput import (
@@ -43,6 +44,11 @@ params = st.builds(
     log_uniform(1e-13, 1.0),
     log_uniform(1.001, 1e3),
 )
+wide_params = st.builds(
+    lambda sigma2, rho: SystemParams(1.0, 1.0, sigma2, rho),
+    log_uniform(1e-13, 1.0),
+    log_uniform(1.001, 1e300),
+)
 rates = st.floats(0.0, 600.0).map(RateParams)
 antennas = st.tuples(st.integers(1, 4), st.integers(1, 16))
 
@@ -56,6 +62,14 @@ def assert_probability(value):
 @given(p=powers, params=params)
 def test_min_dep_slot_is_a_probability(p, params):
     assert_probability(min_dep_slot(p, params))
+
+
+@settings(deadline=None, max_examples=200)
+@given(p=powers, params=wide_params, fraction=log_uniform(1e-300, 1.0))
+def test_slot_dep_reference_is_a_probability(p, params, fraction):
+    tau = 4.0 * params.mu2 * fraction
+    assume(tau > 0.0)
+    assert_probability(dep_slot_reference(p, tau, params))
 
 
 @settings(deadline=None, max_examples=200)
