@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import os
+import re
 import sys
 from dataclasses import astuple, replace
 
@@ -389,6 +390,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                             allow_abbrev=False)
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
+    # argparse's negative-number pattern has no exponent, so it reads a value such
+    # as "-4.8e-05" as an unknown option; no flag here looks like a number.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser, sub.choices
 
 

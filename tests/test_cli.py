@@ -66,6 +66,12 @@ class TestDep:
         assert main(["dep", "--config", str(cfg), "--out", str(out)]) == 0
         assert read_csv(out)[0].startswith("# params: ps=3 ")
 
+    def test_negative_value_in_exponent_notation(self, tmp_path):
+        out = tmp_path / "dep.csv"
+        assert main(["dep", "--sigma-n-dbm", "-4.8267731134643554e-05", "--out", str(out)]) == 0
+        fields = dict(field.split("=") for field in read_csv(out)[0].split()[2:])
+        assert float(fields["sigma_n2_w"]) == dbm_to_watts(-4.8267731134643554e-05)
+
     def test_rho_and_rho_db_conflict(self):
         assert main(["dep", "--rho", "1.5", "--rho-db", "3"]) == 2
 

@@ -3,8 +3,9 @@
 Domain: p in [1e-12, 1e3] W, sigma^2 in [1e-13, 1] W, rho in [1.001, 1e3],
 t in [0, 600] bit/s/Hz, n_t in 1..4 and n_r in 1..16; the slot-DEP
 reference also over rho in [1.001, 1e300] and tau in (0, 4 rho sigma^2].
-No evaluation may raise, and (with warnings as errors) none may warn.  The CLI verbs `dep`
-and `throughput` exit 0 over the same domain and 2 outside it.
+No evaluation may raise, and (with warnings as errors) none may warn.
+The CLI verbs `dep` and `throughput` exit 0 over the same domain and 2
+outside it.
 """
 
 import contextlib
