@@ -79,8 +79,8 @@ def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
     P_FA = P(N > tau) is exact and P_MD = P(p g + N <= tau) is the integral
     over s in [-1, s_hi] of (1 - e^{-(tau - N)/p}) / 2.  The integrand is 1
     to double precision where tau - N > 40 p, counted exactly; the layer
-    below tau gets the Gauss-Legendre rule in d = s_hi - s, refined until
-    the DEP is within 1e-12 or raising NumericError.
+    below tau gets the Gauss-Legendre rule in d = s_hi - s, refined until two
+    estimates agree to 1e-12 (so the DEP to 1e-12), else NumericError.
     """
     if p <= 0 or tau <= 0:
         raise ValueError(f"p and tau must be > 0, got ({p}, {tau})")
