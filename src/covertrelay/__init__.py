@@ -29,7 +29,7 @@ from .detection import (
     min_dep_two_hop,
     optimal_threshold,
 )
-from .optimize import KktPoint, Optimum, optimize_multi, optimize_single
+from .optimize import Optimum, optimize_multi, optimize_single
 from .specfun import ei_diff, expint_ei, expint_ei_scaled, upper_gamma
 from .throughput import (
     ThroughputOutcome,
@@ -49,7 +49,6 @@ __all__ = [
     "ConstraintSet",
     "DetectionOutcome",
     "InfeasibleError",
-    "KktPoint",
     "McEstimate",
     "NumericError",
     "Optimum",

@@ -4,17 +4,19 @@ Single-antenna: covertness, (1 - Pe(p_s))(1 - Pe(p_r)) <= epsilon,
 depends only on the powers, and eta and the reliability both grow with
 each power, so the optimum lies on the covertness frontier, capped at
 P_max.  By the symmetry in the powers, the outer search bisects log p_s
-over the half p_s >= p_r of the frontier on the sign of eta's analytic
-tangential derivative; for each frontier point the inner search takes
-the peak of t S(t) or the root of S(t) = 1 - delta, whichever comes
-first (S is the product of the hop success probabilities).  The rate
-domain is t >= 1e-3 bit/s/Hz.  Method "kkt" certifies the result: the
-active multipliers, fitted to `lagrangian_gradient` by least squares,
-are nonnegative and leave a stationarity residual below 1e-6 eta.
+over the half p_s >= p_r of the frontier on the sign of eta's slope
+along the frontier tangent, both read from `lagrangian_gradient`; for
+each frontier point the inner search takes the peak of t S(t) or the
+root of S(t) = 1 - delta, whichever comes first (S is the product of
+the hop success probabilities).  The rate domain is t >= 1e-3 bit/s/Hz.
+Method "kkt" certifies the result: the active multipliers, fitted to
+`lagrangian_gradient` by least squares, are nonnegative and leave a
+stationarity residual below 1e-6 eta.
 
-Multi-antenna: a feasibility-filtered triple grid scan over log-spaced
-power grids (a tight covertness budget puts the feasible powers decades
-below P_max), with early exit once the rate loop has passed its peak.
+Multi-antenna: a streamed grid scan over log-spaced power grids (a
+tight covertness budget puts the feasible powers decades below P_max)
+that filters the covert p_r of each p_s as one array row and leaves a
+rate loop once it has passed its peak; the first v_max points count.
 Hop outages are read from tables with one column per (antennas, power)
 of a covert pair and one row per rate k h3.  The Gauss-Legendre kernel
 `throughput.noise_expectation` fills them, with its 64/128-node error
@@ -24,6 +26,7 @@ doubled whenever the rate loop needs one it does not have.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,11 +36,10 @@ from .detection import _scaled_ei_gap, min_dep_slot, min_dep_two_hop
 from .errors import InfeasibleError, NumericError
 from .model import ConstraintSet, RateParams, SystemParams
 from .specfun import _POS_SERIES_CUTOFF, _ei_asymptotic_excess, ei_diff, expint_ei_scaled
-from .throughput import noise_expectation, outage_hop_single, throughput_single
+from .throughput import noise_expectation, throughput_single
 
 __all__ = [
     "Optimum",
-    "KktPoint",
     "lagrangian_gradient",
     "optimize_single",
     "optimize_multi",
@@ -75,29 +77,11 @@ class Optimum:
     def __post_init__(self) -> None:
         if self.p_s <= 0 or self.p_r <= 0 or self.t < 0 or self.eta < 0:
             raise ValueError("optimum fields must be positive (t, eta nonnegative)")
-        allowed = {"covertness", "reliability", "power_s", "power_r"}
-        if not set(self.active_constraints) <= allowed:
-            raise ValueError(f"unknown active constraints: {set(self.active_constraints) - allowed}")
+        unknown = set(self.active_constraints) - set(_CONSTRAINTS)
+        if unknown:
+            raise ValueError(f"unknown active constraints: {unknown}")
         if self.method not in ("kkt", "grid"):
             raise ValueError(f"method must be 'kkt' or 'grid', got {self.method!r}")
-
-
-@dataclass(frozen=True)
-class KktPoint:
-    """A stationary point with its multipliers and residual norm."""
-
-    p_s: float
-    p_r: float
-    t: float
-    k1: float
-    k2: float
-    k3: float
-    k4: float
-    residual_norm: float
-
-    def __post_init__(self) -> None:
-        if self.residual_norm < 0:
-            raise ValueError("residual_norm must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -210,29 +194,29 @@ def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> fl
 def _best_rate(p_s: float, p_r: float, delta: float, params: SystemParams) -> float | None:
     """Best rate t >= _T_FLOOR at fixed powers, or None if none is reliable.
 
-    S(t), the product of the hop success probabilities, falls with t and
-    t S(t) is unimodal, so the best rate is the peak of t S(t) or the
-    root of S(t) = 1 - delta, whichever comes first: one bisection on
-    "reliable and eta still rising".
+    S(t) = G_s G_r / (4 ln^2 rho), the product of the hop success
+    probabilities, falls with t and t S(t) is unimodal, so the best rate
+    is the peak of t S(t) or the root of S(t) = 1 - delta, whichever comes
+    first: one bisection on "reliable and eta still rising".
     """
+    c = 4.0 * math.log(params.rho) ** 2
 
-    def reliable(rate: RateParams) -> bool:
-        hop_s = outage_hop_single(p_s, rate, params)
-        return 1.0 - (1.0 - hop_s) * (1.0 - outage_hop_single(p_r, rate, params)) <= delta
-
-    def rising(t: float) -> bool:
-        rate = RateParams(t)
-        if not reliable(rate):
-            return False
-        kappa = rate.kappa
-        dlog_s = sum(_ei_gap_dkappa(p, kappa, params) / _ei_gap(p, kappa, params)
-                     for p in (p_s, p_r))
+    def rising(t: float) -> bool | None:
+        # None where rate t is unreliable, else whether eta still rises at t.
+        kappa = RateParams(t).kappa
+        if kappa * params.mu2 / min(p_s, p_r) == math.inf:
+            return None  # certain outage
+        gaps = [_ei_gap(p, kappa, params) for p in (p_s, p_r)]
+        if 1.0 - gaps[0] * gaps[1] / c > delta:
+            return None
+        dlog_s = sum(_ei_gap_dkappa(p, kappa, params) / g for p, g in zip((p_s, p_r), gaps))
         # d(t S)/dt > 0  <=>  1 + t dlog S/dt > 0, with dkappa/dt = 2 ln 2 (kappa + 1).
         return 1.0 + t * 2.0 * math.log(2.0) * (kappa + 1.0) * dlog_s > 0.0
 
+    at_floor = rising(_T_FLOOR)
+    if not at_floor:
+        return None if at_floor is None else _T_FLOOR
     lo, hi = _T_FLOOR, _T_BRACKET
-    if not rising(lo):
-        return lo if reliable(RateParams(lo)) else None
     while rising(hi):
         lo, hi = hi, 2.0 * hi
     return _bisect(rising, lo, hi, 1e-13)
@@ -253,24 +237,16 @@ def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams
 def _rises(point, params: SystemParams) -> bool:
     """Whether eta grows as a feasible frontier point moves to larger p_s.
 
-    With beta(p) the power elasticity of the DEP gap B and gamma(p) that
-    of the outage gap G, the frontier has d log p_r / d log p_s =
-    -beta(p_s)/beta(p_r).  At the best rate, whether the peak of t S(t)
-    or the reliability root, eta moves with the sign of
-    d log S / d log p_s = gamma(p_s) - gamma(p_r) beta(p_s)/beta(p_r).
+    `lagrangian_gradient` at zero multipliers is -grad eta, and its change
+    at k1 = 1 is the gradient of the covertness term C.  The frontier's
+    tangent toward larger p_s is (dC/dp_r, -dC/dp_s); at the best rate,
+    whether the peak of t S(t) or the reliability root, eta moves with the
+    sign of its power gradient along that tangent.
     """
-    if point is None:
-        return False
-    p_s, p_r, t = point
-    kappa = RateParams(t).kappa
-
-    def gamma(p: float) -> float:
-        return p * _ei_gap_dp(p, kappa, params) / _ei_gap(p, kappa, params)
-
-    def beta(p: float) -> float:
-        return p * _dep_gap_dp(p, params) / _scaled_ei_gap(params.mu2 / p, params.mu1 / p)
-
-    return gamma(p_s) * beta(p_r) > gamma(p_r) * beta(p_s)
+    neg_eta = lagrangian_gradient(*point, (0.0, 0.0, 0.0, 0.0), params)
+    with_c = lagrangian_gradient(*point, (1.0, 0.0, 0.0, 0.0), params)
+    dc_s, dc_r = with_c[0] - neg_eta[0], with_c[1] - neg_eta[1]
+    return neg_eta[1] * dc_s > neg_eta[0] * dc_r
 
 
 def _active_set(p_s, p_r, p_out, constraints, params) -> frozenset:
@@ -285,14 +261,14 @@ def _active_set(p_s, p_r, p_out, constraints, params) -> frozenset:
     return frozenset(n for n, (gap, scale) in slacks.items() if abs(gap) <= _ACTIVITY_TOL * scale)
 
 
-def _kkt_certificate(p_s, p_r, t, eta, active, params) -> KktPoint:
-    """Multipliers of the active constraints, by least squares on stationarity.
+def _kkt_certificate(p_s, p_r, t, eta, active, params) -> None:
+    """Certify the optimum by the multipliers of its active constraints.
 
-    Works on the elasticity-scaled gradient x * dL/dx, which is affine in
-    the multipliers.  At the rate floor, the bound of the rate domain,
-    stationarity in t relaxes to dL/dt >= 0.  Raises NumericError unless
-    the residual is below _CERT_TOL eta and no multiplier is negative
-    beyond that tolerance.
+    They are fitted by least squares to stationarity of the elasticity-
+    scaled gradient x * dL/dx, which is affine in them.  At the rate floor,
+    the bound of the rate domain, stationarity in t relaxes to dL/dt >= 0.
+    Raises NumericError unless the residual is below _CERT_TOL eta and no
+    multiplier is negative beyond that tolerance.
     """
     x = np.array([p_s, p_r, t])
 
@@ -315,7 +291,6 @@ def _kkt_certificate(p_s, p_r, t, eta, active, params) -> KktPoint:
             f"no KKT certificate at (p_s, p_r, t) = ({p_s}, {p_r}, {t}): "
             f"residual {residual}, multipliers {mult.tolist()}"
         )
-    return KktPoint(p_s, p_r, t, *(float(m) for m in mult), residual)
 
 
 def optimize_single(constraints: ConstraintSet, params_template: SystemParams) -> Optimum:
@@ -335,7 +310,8 @@ def optimize_single(constraints: ConstraintSet, params_template: SystemParams) -
     p_cov = covert_power_limit(constraints.epsilon, params, p_max)
 
     def rises(p_s: float) -> bool:
-        return _rises(_frontier_point(p_s, constraints, params), params)
+        point = _frontier_point(p_s, constraints, params)
+        return point is not None and _rises(point, params)
 
     # On the half p_s >= p_r: the end p_s = P_max if eta still rises
     # there, else the last point at which it rises.
@@ -389,12 +365,13 @@ def optimize_multi(
         ps_grid = np.arange(h1, p_max * (1 + 1e-12), h1)
         pr_grid = np.arange(h2, p_max * (1 + 1e-12), h2)
 
-    slot_dep = {}
+    dep_s = np.array([min_dep_slot(p, params) for p in ps_grid.tolist()])
+    dep_r = dep_s if pr_grid is ps_grid else np.array([min_dep_slot(p, params)
+                                                       for p in pr_grid.tolist()])
 
-    def dep(p: float) -> float:
-        if p not in slot_dep:
-            slot_dep[p] = min_dep_slot(p, params)
-        return slot_dep[p]
+    def covert(d_s: float) -> np.ndarray:
+        # Which p_r of the grid are covert partners of a p_s with DEP d_s.
+        return 1.0 - (1.0 - d_s) * (1.0 - dep_r) >= 1.0 - constraints.epsilon
 
     # Hop outages at the rates k * h3, one column per (antennas, power),
     # built only for powers of covert pairs.  The scan asks for the rows
@@ -413,52 +390,35 @@ def optimize_multi(
             )
         return float(col[k - 1])
 
-    best = None
-    v = 0
-    saw_covert = False
-    stop = False
-    for p_s in ps_grid:
-        p_s = float(p_s)
-        if stop:
-            break
-        for p_r in pr_grid:
-            p_r = float(p_r)
-            xi = 1.0 - (1.0 - dep(p_s)) * (1.0 - dep(p_r))
-            if xi < 1.0 - constraints.epsilon:
-                continue
-            saw_covert = True
-            peak = -math.inf
-            k = 1
-            while True:
-                # k * h3, not a running sum, so every rate lies on the grid.
-                t = k * h3
-                hop1 = outage(ant.n_s, ant.n_rr, p_s, k)
-                hop2 = outage(ant.n_rt, ant.n_d, p_r, k)
-                p_out = 1.0 - (1.0 - hop1) * (1.0 - hop2)
-                if p_out > constraints.delta:
-                    break
-                eta = t * (1.0 - p_out)
-                v += 1
-                if evaluations is not None:
-                    evaluations.append((p_s, p_r, t, eta))
-                key = (eta, -p_s, -p_r, -t)
-                if best is None or key > best[0]:
-                    best = (key, p_s, p_r, t, eta, p_out)
-                peak = max(peak, eta)
-                if v >= v_max:
-                    stop = True
-                    break
-                if eta + phi < peak:
-                    break
-                k += 1
-            if stop:
-                break
+    def feasible():
+        # Feasible (p_s, p_r, t, eta, p_out) in scan order; each rate loop
+        # stops at the outage budget or once eta is phi below its peak.
+        for p_s, d_s in zip(ps_grid.tolist(), dep_s.tolist()):
+            for p_r in pr_grid[covert(d_s)].tolist():
+                peak = -math.inf
+                for k in itertools.count(1):
+                    # k * h3, not a running sum, so every rate lies on the grid.
+                    t = k * h3
+                    hop1 = outage(ant.n_s, ant.n_rr, p_s, k)
+                    hop2 = outage(ant.n_rt, ant.n_d, p_r, k)
+                    p_out = 1.0 - (1.0 - hop1) * (1.0 - hop2)
+                    if p_out > constraints.delta:
+                        break
+                    eta = t * (1.0 - p_out)
+                    if evaluations is not None:
+                        evaluations.append((p_s, p_r, t, eta))
+                    yield p_s, p_r, t, eta, p_out
+                    peak = max(peak, eta)
+                    if eta + phi < peak:
+                        break
 
+    best = max(itertools.islice(feasible(), v_max), default=None,
+               key=lambda point: (point[3], -point[0], -point[1], -point[2]))
     if best is None:
-        tightest = "covertness" if not saw_covert else "reliability"
+        tightest = "reliability" if any(covert(d).any() for d in dep_s.tolist()) else "covertness"
         raise InfeasibleError(
             f"no grid point satisfies the constraints (tightest: {tightest})", tightest
         )
-    _, p_s, p_r, t, eta, p_out = best
+    p_s, p_r, t, eta, p_out = best
     return Optimum(p_s, p_r, t, eta, _active_set(p_s, p_r, p_out, constraints, params),
                    method="grid")
