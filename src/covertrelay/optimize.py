@@ -107,7 +107,7 @@ def _dep_gap_dp(p: float, params: SystemParams) -> float:
     u, v = params.mu2 / p, params.mu1 / p
     if u <= _POS_SERIES_CUTOFF:
         b = _scaled_ei_gap(u, v)
-        return (params.mu2 / p**2) * b + (math.exp((params.mu1 - params.mu2) / p) - 1.0) / p
+        return (params.mu2 / p**2) * b + math.expm1((params.mu1 - params.mu2) / p) / p
     # dB/dp = [(u S(u) - 1) - e^{v-u} (u S(v) - 1)] / p with S(x) = e^{-x} Ei(x).
     # u S(u) - 1 cancels for large u, so its asymptotic series is summed.
     return (_ei_asymptotic_excess(u) - math.exp(v - u) * (u * expint_ei_scaled(v) - 1.0)) / p

@@ -18,6 +18,7 @@ from covertrelay.model import (
 )
 from covertrelay.detection import min_dep_slot, min_dep_two_hop
 from covertrelay.optimize import (
+    _dep_gap_dp,
     covert_power_limit,
     lagrangian_gradient,
     optimize_multi,
@@ -71,6 +72,14 @@ class TestGradient:
             d_ps, d_pr, d_t = lagrangian_gradient(p_s, 1.0, 1.5, (1.0, 0.0, 0.0, 0.0), BASE)
             assert d_ps == pytest.approx(b_r / (c * BASE.mu2), rel=1e-9)
             assert math.isfinite(d_pr) and math.isfinite(d_t)
+
+    def test_dep_gap_slope_at_large_power(self):
+        # Far above the noise the slope of the DEP gap B(p) is its first-order
+        # limit (mu2 / p^2)(2 ln rho - 1 + rho^-2), equal here to 50-digit
+        # mpmath; e^(v - u) - 1 formed without expm1 was 72 % off.
+        params = SystemParams(1.0, 1.0, 1e-13, 1.5)
+        limit = params.mu2 / 1e3**2 * (2.0 * math.log(1.5) - 1.0 + 1.5**-2)
+        assert _dep_gap_dp(1e3, params) == pytest.approx(limit, rel=1e-12, abs=0)
 
     def test_rejects_boundary_point(self):
         with pytest.raises(ValueError):
