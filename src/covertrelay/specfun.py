@@ -49,25 +49,9 @@ def _ei_series_positive(x: float) -> float:
     raise ArithmeticError(f"Ei power series did not converge for x={x}")
 
 
-def _ei_asymptotic_scaled(x: float) -> float:
-    # e^{-x} Ei(x) ~ (1/x) sum_k k!/x^k; truncated at the smallest term.
-    total = 0.0
-    term = 1.0 / x
-    for k in range(1, _MAX_ITER + 1):
-        total += term
-        nxt = term * k / x
-        if nxt >= term:
-            break
-        if nxt < _REL_TOL * abs(total):
-            total += nxt
-            break
-        term = nxt
-    return total
-
-
 def _ei_asymptotic_excess(x: float) -> float:
-    # x e^{-x} Ei(x) - 1 ~ sum_{k>=1} k!/x^k, truncated as above; summed
-    # directly because the difference cancels for large x.
+    # x e^{-x} Ei(x) - 1 ~ sum_{k>=1} k!/x^k, truncated at the smallest term
+    # or once a term falls below _REL_TOL of the sum.
     total = 0.0
     term = 1.0
     for k in range(1, _MAX_ITER + 1):
@@ -79,6 +63,11 @@ def _ei_asymptotic_excess(x: float) -> float:
             break
         term = nxt
     return total
+
+
+def _ei_asymptotic_scaled(x: float) -> float:
+    # e^{-x} Ei(x) ~ (1/x) sum_{k>=0} k!/x^k, its excess over 1/x summed first.
+    return (1.0 + _ei_asymptotic_excess(x)) / x
 
 
 def _ein(z: float) -> float:

@@ -53,10 +53,16 @@ class TestExpintEi:
         assert expint_ei(717.0) == math.inf
         assert expint_ei(1e300) == math.inf
         # Below the overflow of e^x the values are those of e^x times the
-        # scaled series, unchanged.
-        assert expint_ei(100.0) == 2.71555274485377e41
-        assert expint_ei(709.0) == 1.160794336657257e305
-        assert expint_ei(709.78) == 2.529453953646056e305
+        # scaled series, unchanged; each is within 4.2e-16 of 40-digit mpmath.
+        assert expint_ei(100.0) == 2.7155527448538787e41
+        assert expint_ei(709.0) == 1.1607943366572636e305
+        assert expint_ei(709.78) == 2.5294539536460707e305
+
+    def test_asymptotic_series_just_past_the_power_series(self):
+        # mpmath, 40 digits: e^-41 Ei(41) = 0.025016506856911832092...  The
+        # series is summed as its excess over 1/x, so its stopping rule is
+        # relative to that excess.
+        assert expint_ei_scaled(41.0) == pytest.approx(0.025016506856911832092, rel=1e-13, abs=0)
 
     def test_monotone_increasing_on_positive_axis(self):
         grid = np.geomspace(1e-8, 200.0, 400)
