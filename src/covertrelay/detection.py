@@ -62,14 +62,27 @@ class DetectionOutcome:
         return cls(tau, pe1, pe2, 1.0 - (1.0 - pe1) * (1.0 - pe2))
 
 
+def _log_noise_ratio(x: float, params: SystemParams) -> float:
+    """ln(x / sigma^2), the noise exponent times ln rho.
+
+    Never from x / mu1, which overflows for large rho.  Within a factor 2
+    of sigma^2, x - sigma^2 is exact, so log1p keeps the digits that the
+    rounded quotient loses as rho -> 1; below sigma^2 / 2 log1p's argument
+    could round to -1.
+    """
+    s2 = params.sigma_n2
+    if s2 / 2.0 <= x <= 2.0 * s2:
+        return math.log1p((x - s2) / s2)
+    return math.log(x / s2)
+
+
 def noise_cdf(x: float, params: SystemParams) -> float:
     """CDF of the log-uniform noise power, clamped to [0, 1] outside support."""
     if x <= params.mu1:
         return 0.0
     if x >= params.mu2:
         return 1.0
-    # From ln(x / sigma^2), since x / mu1 overflows for large rho.
-    return (1.0 + math.log(x / params.sigma_n2) / math.log(params.rho)) / 2.0
+    return (1.0 + _log_noise_ratio(x, params) / math.log(params.rho)) / 2.0
 
 
 def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
@@ -87,8 +100,7 @@ def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
     if tau <= params.mu1:
         return 1.0
     ln_rho = math.log(params.rho)
-    # Never from tau / mu1, which overflows for large rho.
-    s_hi = 1.0 if tau >= params.mu2 else min(1.0, math.log(tau / params.sigma_n2) / ln_rho)
+    s_hi = 1.0 if tau >= params.mu2 else min(1.0, _log_noise_ratio(tau, params) / ln_rho)
     top = min(tau, params.mu2)  # the noise at s_hi
     gap = tau - top
     # tau - N = gap - top expm1(-d ln rho), free of cancellation, reaches 40 p at d = cut.

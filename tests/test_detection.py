@@ -103,6 +103,17 @@ class TestSlotDep:
         assert dep_slot_reference(1e150, 1e150, params) == pytest.approx(
             0.67481999665161638, rel=0, abs=1e-12)  # mpmath, 40 digits
 
+    def test_reference_and_cdf_as_rho_tends_to_one(self):
+        # The rounding of tau / sigma^2, ~1e-16, divided by ln rho = 2.6e-9
+        # cost both 1e-8; tau - sigma^2 is exact, so log1p of it keeps them.
+        params = SystemParams(1, 1, 2.3447727772683803e-4, 1.0 + 2.6e-9)
+        tau, p = 2.3447727832758076e-4, 1.9e-11
+        # mpmath, 50 digits: 0.99270211001644136728
+        assert noise_cdf(tau, params) == pytest.approx(0.99270211001644137, rel=0, abs=1e-15)
+        # mpmath, 50 digits: 0.038256757134897529576
+        assert dep_slot_reference(p, tau, params) == pytest.approx(
+            0.038256757134897530, rel=0, abs=1e-15)
+
     def test_closed_form_matches_reference_between_bounds(self):
         # The interior branch of the closed form must track the quadrature
         # arbiter to 1e-9 across the whole threshold range.
