@@ -50,8 +50,9 @@ def _ei_series_positive(x: float) -> float:
 
 
 def _ei_asymptotic_excess(x: float) -> float:
-    # x e^{-x} Ei(x) - 1 ~ sum_{k>=1} k!/x^k, truncated at the smallest term
-    # or once a term falls below _REL_TOL of the sum.
+    # x e^{-x} Ei(x) - 1 ~ sum_{k>=1} k!/x^k, summed directly because the
+    # difference cancels for large x; truncated at the smallest term or once
+    # a term falls below _REL_TOL of the sum.
     total = 0.0
     term = 1.0
     for k in range(1, _MAX_ITER + 1):

@@ -210,21 +210,29 @@ class TestOptimizeSingle:
 
     @pytest.mark.parametrize("epsilon,delta,rho,sigma_dbm,p_s,p_r,t,eta", [
         (0.24201479093810513, 0.28389185662712596, 2.0345054994609564, -7.992942624372282,
-         0.00019379671269292774, 0.00019379671269292774, 0.12562421661313247, 0.08996052452150308),
+         0.00019379671269292774, 0.00019379671269292774,
+         0.12562421661313247, 0.08996052452150308),
         (0.17751848867263126, 0.21736482078390745, 1.2956318743261948, -0.9911782804653555,
-         0.00022465914942584303, 0.00022465914942584303, 0.024293732908561575, 0.019013130008720038),
+         0.00022465914942584303, 0.00022465914942584303,
+         0.024293732908561575, 0.019013130008720038),
         (0.11302218640715772, 0.15083778494068895, 2.5467582491914342, -6.989413936558423,
-         0.00022316860623186876, 0.00022316860623186876, 0.05556597119631391, 0.04718452318298407),
+         0.00022316860623186876, 0.00022316860623186876,
+         0.05556597119631391, 0.04718452318298407),
         (0.4985258841416842, 0.08431074909747034, 1.8078846240566735, 0.012350407348510117,
-         0.0020648259092269257, 0.0020648259092269257, 0.05937962766040414, 0.05437328677122686),
+         0.0020648259092269257, 0.0020648259092269257,
+         0.05937962766040414, 0.05437328677122686),
         (0.43402958187621027, 0.26778371325425193, 1.0690109989219123, -5.985885248744564,
-         3.8278210940950635e-05, 3.827821094095087e-05, 0.016865672756216397, 0.012349320279025786),
+         3.8278210940950635e-05, 3.827821094095087e-05,
+         0.016865672756216397, 0.012349320279025786),
         (0.36953327961073634, 0.20125667741103354, 2.320137373787151, 1.0158790951623615,
-         0.0028757524794275876, 0.0028757524794276053, 0.14978955542734165, 0.11964340719116075),
+         0.0028757524794275876, 0.0028757524794276053,
+         0.14978955542734165, 0.11964340719116075),
         (0.30503697734526247, 0.13472964156781492, 1.5812637486523893, -4.982356560930711,
-         0.00026796769003873983, 0.0002679676900387415, 0.041438160174460864, 0.03585521170692606),
+         0.00026796769003873983, 0.0002679676900387415,
+         0.041438160174460864, 0.03585521170692606),
         (0.24054067507978932, 0.06820260572459631, 2.83239012351763, 2.019407782976227,
-         0.0034011312397085303, 0.0034011312397085303, 0.04458147173030867, 0.041540899191264205),
+         0.0034011312397085303, 0.0034011312397085303,
+         0.04458147173030867, 0.041540899191264205),
     ])
     def test_frozen_optima(self, epsilon, delta, rho, sigma_dbm, p_s, p_r, t, eta):
         # Eight problems spread over the figure ranges at P_max = 5 W.  The
