@@ -128,15 +128,19 @@ def _lower_series(n_r: int, x: np.ndarray) -> np.ndarray:
     lead = np.exp(-x)
     for j in range(1, n_r + 1):
         lead = lead * x / j
+    # The sum stops where the same recurrence, run at the largest x, first
+    # gives a term below 1e-17.  Each term rises with x and each total is
+    # at least 1, so every term left out is below half an ulp of its total.
+    top, last, k = 1.0, float(x.max(initial=0.0)), n_r
+    while top >= 1e-17:
+        k += 1
+        top = top * last / k
     term = np.ones_like(x)
     total = np.ones_like(x)
-    k = n_r
-    while True:
-        k += 1
-        term = term * x / k
-        if np.all(term < 1e-17 * total):
-            return lead * total
+    for j in range(n_r + 1, k):
+        term = term * x / j
         total = total + term
+    return lead * total
 
 
 def tas_mrc_gain_cdf(n_t: int, n_r: int, x):
@@ -144,7 +148,7 @@ def tas_mrc_gain_cdf(n_t: int, n_r: int, x):
     if n_t < 1 or n_r < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({n_t}, {n_r})")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # also rejects NaN
         raise ValueError("gain must be >= 0")
     value = _branch_cdf(n_r, arr) ** n_t
     return float(value) if np.isscalar(x) or arr.ndim == 0 else value
@@ -155,7 +159,7 @@ def tas_mrc_gain_pdf(n_t: int, n_r: int, x):
     if n_t < 1 or n_r < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({n_t}, {n_r})")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # also rejects NaN
         raise ValueError("gain must be >= 0")
     # Capped at the largest float, where the density is 0 (at inf it would be inf - inf).
     gain = np.minimum(arr, np.finfo(float).max)

@@ -22,7 +22,7 @@ import numpy as np
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_rayleigh_gain
 from .errors import clamp_unit_interval
 from .model import McEstimate, SystemParams
-from .throughput import _gl_refine
+from .throughput import _by_rule, _gl_refine
 
 __all__ = [
     "DetectionOutcome",
@@ -111,10 +111,10 @@ def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
     width = min(s_hi + 1.0, cut)
     half = width * ln_rho / 2.0
 
-    def mean(s, w, todo):
-        # d = width (1 + s) / 2 on the rule's nodes s.
+    def mean(s, ws, todo):
+        # d = width (1 + s) / 2 on the rules' nodes s.
         u = (gap - top * np.expm1(-half * (1.0 + s))) / p
-        return np.atleast_1d(w @ -np.expm1(-u))
+        return [np.atleast_1d(w @ part) for part, w in _by_rule(-np.expm1(-u), ws)]
 
     layer = float(_gl_refine(mean, 1, params.rho, lambda i: f"slot DEP at p={p}, tau={tau}")[0])
     p_md = (s_hi + 1.0 - width + width * layer) / 2.0

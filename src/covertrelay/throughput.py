@@ -5,12 +5,13 @@ The TAS/MRC outage is the mean of the exact composite-gain CDF over the
 log-uniform noise (the reference path).  `noise_expectation` evaluates
 that mean for an array of thresholds with a fixed Gauss-Legendre rule in
 the noise exponent (split into equal panels above rho = 1e6, one more per
-factor 1e6): each value is computed with 64 and 128 nodes per panel, and
-any whose two values differ by more than 1e-12 is recomputed with twice
-the nodes, up to 1024, before NumericError is raised.  The published
-combinatorial expansion of the integral is also evaluated verbatim,
-solely to feed the discrepancy report, because it contains sub-terms
-that are undefined or inconsistent as printed.
+factor 1e6): each value is computed with 64 and 128 nodes per panel, in
+one pass over the thresholds, and any whose two values differ by more
+than 1e-12 is recomputed with twice the nodes, up to 1024, before
+NumericError is raised.  The published combinatorial expansion of the
+integral is also evaluated verbatim, solely to feed the discrepancy
+report, because it contains sub-terms that are undefined or inconsistent
+as printed.
 """
 
 from __future__ import annotations
@@ -136,49 +137,68 @@ _GL_BLOCK = 2**15
 
 
 @functools.cache
-def _gl_rule(n: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    # n-node Gauss-Legendre rule on each of `panels` equal parts of [-1, 1],
-    # weights scaled to give a mean.
-    s, w = np.polynomial.legendre.leggauss(n)
-    s = ((2 * np.arange(panels) + 1 - panels)[:, None] + s).ravel() / panels
-    return s, np.tile(w, panels) / (2 * panels)
+def _gl_rule(ns: tuple[int, ...], panels: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    # The nodes of the n-node Gauss-Legendre rule on each of `panels` equal
+    # parts of [-1, 1], concatenated over n in ns, and each rule's weights,
+    # scaled to give a mean.
+    nodes, weights = [], []
+    for n in ns:
+        s, w = np.polynomial.legendre.leggauss(n)
+        nodes.append(((2 * np.arange(panels) + 1 - panels)[:, None] + s).ravel() / panels)
+        weights.append(np.tile(w, panels) / (2 * panels))
+    return np.concatenate(nodes), tuple(weights)
 
 
 def _gl_refine(mean, size: int, rho: float, what) -> np.ndarray:
-    """mean(s, w, todo) for todo = arange(size), refined by node doubling.
+    """mean(s, ws, todo) for todo = arange(size), refined by node doubling.
 
-    (s, w) is the `_gl_rule` with one panel per factor _PANEL_RHO of rho.
+    (s, ws) is the `_gl_rule` with one panel per factor _PANEL_RHO of rho:
+    s holds the nodes of one or more rules, one after another, and ws the
+    weights of each.  mean returns one row of estimates per rule.  The
+    first call evaluates the _GL_FIRST- and 2 _GL_FIRST-node rules together,
+    so one pass over the thresholds gives both estimates; each later call
+    evaluates the next doubling for the values still unresolved.
     NumericError names what(i) of the first value i still unresolved.
     """
     panels = math.ceil(math.log(rho) / math.log(_PANEL_RHO))
     out = np.empty(size)
     todo = np.arange(size)
     n = _GL_FIRST
-    coarse = mean(*_gl_rule(n, panels), todo)
-    while todo.size:
-        if 2 * n > _GL_MAX:
-            raise NumericError(f"{what(todo[0])} unresolved with {n} nodes per panel")
-        fine = mean(*_gl_rule(2 * n, panels), todo)
+    coarse, fine = mean(*_gl_rule((n, 2 * n), panels), todo)
+    while True:
         done = np.abs(fine - coarse) <= _GL_TOL
         out[todo[done]] = fine[done]
         todo, coarse = todo[~done], fine[~done]
         n *= 2
-    return out
+        if not todo.size:
+            return out
+        if 2 * n > _GL_MAX:
+            raise NumericError(f"{what(todo[0])} unresolved with {n} nodes per panel")
+        (fine,) = mean(*_gl_rule((2 * n,), panels), todo)
 
 
-def _gl_mean(n_t: int, n_r: int, y: np.ndarray, s: np.ndarray, w: np.ndarray,
+def _by_rule(f: np.ndarray, ws: tuple[np.ndarray, ...]):
+    # (part, weights) of each rule, its part of the last axis of f.
+    start = 0
+    for w in ws:
+        yield f[..., start : start + w.size], w
+        start += w.size
+
+
+def _gl_mean(n_t: int, n_r: int, y: np.ndarray, s: np.ndarray, ws: tuple[np.ndarray, ...],
              params: SystemParams) -> np.ndarray:
     noise = params.sigma_n2 * params.rho**s
     rows = max(1, _GL_BLOCK // s.size)
-    out = np.empty(y.size)
+    out = np.empty((len(ws), y.size))
     for i in range(0, y.size, rows):
         # A gain threshold past the float range is inf, where the CDF is 1.
         with np.errstate(over="ignore"):
             gain = np.multiply.outer(y[i : i + rows], noise)
         gain_cdf = tas_mrc_gain_cdf(n_t, n_r, gain)
-        # A row sum, not a matrix product: each value is then independent
-        # of the rows computed with it.
-        out[i : i + rows] = (gain_cdf * w).sum(axis=1)
+        # Row sums, not matrix products: each value is then independent of
+        # the rows computed with it.
+        for k, (part, w) in enumerate(_by_rule(gain_cdf, ws)):
+            out[k, i : i + rows] = (part * w).sum(axis=1)
     return out
 
 
@@ -198,6 +218,17 @@ def noise_expectation(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray
     return np.minimum(out, 1.0).reshape(y.shape)
 
 
+def _outages_multi(ps: tuple[float, ...], rate: RateParams, params: SystemParams, n_t: int,
+                   n_r: int) -> list[float]:
+    # TAS/MRC hop outages at the powers ps, from one noise_expectation call.
+    if rate.t == 0.0:
+        return [0.0] * len(ps)
+    kappa = rate.kappa
+    if kappa == math.inf:
+        return [1.0] * len(ps)
+    return noise_expectation(n_t, n_r, [kappa / p for p in ps], params).tolist()
+
+
 def outage_hop_multi_reference(
     p: float, rate: RateParams, params: SystemParams, n_t: int, n_r: int
 ) -> float:
@@ -209,12 +240,8 @@ def outage_hop_multi_reference(
     """
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
-    if rate.t == 0.0:
-        return 0.0
-    kappa = rate.kappa
-    if kappa == math.inf:
-        return 1.0
-    return float(noise_expectation(n_t, n_r, kappa / p, params))
+    (value,) = _outages_multi((p,), rate, params, n_t, n_r)
+    return value
 
 
 def outage_hop_multi_paper(
@@ -289,10 +316,17 @@ def outage_hop_multi_paper(
 
 
 def throughput_multi(params: SystemParams, rate: RateParams) -> ThroughputOutcome:
-    """Covert throughput of the two-hop link under TAS/MRC."""
+    """Covert throughput of the two-hop link under TAS/MRC.
+
+    Each distinct antenna pair costs one kernel call: both hops share one
+    when the relay is symmetric, (n_s, n_rr) = (n_rt, n_d).
+    """
     ant = params.antennas
-    hop1 = outage_hop_multi_reference(params.p_s, rate, params, ant.n_s, ant.n_rr)
-    hop2 = outage_hop_multi_reference(params.p_r, rate, params, ant.n_rt, ant.n_d)
+    if (ant.n_s, ant.n_rr) == (ant.n_rt, ant.n_d):
+        hop1, hop2 = _outages_multi((params.p_s, params.p_r), rate, params, ant.n_s, ant.n_rr)
+    else:
+        (hop1,) = _outages_multi((params.p_s,), rate, params, ant.n_s, ant.n_rr)
+        (hop2,) = _outages_multi((params.p_r,), rate, params, ant.n_rt, ant.n_d)
     return ThroughputOutcome.combine(hop1, hop2, rate.t)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import integrate
 from scipy.special import gammainc
 
@@ -76,6 +77,29 @@ def oracle_ei_diff(x: float, y: float) -> float:
     )
     # int_lo^hi e^{-t}/t dt = E1(lo) - E1(hi) = Ei(-hi) - Ei(-lo) > 0.
     return value if x > y else -value
+
+
+def oracle_lower_series(n_r: int, x: np.ndarray) -> np.ndarray:
+    """The branch CDF's lower series, stopped by a per-term convergence test.
+
+    `channel._lower_series` sums a fixed number of terms, counted in
+    advance at the largest x; summed to this convergence test instead, the
+    series must give the same bits.
+    """
+    # e^{-x} x^{n_r} / n_r! * sum_k x^k n_r! / (n_r + k)!; below n_r/2 each
+    # term is less than half the one before it, and below n_r it converges.
+    lead = np.exp(-x)
+    for j in range(1, n_r + 1):
+        lead = lead * x / j
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    k = n_r
+    while True:
+        k += 1
+        term = term * x / k
+        if np.all(term < 1e-17 * total):
+            return lead * total
+        total = total + term
 
 
 def oracle_tas_mrc_outage(p: float, kappa: float, sigma2: float, rho: float,

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from covertrelay import channel
 from covertrelay.channel import (
+    _GAIN_CAP,
     RngSpec,
     make_generator,
     sample_noise_power,
@@ -17,6 +19,7 @@ from covertrelay.channel import (
     tas_mrc_gain_pdf,
 )
 from covertrelay.model import SystemParams
+from oracles import oracle_lower_series
 
 PARAMS = SystemParams(1.0, 1.0, 3.1622776601683794e-4, 1.5)
 
@@ -162,6 +165,36 @@ class TestTasMrcGain:
 
         total, _ = integrate.quad(lambda x: tas_mrc_gain_pdf(2, 8, x), 0.0, 80.0, limit=200)
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_fixed_length_series_matches_the_convergence_checked_one(self):
+        # The lower series runs a fixed number of terms; the convergence-
+        # checked loop of the oracle must give the same bits for every n_r
+        # up to 400.  The density divides by (n_r - 1)!, a float only up to
+        # n_r = 171.
+        rng = np.random.default_rng(20261018)
+        for n_r in range(1, 401):
+            n_t = int(rng.integers(1, 9))
+            x = np.concatenate([rng.uniform(0.0, n_r, 64), n_r * rng.random(8) ** 8,
+                                [0.0, math.nextafter(n_r, 0.0), n_r, 2.0 * n_r, _GAIN_CAP,
+                                 np.nextafter(_GAIN_CAP, math.inf), 1e300, math.inf]])
+            shapes = (x, x[:0], x.reshape(8, -1)) if n_r % 40 == 1 else (x,)
+            for x in shapes:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(channel, "_lower_series", oracle_lower_series)
+                    cdf = tas_mrc_gain_cdf(n_t, n_r, x)
+                    pdf = tas_mrc_gain_pdf(n_t, n_r, x) if n_r <= 171 else None
+                assert np.array_equal(tas_mrc_gain_cdf(n_t, n_r, x), cdf), (n_t, n_r)
+                if pdf is not None:
+                    assert np.array_equal(tas_mrc_gain_pdf(n_t, n_r, x), pdf), (n_t, n_r)
+            assert tas_mrc_gain_cdf(n_t, n_r, 0.0) == 0.0
+
+    def test_rejects_nan_gains(self):
+        # NaN fails every comparison, so it must be rejected explicitly.
+        for x in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="gain must be >= 0"):
+                tas_mrc_gain_cdf(2, 8, x)
+            with pytest.raises(ValueError, match="gain must be >= 0"):
+                tas_mrc_gain_pdf(2, 8, x)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

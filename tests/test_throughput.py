@@ -189,14 +189,41 @@ class TestMultiAntenna:
                     assert abs(got - ref) <= 1e-12, (rho, p, t)
 
     def test_kernel_is_elementwise(self):
-        # An array of thresholds gives the scalar wrapper's values exactly.
+        # An array of thresholds gives the scalar wrapper's values exactly;
+        # rho = 1e10 takes two panels.
         rates = [RateParams(t) for t in (0.3, 1.5, 4.0)]
         y = np.array([[r.kappa / p for r in rates] for p in (1e-4, 1.0)])
-        table = noise_expectation(2, 8, y, BASE)
-        assert table.shape == y.shape
-        for i, p in enumerate((1e-4, 1.0)):
-            for j, rate in enumerate(rates):
-                assert table[i, j] == outage_hop_multi_reference(p, rate, BASE, 2, 8)
+        for rho in (1.5, 1e10):
+            params = SystemParams(1.0, 1.0, SIGMA_N2, rho)
+            for n_t, n_r in ((1, 1), (2, 8), (4, 4)):
+                table = noise_expectation(n_t, n_r, y, params)
+                assert table.shape == y.shape
+                for i, p in enumerate((1e-4, 1.0)):
+                    for j, rate in enumerate(rates):
+                        value = outage_hop_multi_reference(p, rate, params, n_t, n_r)
+                        assert table[i, j] == value, (rho, n_t, n_r, p, rate.t)
+
+    @pytest.mark.parametrize("ant", [AntennaConfig(2, 8, 2, 8), AntennaConfig(4, 4, 4, 4),
+                                     AntennaConfig(2, 8, 4, 4)])
+    @pytest.mark.parametrize("t", [0.0, 1.5, 600.0])
+    def test_throughput_multi_is_its_per_hop_outages(self, ant, t):
+        # One kernel call per distinct antenna pair gives each hop's
+        # outage bit for bit, t = 0 and an overflowing kappa included.
+        params = SystemParams(2e-4, 0.7, SIGMA_N2, 1.5, ant)
+        rate = RateParams(t)
+        hop1 = outage_hop_multi_reference(params.p_s, rate, params, ant.n_s, ant.n_rr)
+        hop2 = outage_hop_multi_reference(params.p_r, rate, params, ant.n_rt, ant.n_d)
+        assert throughput_multi(params, rate) == ThroughputOutcome.combine(hop1, hop2, t)
+        if t != 1.5:
+            assert hop1 == hop2 == (0.0 if t == 0.0 else 1.0)
+
+    def test_nan_threshold_is_rejected_at_once(self):
+        # A NaN threshold gives NaN gains, rejected like negative ones before
+        # any refinement (NaN estimates would refine to 1024 nodes per panel).
+        with pytest.raises(ValueError, match="gain must be >= 0"):
+            noise_expectation(2, 8, math.nan, BASE)
+        with pytest.raises(ValueError, match="gain must be >= 0"):
+            noise_expectation(1, 1, np.array([1.0, math.nan]), BASE)
 
     def test_overflowing_rate_is_certain_outage(self):
         assert outage_hop_multi_reference(1.0, RateParams(600.0), BASE, 2, 8) == 1.0
