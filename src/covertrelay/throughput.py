@@ -132,8 +132,11 @@ _GL_TOL = 1e-12
 # The rule has one panel in s per factor _PANEL_RHO of rho: one panel up
 # to rho = 1e6, where 512 nodes resolve every outage.
 _PANEL_RHO = 1e6
-# Gain evaluations per block, keeping the kernel's temporaries small.
-_GL_BLOCK = 2**15
+# Gain evaluations per block, keeping the kernel's temporaries small: with
+# glibc's malloc, 32 KiB arrays are reused within the process, while 256
+# KiB ones (2**15) go back to the system at each free and fault in again,
+# up to 4 minor page faults per value of a 1000-value call.
+_GL_BLOCK = 2**12
 
 
 @functools.cache
