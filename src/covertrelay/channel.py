@@ -166,7 +166,8 @@ def tas_mrc_gain_pdf(n_t: int, n_r: int, x):
     if n_r == 1:
         branch_pdf = np.exp(-gain)
     else:
+        # In log space: (n_r - 1)! leaves the float range from n_r = 172 on.
         log_gain = np.log(gain, where=gain > 0, out=np.full_like(gain, -np.inf))
-        branch_pdf = np.exp((n_r - 1) * log_gain - gain) / math.factorial(n_r - 1)
+        branch_pdf = np.exp((n_r - 1) * log_gain - gain - math.lgamma(n_r))
     value = n_t * _branch_cdf(n_r, arr) ** (n_t - 1) * branch_pdf
     return float(value) if np.isscalar(x) or arr.ndim == 0 else value

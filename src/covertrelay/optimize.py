@@ -13,15 +13,19 @@ Method "kkt" certifies the result: the active multipliers, fitted to
 `lagrangian_gradient` by least squares, are nonnegative and leave a
 stationarity residual below 1e-6 eta.
 
-Multi-antenna: a streamed grid scan over log-spaced power grids (a
-tight covertness budget puts the feasible powers decades below P_max)
-that filters the covert p_r of each p_s as one array row and leaves a
-rate loop once it has passed its peak; the first v_max points count.
-Hop outages are read from tables with one column per (antennas, power)
-of a covert pair and one row per rate k h3.  The Gauss-Legendre kernel
-`throughput.noise_expectation` fills them, with its 64/128-node error
-estimate and refinement up to 1024 nodes, and a column's rows are
-doubled whenever the rate loop needs one it does not have.
+Multi-antenna: a grid scan over log-spaced power grids (a tight
+covertness budget puts the feasible powers decades below P_max).  For
+each p_s it filters the covert p_r as one array row and runs all of the
+row's rate loops side by side as one (p_r, rate) array; a loop stops at
+the outage budget or once it has passed its peak, and the first v_max
+points count.  Hop outages are read from tables with one column per
+(antennas, power) of a covert pair and one row per rate k h3.  The
+Gauss-Legendre kernel `throughput.noise_expectation` fills them, with
+its 64/128-node error estimate and refinement up to 1024 nodes.  Loops
+still running at the end of the rows they have double their columns and
+run again: one kernel call per antenna pair fills every column of a
+doubling, and each column ends as long as a scan of one point at a time
+would make it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import tas_mrc_gain_cdf
 from .detection import _scaled_ei_gap, min_dep_slot, min_dep_two_hop
 from .errors import InfeasibleError, NumericError
 from .model import ConstraintSet, RateParams, SystemParams
@@ -347,6 +352,11 @@ def optimize_multi(
     is exhausted or the running peak has been passed by more than phi.
     If `evaluations` is a list, every feasible evaluated point is
     appended to it as (p_s, p_r, t, eta).
+
+    The rate loops of one p_s run as arrays, as the module docstring
+    describes; the optimum, the evaluations and the kernel values
+    computed are those of a scan of one point at a time in the same
+    order, with ties going to the smallest p_s, then p_r, then t.
     """
     if phi <= 0:
         raise ValueError(f"phi must be > 0, got {phi}")
@@ -374,46 +384,103 @@ def optimize_multi(
         return 1.0 - (1.0 - d_s) * (1.0 - dep_r) >= 1.0 - constraints.epsilon
 
     # Hop outages at the rates k * h3, one column per (antennas, power),
-    # built only for powers of covert pairs.  The scan asks for the rows
-    # of a column in order, so doubling it always covers row k.
-    kappas: list[float] = []
+    # built only for powers of covert pairs.  A column's rows are doubled
+    # when a rate loop runs past them, as a one-point-at-a-time scan would.
+    hop1, hop2 = (ant.n_s, ant.n_rr), (ant.n_rt, ant.n_d)
+    delta = constraints.delta
+    kappas = _NO_ROWS
     columns: dict[tuple, np.ndarray] = {}
 
-    def outage(n_t: int, n_r: int, p: float, k: int) -> float:
-        col = columns.get((n_t, n_r, p), _NO_ROWS)
-        if k > col.size:
-            rows = max(_FIRST_ROWS, 2 * col.size)
-            kappas.extend(RateParams(j * h3).kappa for j in range(len(kappas) + 1, rows + 1))
-            y = np.array(kappas[col.size : rows]) / p
-            col = columns[(n_t, n_r, p)] = np.concatenate(
-                (col, noise_expectation(n_t, n_r, y, params))
-            )
-        return float(col[k - 1])
+    def extend(keys, rows: int) -> None:
+        # Give the columns of keys (n_t, n_r, p) their first `rows` rows: one
+        # kernel call per antenna pair for every column short of them.
+        nonlocal kappas
+        if kappas.size < rows:
+            kappas = np.append(kappas, [RateParams(j * h3).kappa
+                                        for j in range(kappas.size + 1, rows + 1)])
+        short: dict[tuple, dict] = {}
+        for key in keys:
+            col = columns.get(key, _NO_ROWS)
+            if col.size < rows:
+                short.setdefault(key[:2], {})[key] = col
+        for pair, cols in short.items():
+            y = np.concatenate([kappas[col.size : rows] / key[2] for key, col in cols.items()])
+            values = noise_expectation(*pair, y, params)
+            for key, col in cols.items():
+                columns[key] = np.concatenate((col, values[: rows - col.size]))
+                values = values[rows - col.size :]
 
-    def feasible():
-        # Feasible (p_s, p_r, t, eta, p_out) in scan order; each rate loop
-        # stops at the outage budget or once eta is phi below its peak.
-        for p_s, d_s in zip(ps_grid.tolist(), dep_s.tolist()):
-            for p_r in pr_grid[covert(d_s)].tolist():
-                peak = -math.inf
-                for k in itertools.count(1):
-                    # k * h3, not a running sum, so every rate lies on the grid.
-                    t = k * h3
-                    hop1 = outage(ant.n_s, ant.n_rr, p_s, k)
-                    hop2 = outage(ant.n_rt, ant.n_d, p_r, k)
-                    p_out = 1.0 - (1.0 - hop1) * (1.0 - hop2)
-                    if p_out > constraints.delta:
-                        break
-                    eta = t * (1.0 - p_out)
-                    if evaluations is not None:
-                        evaluations.append((p_s, p_r, t, eta))
-                    yield p_s, p_r, t, eta, p_out
-                    peak = max(peak, eta)
-                    if eta + phi < peak:
-                        break
+    def scan(p_s: float, prs: list, limit: int):
+        # Loop index, k, eta and p_out of each point of the rate loops of
+        # (p_s, p_r), p_r in prs, in scan order.  Loops that have not
+        # stopped within `width` rates go on from there to twice the width;
+        # a loop also stops at its limit-th point.
+        key1, keys2 = (*hop1, p_s), [(*hop2, p_r) for p_r in prs]
+        run = np.arange(len(prs))
+        peak = np.full(len(prs), -np.inf)
+        parts = []
+        start, width = 0, _FIRST_ROWS
+        while run.size:
+            keys = [keys2[i] for i in run.tolist()]
+            extend([key1, *keys], width)
+            outage2 = np.array([columns[key][start:width] for key in keys])
+            p_out = 1.0 - (1.0 - columns[key1][start:width]) * (1.0 - outage2)
+            # k * h3, not a running sum, so every rate lies on the grid.
+            ks = np.arange(start + 1, width + 1)
+            eta = ks * h3 * (1.0 - p_out)
+            # A loop stops before its first rate over the outage budget, or
+            # after its first eta phi below the peak so far.
+            peaks = np.maximum(np.maximum.accumulate(eta, axis=1), peak[run, None])
+            over, fall = p_out > delta, eta + phi < peaks
+            any_over, any_fall = over.any(axis=1), fall.any(axis=1)
+            n = width - start
+            ends = np.minimum(np.minimum(np.where(any_over, over.argmax(axis=1), n),
+                                         np.where(any_fall, fall.argmax(axis=1) + 1, n)),
+                              limit - start)
+            kept = np.arange(n) < ends[:, None]
+            parts.append((np.repeat(run, ends), np.broadcast_to(ks, kept.shape)[kept],
+                          eta[kept], p_out[kept]))
+            peak[run] = peaks[:, -1]
+            run = run[~(any_over | any_fall) & (width < limit)]
+            start, width = width, 2 * width
+        loop, ks, eta, p_out = (np.concatenate(part) for part in zip(*parts))
+        order = np.argsort(loop, kind="stable")
+        return loop[order], ks[order], eta[order], p_out[order]
 
-    best = max(itertools.islice(feasible(), v_max), default=None,
-               key=lambda point: (point[3], -point[0], -point[1], -point[2]))
+    # Every noise power of the outage mean lies above mu1, so a hop's outage
+    # at y is at least F(y mu1), F the gain CDF.  Hop 1 of row p_s is thus
+    # over the outage budget from the first rate whose kappa mu1 / p_s
+    # reaches x_top, where F reaches (1 + delta) / 2, and no rate loop of
+    # the row has more than `most` points.  The margin (1 - delta) / 2 must
+    # dwarf the kernel's rounding, so with delta within 1e-9 of 1 no row is
+    # bounded and the loops run one at a time.
+    ladder = np.ldexp(1.0, np.arange(-40, 11))
+    top = ladder[tas_mrc_gain_cdf(*hop1, ladder) >= (1.0 + delta) / 2.0]
+    x_top = top[0] if top.size and 1.0 - delta > 1e-9 else math.inf
+
+    best = None
+    budget = v_max
+    for p_s, d_s in zip(ps_grid.tolist(), dep_s.tolist()):
+        prs = pr_grid[covert(d_s)].tolist()
+        most = 1.0 + math.log2(1.0 + x_top * p_s / params.mu1) / (2.0 * h3)
+        taken = 0
+        while taken < len(prs) and budget:
+            # Loops run side by side only where together they stay below the
+            # v_max cut, so every loop run is one the scan in order would run.
+            chunk = prs[taken : taken + max(1, int((budget - 1) // most))]
+            taken += len(chunk)
+            loop, ks, eta, p_out = scan(p_s, chunk, budget)
+            budget -= eta.size
+            # Ties go to the first in scan order: the smallest p_s, p_r and t.
+            if eta.size and (best is None or eta.max() > best[3]):
+                i = int(eta.argmax())
+                best = p_s, chunk[loop[i]], float(ks[i] * h3), float(eta[i]), float(p_out[i])
+            if evaluations is not None:
+                evaluations.extend(zip(itertools.repeat(p_s), map(chunk.__getitem__, loop.tolist()),
+                                       (ks * h3).tolist(), eta.tolist()))
+        if not budget:
+            break
+
     if best is None:
         tightest = "reliability" if any(covert(d).any() for d in dep_s.tolist()) else "covertness"
         raise InfeasibleError(

@@ -5,21 +5,25 @@ series/continued-fraction machinery: everything is adaptive quadrature of
 defining integrals, or of scipy's incomplete gamma function, so agreement
 between the two is meaningful evidence of correctness.  The Lagrangian
 oracle differentiates the validated throughput and DEP values
-numerically, as a check on their analytic derivatives.
+numerically, as a check on their analytic derivatives.  The grid-scan
+oracle is the multi-antenna optimizer's earlier per-point scan, kept as
+it was: a generator that visits each feasible point in Python.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gammainc
 
-from covertrelay.detection import min_dep_two_hop, noise_cdf
-from covertrelay.errors import NumericError, clamp_unit_interval
-from covertrelay.model import RateParams, SystemParams
-from covertrelay.throughput import throughput_single
+from covertrelay.detection import min_dep_slot, min_dep_two_hop, noise_cdf
+from covertrelay.errors import InfeasibleError, NumericError, clamp_unit_interval
+from covertrelay.model import ConstraintSet, RateParams, SystemParams
+from covertrelay.optimize import _FIRST_ROWS, _NO_ROWS, _POWER_SPAN, Optimum, _active_set
+from covertrelay.throughput import noise_expectation, throughput_single
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -176,3 +180,93 @@ def oracle_lagrangian_gradient(x, multipliers, constraints, params) -> list[floa
         lo[i] -= h
         partials.append((lagrangian(*hi) - lagrangian(*lo)) / (2.0 * h))
     return partials
+
+
+def oracle_optimize_multi(
+    constraints: ConstraintSet,
+    params_template: SystemParams,
+    steps: tuple | None = None,
+    phi: float = 1e-6,
+    v_max: int = 10**6,
+    evaluations: list | None = None,
+) -> Optimum:
+    """The multi-antenna grid scan one point at a time, as a generator.
+
+    Same grids, outage tables, stopping rules, v_max cut and tie-break as
+    `optimize_multi`, which must return an equal Optimum, record equal
+    evaluations and compute as many kernel values.
+    """
+    if phi <= 0:
+        raise ValueError(f"phi must be > 0, got {phi}")
+    if v_max < 1:
+        raise ValueError(f"v_max must be >= 1, got {v_max}")
+    params = params_template
+    ant = params.antennas
+    p_max = constraints.p_max
+    if steps is None:
+        ps_grid = pr_grid = np.geomspace(p_max * _POWER_SPAN, p_max, 100)
+        h3 = 0.01
+    else:
+        h1, h2, h3 = steps
+        if h1 <= 0 or h2 <= 0 or h3 <= 0:
+            raise ValueError(f"step sizes must be > 0, got {steps}")
+        ps_grid = np.arange(h1, p_max * (1 + 1e-12), h1)
+        pr_grid = np.arange(h2, p_max * (1 + 1e-12), h2)
+
+    dep_s = np.array([min_dep_slot(p, params) for p in ps_grid.tolist()])
+    dep_r = dep_s if pr_grid is ps_grid else np.array([min_dep_slot(p, params)
+                                                       for p in pr_grid.tolist()])
+
+    def covert(d_s: float) -> np.ndarray:
+        # Which p_r of the grid are covert partners of a p_s with DEP d_s.
+        return 1.0 - (1.0 - d_s) * (1.0 - dep_r) >= 1.0 - constraints.epsilon
+
+    # Hop outages at the rates k * h3, one column per (antennas, power),
+    # built only for powers of covert pairs.  The scan asks for the rows
+    # of a column in order, so doubling it always covers row k.
+    kappas: list[float] = []
+    columns: dict[tuple, np.ndarray] = {}
+
+    def outage(n_t: int, n_r: int, p: float, k: int) -> float:
+        col = columns.get((n_t, n_r, p), _NO_ROWS)
+        if k > col.size:
+            rows = max(_FIRST_ROWS, 2 * col.size)
+            kappas.extend(RateParams(j * h3).kappa for j in range(len(kappas) + 1, rows + 1))
+            y = np.array(kappas[col.size : rows]) / p
+            col = columns[(n_t, n_r, p)] = np.concatenate(
+                (col, noise_expectation(n_t, n_r, y, params))
+            )
+        return float(col[k - 1])
+
+    def feasible():
+        # Feasible (p_s, p_r, t, eta, p_out) in scan order; each rate loop
+        # stops at the outage budget or once eta is phi below its peak.
+        for p_s, d_s in zip(ps_grid.tolist(), dep_s.tolist()):
+            for p_r in pr_grid[covert(d_s)].tolist():
+                peak = -math.inf
+                for k in itertools.count(1):
+                    # k * h3, not a running sum, so every rate lies on the grid.
+                    t = k * h3
+                    hop1 = outage(ant.n_s, ant.n_rr, p_s, k)
+                    hop2 = outage(ant.n_rt, ant.n_d, p_r, k)
+                    p_out = 1.0 - (1.0 - hop1) * (1.0 - hop2)
+                    if p_out > constraints.delta:
+                        break
+                    eta = t * (1.0 - p_out)
+                    if evaluations is not None:
+                        evaluations.append((p_s, p_r, t, eta))
+                    yield p_s, p_r, t, eta, p_out
+                    peak = max(peak, eta)
+                    if eta + phi < peak:
+                        break
+
+    best = max(itertools.islice(feasible(), v_max), default=None,
+               key=lambda point: (point[3], -point[0], -point[1], -point[2]))
+    if best is None:
+        tightest = "reliability" if any(covert(d).any() for d in dep_s.tolist()) else "covertness"
+        raise InfeasibleError(
+            f"no grid point satisfies the constraints (tightest: {tightest})", tightest
+        )
+    p_s, p_r, t, eta, p_out = best
+    return Optimum(p_s, p_r, t, eta, _active_set(p_s, p_r, p_out, constraints, params),
+                   method="grid")

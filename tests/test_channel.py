@@ -160,6 +160,18 @@ class TestTasMrcGain:
             checked += 1
         assert checked >= 5
 
+    @pytest.mark.parametrize("n_r", [172, 250, 400])
+    def test_pdf_past_the_factorial_range(self, n_r):
+        # (n_r - 1)! is no float from n_r = 172 on; the density must still
+        # match scipy's, without a warning.
+        x = n_r * np.array([0.5, 0.8, 1.0, 1.2, 1.5])
+        for n_t in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pdf = tas_mrc_gain_pdf(n_t, n_r, x)
+            ref = n_t * special.gammainc(n_r, x) ** (n_t - 1) * stats.gamma.pdf(x, n_r)
+            np.testing.assert_allclose(pdf, ref, rtol=1e-11, atol=0)
+
     def test_pdf_integrates_to_one(self):
         from scipy import integrate
 
@@ -169,8 +181,7 @@ class TestTasMrcGain:
     def test_fixed_length_series_matches_the_convergence_checked_one(self):
         # The lower series runs a fixed number of terms; the convergence-
         # checked loop of the oracle must give the same bits for every n_r
-        # up to 400.  The density divides by (n_r - 1)!, a float only up to
-        # n_r = 171.
+        # up to 400, in the CDF and in the density.
         rng = np.random.default_rng(20261018)
         for n_r in range(1, 401):
             n_t = int(rng.integers(1, 9))
@@ -182,10 +193,9 @@ class TestTasMrcGain:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(channel, "_lower_series", oracle_lower_series)
                     cdf = tas_mrc_gain_cdf(n_t, n_r, x)
-                    pdf = tas_mrc_gain_pdf(n_t, n_r, x) if n_r <= 171 else None
+                    pdf = tas_mrc_gain_pdf(n_t, n_r, x)
                 assert np.array_equal(tas_mrc_gain_cdf(n_t, n_r, x), cdf), (n_t, n_r)
-                if pdf is not None:
-                    assert np.array_equal(tas_mrc_gain_pdf(n_t, n_r, x), pdf), (n_t, n_r)
+                assert np.array_equal(tas_mrc_gain_pdf(n_t, n_r, x), pdf), (n_t, n_r)
             assert tas_mrc_gain_cdf(n_t, n_r, 0.0) == 0.0
 
     def test_rejects_nan_gains(self):

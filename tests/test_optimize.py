@@ -24,9 +24,11 @@ from covertrelay.optimize import (
     optimize_multi,
     optimize_single,
 )
-from covertrelay.throughput import throughput_multi, throughput_single
+from covertrelay import optimize
+from covertrelay.throughput import noise_expectation, throughput_multi, throughput_single
 
-from oracles import oracle_lagrangian_gradient
+import oracles
+from oracles import oracle_lagrangian_gradient, oracle_optimize_multi
 
 SIGMA_N2 = dbm_to_watts(-5.0)
 BASE = SystemParams(1.0, 1.0, SIGMA_N2, 1.5)
@@ -268,6 +270,45 @@ class TestOptimizeSingle:
 
 class TestOptimizeMulti:
     PARAMS = SystemParams(1.0, 1.0, SIGMA_N2, 1.5, AntennaConfig(2, 8, 2, 8))
+
+    @pytest.mark.parametrize("antennas,budgets,options", [
+        ((1, 1, 1, 1), BUDGETS, {}),
+        ((2, 2, 2, 2), BUDGETS, {}),
+        ((2, 8, 2, 8), BUDGETS, {}),
+        ((4, 4, 4, 4), BUDGETS, {}),
+        ((2, 8, 4, 4), BUDGETS, {}),
+        ((1, 3, 2, 1), BUDGETS, {}),
+        ((2, 8, 2, 8), ConstraintSet(0.15, 0.1, 1e-3), {"steps": (2e-5, 1e-5, 0.03)}),
+        ((2, 8, 2, 8), BUDGETS, {"v_max": 1}),
+        ((2, 8, 2, 8), BUDGETS, {"v_max": 500}),
+        ((2, 8, 2, 8), BUDGETS, {"v_max": 777}),
+        ((2, 2, 2, 2), BUDGETS, {"phi": 1e-2}),
+        ((2, 8, 2, 8), ConstraintSet(1e-6, 0.1, 5.0), {}),
+        ((1, 1, 1, 1), ConstraintSet(0.15, 1e-12, 5.0), {}),
+    ])
+    def test_matches_the_per_point_scan(self, monkeypatch, antennas, budgets, options):
+        # The row-array scan against the earlier generator scan: an equal
+        # optimum (or the same InfeasibleError), equal evaluations, and as
+        # many kernel values computed.
+        params = SystemParams(1.0, 1.0, SIGMA_N2, 1.5, AntennaConfig(*antennas))
+        values = {}
+        results = {}
+        for name, module, scan in (("rows", optimize, optimize_multi),
+                                   ("points", oracles, oracle_optimize_multi)):
+            def counted(n_t, n_r, y, params, name=name):
+                values[name] = values.get(name, 0) + np.size(y)
+                return noise_expectation(n_t, n_r, y, params)
+
+            monkeypatch.setattr(module, "noise_expectation", counted)
+            evals = []
+            try:
+                opt = scan(budgets, params, evaluations=evals, **options)
+            except InfeasibleError as err:
+                opt = err.tightest_constraint
+            results[name] = opt, evals
+        assert results["rows"][0] == results["points"][0]
+        assert results["rows"][1] == results["points"][1]
+        assert values.get("rows") == values.get("points")
 
     def test_beats_every_evaluated_point(self):
         evals = []
