@@ -22,8 +22,8 @@ points count.  Hop outages are read from tables with one column per
 (antennas, power) of a covert pair and one row per rate k h3.  The
 Gauss-Legendre kernel `throughput.noise_expectation` fills them, with
 its 64/128-node error estimate and refinement up to 1024 nodes.  Loops
-still running at the end of the rows they have double their columns and
-run again: one kernel call per antenna pair fills every column of a
+still running past the last row of their columns double the columns
+and run on: one kernel call per antenna pair fills every column of a
 doubling, and each column ends as long as a scan of one point at a time
 would make it.
 """

@@ -285,7 +285,9 @@ class TestOptimizeMulti:
         ((2, 2, 2, 2), BUDGETS, {"phi": 1e-2}),
         ((2, 8, 2, 8), ConstraintSet(1e-6, 0.1, 5.0), {}),
         ((1, 1, 1, 1), ConstraintSet(0.15, 1e-12, 5.0), {}),
-    ])
+    ], ids=["1x1", "2x2", "2x8", "4x4", "2-8-4-4", "1-3-2-1", "linear-steps", "v_max-1",
+            "v_max-500", "v_max-777", "phi-1e-2", "covertness-infeasible",
+            "reliability-infeasible"])
     def test_matches_the_per_point_scan(self, monkeypatch, antennas, budgets, options):
         # The row-array scan against the earlier generator scan: an equal
         # optimum (or the same InfeasibleError), equal evaluations, and as
