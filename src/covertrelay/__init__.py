@@ -16,7 +16,6 @@ from .model import (
     RateParams,
     SystemParams,
     dbm_to_watts,
-    noise_bounds,
     watts_to_dbm,
 )
 from .detection import (
@@ -69,7 +68,6 @@ __all__ = [
     "mc_outage_hop",
     "min_dep_slot",
     "min_dep_two_hop",
-    "noise_bounds",
     "optimal_threshold",
     "optimize_multi",
     "optimize_single",

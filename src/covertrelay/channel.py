@@ -9,7 +9,6 @@ so the sequences are reproducible across numpy versions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "sample_rayleigh_gain",
     "sample_tas_mrc_gain",
     "tas_mrc_gain_cdf",
-    "tas_mrc_gain_pdf",
 ]
 
 
@@ -153,21 +151,3 @@ def tas_mrc_gain_cdf(n_t: int, n_r: int, x):
     value = _branch_cdf(n_r, arr) ** n_t
     return float(value) if np.isscalar(x) or arr.ndim == 0 else value
 
-
-def tas_mrc_gain_pdf(n_t: int, n_r: int, x):
-    """Density of the composite gain: n_t F^(n_t-1) times the branch density."""
-    if n_t < 1 or n_r < 1:
-        raise ValueError(f"antenna counts must be >= 1, got ({n_t}, {n_r})")
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0):  # also rejects NaN
-        raise ValueError("gain must be >= 0")
-    # Capped at the largest float, where the density is 0 (at inf it would be inf - inf).
-    gain = np.minimum(arr, np.finfo(float).max)
-    if n_r == 1:
-        branch_pdf = np.exp(-gain)
-    else:
-        # In log space: (n_r - 1)! leaves the float range from n_r = 172 on.
-        log_gain = np.log(gain, where=gain > 0, out=np.full_like(gain, -np.inf))
-        branch_pdf = np.exp((n_r - 1) * log_gain - gain - math.lgamma(n_r))
-    value = n_t * _branch_cdf(n_r, arr) ** (n_t - 1) * branch_pdf
-    return float(value) if np.isscalar(x) or arr.ndim == 0 else value

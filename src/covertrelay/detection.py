@@ -22,6 +22,7 @@ import numpy as np
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_rayleigh_gain
 from .errors import clamp_unit_interval
 from .model import McEstimate, SystemParams
+from .specfun import _POS_SERIES_CUTOFF, _ei_asymptotic_excess, expint_ei_scaled
 from .throughput import _by_rule, _gl_refine
 
 __all__ = [
@@ -123,9 +124,18 @@ def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
 
 def _scaled_ei_gap(u: float, v: float) -> float:
     """e^(-u) * [Ei(u) - Ei(v)] for u > v > 0, overflow-safe."""
-    from .specfun import expint_ei_scaled
-
     return expint_ei_scaled(u) - math.exp(v - u) * expint_ei_scaled(v)
+
+
+def _dep_gap_dp(p: float, params: SystemParams) -> float:
+    # B(p) = e^{-mu2/p} [Ei(mu2/p) - Ei(mu1/p)]; 1 - Pe* = B / (2 ln rho).
+    u, v = params.mu2 / p, params.mu1 / p
+    if u <= _POS_SERIES_CUTOFF:
+        b = _scaled_ei_gap(u, v)
+        return (params.mu2 / p**2) * b + math.expm1((params.mu1 - params.mu2) / p) / p
+    # dB/dp = [(u S(u) - 1) - e^{v-u} (u S(v) - 1)] / p with S(x) = e^{-x} Ei(x).
+    # u S(u) - 1 cancels for large u, so its asymptotic series is summed.
+    return (_ei_asymptotic_excess(u) - math.exp(v - u) * (u * expint_ei_scaled(v) - 1.0)) / p
 
 
 def dep_slot_paper(p: float, tau: float, params: SystemParams) -> float:
@@ -145,8 +155,6 @@ def dep_slot_paper(p: float, tau: float, params: SystemParams) -> float:
         return 1.0
     if tau <= mu2:
         return 1.0 - _scaled_ei_gap(tau / p, mu1 / p) / two_ln_rho
-    from .specfun import expint_ei_scaled
-
     # Verbatim transcription of the tau > mu2 branch, each e^{-tau/p} * Ei(x/p)
     # product carried in scaled form so large tau/p cannot overflow.
     bracket = (

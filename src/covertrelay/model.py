@@ -18,7 +18,6 @@ __all__ = [
     "McEstimate",
     "dbm_to_watts",
     "watts_to_dbm",
-    "noise_bounds",
     "rho_from_db",
     "load_config",
     "NOISE_GRID_DBM",
@@ -109,11 +108,6 @@ class SystemParams:
 
     def with_powers(self, p_s: float, p_r: float) -> "SystemParams":
         return SystemParams(p_s, p_r, self.sigma_n2, self.rho, self.antennas)
-
-
-def noise_bounds(params: SystemParams) -> tuple[float, float]:
-    """(mu1, mu2) support of the log-uniform noise-power distribution."""
-    return params.mu1, params.mu2
 
 
 @dataclass(frozen=True)

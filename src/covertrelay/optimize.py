@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import tas_mrc_gain_cdf
-from .detection import _scaled_ei_gap, min_dep_slot, min_dep_two_hop
+from .detection import _dep_gap_dp, _scaled_ei_gap, min_dep_slot, min_dep_two_hop
 from .errors import InfeasibleError, NumericError
 from .model import ConstraintSet, RateParams, SystemParams
-from .specfun import _POS_SERIES_CUTOFF, _ei_asymptotic_excess, ei_diff, expint_ei_scaled
+from .specfun import ei_diff
 from .throughput import noise_expectation, throughput_single
 
 __all__ = [
@@ -55,7 +56,7 @@ _ACTIVITY_TOL = 1e-6
 # Lowest power of the multi-antenna grids, as a fraction of P_max; six
 # decades comfortably bracket the covertness-limited regime.
 _POWER_SPAN = 1e-6
-# Lowest power the covertness bisection considers, as a fraction of P_max.
+# Factor by which the covertness search steps its lower end down from P_max.
 _POWER_FLOOR = 1e-12
 # The single-antenna rate domain starts at _T_FLOOR; the rate bracket
 # starts at _T_BRACKET and doubles while eta still rises.
@@ -105,17 +106,6 @@ def _ei_gap_dp(p: float, kappa: float, params: SystemParams) -> float:
 
 def _ei_gap_dkappa(p: float, kappa: float, params: SystemParams) -> float:
     return (math.expm1(-kappa * params.mu2 / p) - math.expm1(-kappa * params.mu1 / p)) / kappa
-
-
-def _dep_gap_dp(p: float, params: SystemParams) -> float:
-    # B(p) = e^{-mu2/p} [Ei(mu2/p) - Ei(mu1/p)]; 1 - Pe* = B / (2 ln rho).
-    u, v = params.mu2 / p, params.mu1 / p
-    if u <= _POS_SERIES_CUTOFF:
-        b = _scaled_ei_gap(u, v)
-        return (params.mu2 / p**2) * b + math.expm1((params.mu1 - params.mu2) / p) / p
-    # dB/dp = [(u S(u) - 1) - e^{v-u} (u S(v) - 1)] / p with S(x) = e^{-x} Ei(x).
-    # u S(u) - 1 cancels for large u, so its asymptotic series is summed.
-    return (_ei_asymptotic_excess(u) - math.exp(v - u) * (u * expint_ei_scaled(v) - 1.0)) / p
 
 
 def lagrangian_gradient(
@@ -173,12 +163,18 @@ def _bisect(holds, lo: float, hi: float, rel: float) -> float:
     return lo
 
 
-def _largest_power(covert, p_max: float) -> float | None:
-    """Largest p in [_POWER_FLOOR p_max, p_max] with covert(p), else None."""
-    if covert(p_max):
-        return p_max
-    lo = p_max * _POWER_FLOOR
-    return _bisect(covert, lo, p_max, 1e-14) if covert(lo) else None
+def _largest_power(covert, p_max: float, mu2: float) -> float | None:
+    """Largest p <= p_max with covert(p); None before mu2 / p leaves the floats.
+
+    The lower end starts at p_max and steps down by factors of _POWER_FLOOR,
+    the last non-covert end becoming the upper end, until it is covert.
+    """
+    hi = lo = p_max
+    while lo * sys.float_info.max >= mu2:
+        if covert(lo):
+            return _bisect(covert, lo, hi, 1e-14)
+        hi, lo = lo, lo * _POWER_FLOOR
+    return None
 
 
 def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> float:
@@ -187,8 +183,11 @@ def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> fl
     Bisection on the monotone-decreasing DEP; returns p_max itself when
     even full power stays covert.
     """
-    target = 1.0 - epsilon
-    p_cov = _largest_power(lambda p: min_dep_two_hop(params.with_powers(p, p)) >= target, p_max)
+    def covert(p: float) -> bool:
+        pe = min_dep_slot(p, params)
+        return 1.0 - (1.0 - pe) * (1.0 - pe) >= 1.0 - epsilon
+
+    p_cov = _largest_power(covert, p_max, params.mu2)
     if p_cov is None:
         raise InfeasibleError(
             "covertness constraint unsatisfiable even at vanishing power", "covertness"
@@ -233,7 +232,7 @@ def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams
     pe_s = min_dep_slot(p_s, params)
     p_r = _largest_power(
         lambda p: 1.0 - (1.0 - pe_s) * (1.0 - min_dep_slot(p, params)) >= target,
-        constraints.p_max,
+        constraints.p_max, params.mu2,
     )
     t = None if p_r is None else _best_rate(p_s, p_r, constraints.delta, params)
     return None if t is None else (p_s, p_r, t)
@@ -318,9 +317,15 @@ def optimize_single(constraints: ConstraintSet, params_template: SystemParams) -
         point = _frontier_point(p_s, constraints, params)
         return point is not None and _rises(point, params)
 
-    # On the half p_s >= p_r: the end p_s = P_max if eta still rises
-    # there, else the last point at which it rises.
-    p_s = p_max if p_cov == p_max or rises(p_max) else _bisect(rises, p_cov, p_max, 1e-10)
+    def eta(p_s: float) -> float:
+        p_s, p_r, t = _frontier_point(p_s, constraints, params) or (p_s, p_s, 0.0)
+        return throughput_single(params.with_powers(p_s, p_r), RateParams(t)).eta
+
+    # On the half p_s >= p_r: the end p_s = P_max if eta still rises there
+    # and is no lower than at p_cov (on a long, flat frontier the slope at
+    # P_max is rounding noise), else the last point at which it rises.
+    cap = p_cov == p_max or (rises(p_max) and eta(p_max) >= eta(p_cov))
+    p_s = p_max if cap else _bisect(rises, p_cov, p_max, 1e-10)
     best = _frontier_point(p_s, constraints, params)
     if best is None:
         raise InfeasibleError("no rate t >= 1e-3 is reliable at covert powers", "reliability")

@@ -9,7 +9,8 @@ being silently trusted or silently repaired:
     probabilities require), and
   * the combinatorial TAS/MRC outage expansion (an index factor yields
     a negative incomplete-gamma argument, the gamma order degenerates
-    for single receive antennas, and one log factor is ambiguous).
+    for single receive antennas, and one log factor is ambiguous), which
+    as printed is a violation for every input, in both readings alike.
 
 Every comparison becomes one CSV row; domain violations are recorded as
 text in place of a numeric value.

@@ -36,16 +36,17 @@ _POS_SERIES_CUTOFF = 40.0
 _NEG_SERIES_CUTOFF = 1.0
 
 
-def _ei_series_positive(x: float) -> float:
-    # Ei(x) = gamma + ln x + sum_{k>=1} x^k / (k * k!), all terms positive.
+def _ei_sum(x: float) -> float:
+    # sum_{k>=1} x^k / (k * k!): Ei(x) = gamma + ln x + _ei_sum(x) for x > 0,
+    # and Ein(z) = -_ei_sum(-z).  Negating x negates every term exactly.
     total = 0.0
     term = 1.0
     for k in range(1, _MAX_ITER + 1):
         term *= x / k
         contrib = term / k
         total += contrib
-        if contrib < _REL_TOL * abs(total) + _ABS_TOL:
-            return EULER_GAMMA + math.log(x) + total
+        if abs(contrib) < _REL_TOL * abs(total) + _ABS_TOL:
+            return total
     raise ArithmeticError(f"Ei power series did not converge for x={x}")
 
 
@@ -77,16 +78,7 @@ def _ein(z: float) -> float:
         raise ValueError(f"Ein requires z >= 0, got {z}")
     if z > _NEG_SERIES_CUTOFF:
         return EULER_GAMMA + math.log(z) - expint_ei(-z)
-    # sum_{k>=1} (-1)^{k+1} z^k / (k * k!), all terms below 1 in size.
-    total = 0.0
-    term = 1.0
-    for k in range(1, _MAX_ITER + 1):
-        term *= -z / k
-        contrib = -term / k
-        total += contrib
-        if abs(contrib) < _REL_TOL * abs(total) + _ABS_TOL:
-            return total
-    raise ArithmeticError(f"Ein series did not converge for z={z}")
+    return 0.0 - _ei_sum(-z)  # 0.0 - keeps Ein(0) = +0.0
 
 
 def _e1_continued_fraction(z: float) -> float:
@@ -128,7 +120,7 @@ def expint_ei(x: float) -> float:
         raise ValueError("Ei has a logarithmic singularity at x = 0")
     if x > 0:
         if x <= _POS_SERIES_CUTOFF:
-            return _ei_series_positive(x)
+            return EULER_GAMMA + math.log(x) + _ei_sum(x)
         try:
             return math.exp(x) * _ei_asymptotic_scaled(x)
         except OverflowError:
@@ -152,7 +144,7 @@ def expint_ei_scaled(x: float) -> float:
     if x <= 0:
         raise ValueError(f"expint_ei_scaled requires x > 0, got {x}")
     if x <= _POS_SERIES_CUTOFF:
-        return math.exp(-x) * _ei_series_positive(x)
+        return math.exp(-x) * (EULER_GAMMA + math.log(x) + _ei_sum(x))
     return _ei_asymptotic_scaled(x)
 
 

@@ -257,12 +257,14 @@ def outage_hop_multi_paper(
 ) -> PaperFormulaValue:
     """Verbatim published combinatorial TAS/MRC outage form.
 
-    Evaluated exactly as printed, for the discrepancy report only.  Known
-    defects are surfaced, never repaired: the inner sum's (j-1) factor
-    produces a negative incomplete-gamma argument at j = 0, and the
-    gamma order n_r - 1 degenerates at n_r = 1.  `interpretation`
-    selects the reading of the ambiguous trailing log factor:
-    "ln_rho_sq_arg" for ln(rho^2), "ln_rho_sq_whole" for (ln rho)^2.
+    Evaluated exactly as printed, for the discrepancy report only.  Its
+    defects are surfaced, never repaired, and every input meets one, so it
+    never returns a value: the gamma order n_r - 1 degenerates at n_r = 1,
+    kappa = 0 is raised to a negative power, and otherwise the inner sum's
+    (j-1) factor gives a negative incomplete-gamma argument at its first
+    term, j = 0, so the loop past j = 0 never runs.  `interpretation`, which
+    thus never reaches a value, reads the ambiguous trailing log factor as
+    ln(rho^2) ("ln_rho_sq_arg") or as (ln rho)^2 ("ln_rho_sq_whole").
     """
     if interpretation not in ("ln_rho_sq_arg", "ln_rho_sq_whole"):
         raise ValueError(f"unknown interpretation {interpretation!r}")

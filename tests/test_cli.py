@@ -244,6 +244,17 @@ class TestOptimize:
         assert rows[0][4] == "kkt"
         assert "covertness" in rows[0][5]
 
+    def test_single_at_low_noise(self, tmp_path):
+        # At -80 dBm the covert powers lie about twelve decades below P_max;
+        # DEP and outage depend on p / sigma^2 alone, so eta is the default's.
+        etas = []
+        for sigma_dbm in ("-5", "-80"):
+            out = tmp_path / f"opt{sigma_dbm}.csv"
+            assert main(["optimize-single", "--sigma-n-dbm", sigma_dbm, "--out", str(out)]) == 0
+            _, _, rows = read_csv(out)
+            etas.append(float(rows[0][3]))
+        assert etas[1] == pytest.approx(etas[0], rel=1e-9)
+
     def test_single_infeasible_exit_code(self):
         assert main(["optimize-single", "--epsilon", "1e-6", "--delta", "1e-9"]) == 3
 

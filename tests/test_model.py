@@ -14,7 +14,6 @@ from covertrelay.model import (
     SystemParams,
     dbm_to_watts,
     load_config,
-    noise_bounds,
     rho_from_db,
     watts_to_dbm,
 )
@@ -45,7 +44,7 @@ class TestUnits:
 class TestSystemParams:
     def test_noise_bounds(self):
         params = SystemParams(1.0, 2.0, 4e-4, 1.5)
-        mu1, mu2 = noise_bounds(params)
+        mu1, mu2 = params.mu1, params.mu2
         assert mu1 == pytest.approx(4e-4 / 1.5, rel=1e-15)
         assert mu2 == pytest.approx(6e-4, rel=1e-15)
         assert 0 < mu1 < mu2

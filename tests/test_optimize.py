@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from covertrelay.errors import InfeasibleError
@@ -16,9 +16,8 @@ from covertrelay.model import (
     SystemParams,
     dbm_to_watts,
 )
-from covertrelay.detection import min_dep_slot, min_dep_two_hop
+from covertrelay.detection import _dep_gap_dp, min_dep_slot, min_dep_two_hop
 from covertrelay.optimize import (
-    _dep_gap_dp,
     covert_power_limit,
     lagrangian_gradient,
     optimize_multi,
@@ -209,6 +208,45 @@ class TestOptimizeSingle:
         opt = optimize_single(constraints, params)
         assert opt.method == "kkt"
         assert opt.eta >= symmetric_eta
+
+    def test_frontier_below_the_first_bracket(self):
+        # The covert partner of p_s = P_max lies below 1e-12 P_max, the lower
+        # end of the covertness search's first bracket.
+        constraints = ConstraintSet(0.1380102046869699, 0.48927457470891794, 56.43519673744103)
+        params = SystemParams(1.0, 1.0, 1.1584140488474021e-11, 10.863303672364719)
+        opt = optimize_single(constraints, params)
+        assert opt.method == "kkt"
+        assert opt.p_s == constraints.p_max
+        assert opt.eta == pytest.approx(0.41138924109499, rel=1e-9)
+
+    @seed(20261018)
+    @settings(deadline=None, max_examples=10)
+    @given(
+        epsilon=st.floats(0.05, 0.5, exclude_min=True, exclude_max=True),
+        delta=st.floats(0.05, 0.3, exclude_min=True, exclude_max=True),
+        rho=st.floats(1.01, 3.0),
+        sigma_dbm=st.floats(-10.0, 3.0),
+    )
+    def test_scale_invariance(self, epsilon, delta, rho, sigma_dbm):
+        # DEP and outage depend on the powers only through p / sigma^2, so
+        # scaling sigma^2 by 2^-k scales the optimal powers by 2^-k and keeps
+        # eta, wherever the power cap is inactive.  At k = 40 the optimum lies
+        # below 1e-12 P_max.
+        constraints = ConstraintSet(epsilon, delta, 5.0)
+        sigma2 = dbm_to_watts(sigma_dbm)
+        try:
+            opt = optimize_single(constraints, SystemParams(1.0, 1.0, sigma2, rho))
+        except InfeasibleError:
+            return
+        if opt.active_constraints & {"power_s", "power_r"}:
+            return
+        for k in (20, 40, 60):
+            params = SystemParams(1.0, 1.0, math.ldexp(sigma2, -k), rho)
+            scaled = optimize_single(constraints, params)
+            assert scaled.method == "kkt"
+            assert scaled.eta == pytest.approx(opt.eta, rel=1e-9, abs=0)
+            assert scaled.p_s == pytest.approx(math.ldexp(opt.p_s, -k), rel=1e-8, abs=0)
+            assert scaled.p_r == pytest.approx(math.ldexp(opt.p_r, -k), rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("epsilon,delta,rho,sigma_dbm,p_s,p_r,t,eta", [
         (0.24201479093810513, 0.28389185662712596, 2.0345054994609564, -7.992942624372282,
