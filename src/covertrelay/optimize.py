@@ -18,7 +18,7 @@ covertness budget puts the feasible powers decades below P_max).  For
 each p_s it filters the covert p_r as one array row and runs all of the
 row's rate loops side by side as one (p_r, rate) array; a loop stops at
 the outage budget or once it has passed its peak, and the first v_max
-points count.  Hop outages are read from tables with one column per
+points in scan order count.  Hop outages are read from tables with one column per
 (antennas, power) of a covert pair and one row per rate k h3.  The
 Gauss-Legendre kernel `throughput.noise_expectation` fills them, with
 its 64/128-node error estimate and refinement up to 1024 nodes.  Loops
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import tas_mrc_gain_cdf
 from .detection import _dep_gap_dp, _scaled_ei_gap, min_dep_slot, min_dep_two_hop
 from .errors import InfeasibleError, NumericError
 from .model import ConstraintSet, RateParams, SystemParams
@@ -67,6 +66,11 @@ _CONSTRAINTS = ("covertness", "reliability", "power_s", "power_r")
 # Rows of a multi-antenna outage column before its first doubling.
 _FIRST_ROWS = 16
 _NO_ROWS = np.empty(0)
+
+
+def _covert(pe_a, pe_b, epsilon: float):
+    """Whether hops with slot DEPs pe_a and pe_b keep the two-hop DEP >= 1 - epsilon."""
+    return 1.0 - (1.0 - pe_a) * (1.0 - pe_b) >= 1.0 - epsilon
 
 
 @dataclass(frozen=True)
@@ -185,7 +189,7 @@ def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> fl
     """
     def covert(p: float) -> bool:
         pe = min_dep_slot(p, params)
-        return 1.0 - (1.0 - pe) * (1.0 - pe) >= 1.0 - epsilon
+        return _covert(pe, pe, epsilon)
 
     p_cov = _largest_power(covert, p_max, params.mu2)
     if p_cov is None:
@@ -228,12 +232,9 @@ def _best_rate(p_s: float, p_r: float, delta: float, params: SystemParams) -> fl
 
 def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams):
     """(p_s, p_r, t): the frontier partner of p_s and their best rate, or None."""
-    target = 1.0 - constraints.epsilon
     pe_s = min_dep_slot(p_s, params)
-    p_r = _largest_power(
-        lambda p: 1.0 - (1.0 - pe_s) * (1.0 - min_dep_slot(p, params)) >= target,
-        constraints.p_max, params.mu2,
-    )
+    p_r = _largest_power(lambda p: _covert(pe_s, min_dep_slot(p, params), constraints.epsilon),
+                         constraints.p_max, params.mu2)
     t = None if p_r is None else _best_rate(p_s, p_r, constraints.delta, params)
     return None if t is None else (p_s, p_r, t)
 
@@ -359,9 +360,10 @@ def optimize_multi(
     appended to it as (p_s, p_r, t, eta).
 
     The rate loops of one p_s run as arrays, as the module docstring
-    describes; the optimum, the evaluations and the kernel values
-    computed are those of a scan of one point at a time in the same
-    order, with ties going to the smallest p_s, then p_r, then t.
+    describes; the optimum and the evaluations are those of a scan of one
+    point at a time in the same order, with ties going to the smallest
+    p_s, then p_r, then t, and so are the kernel values computed, except
+    where v_max cuts a row.
     """
     if phi <= 0:
         raise ValueError(f"phi must be > 0, got {phi}")
@@ -383,10 +385,6 @@ def optimize_multi(
     dep_s = np.array([min_dep_slot(p, params) for p in ps_grid.tolist()])
     dep_r = dep_s if pr_grid is ps_grid else np.array([min_dep_slot(p, params)
                                                        for p in pr_grid.tolist()])
-
-    def covert(d_s: float) -> np.ndarray:
-        # Which p_r of the grid are covert partners of a p_s with DEP d_s.
-        return 1.0 - (1.0 - d_s) * (1.0 - dep_r) >= 1.0 - constraints.epsilon
 
     # Hop outages at the rates k * h3, one column per (antennas, power),
     # built only for powers of covert pairs.  A column's rows are doubled
@@ -415,11 +413,10 @@ def optimize_multi(
                 columns[key] = np.concatenate((col, values[: rows - col.size]))
                 values = values[rows - col.size :]
 
-    def scan(p_s: float, prs: list, limit: int):
+    def scan(p_s: float, prs: list):
         # Loop index, k, eta and p_out of each point of the rate loops of
         # (p_s, p_r), p_r in prs, in scan order.  Loops that have not
-        # stopped within `width` rates go on from there to twice the width;
-        # a loop also stops at its limit-th point.
+        # stopped within `width` rates go on from there to twice the width.
         key1, keys2 = (*hop1, p_s), [(*hop2, p_r) for p_r in prs]
         run = np.arange(len(prs))
         peak = np.full(len(prs), -np.inf)
@@ -439,55 +436,40 @@ def optimize_multi(
             over, fall = p_out > delta, eta + phi < peaks
             any_over, any_fall = over.any(axis=1), fall.any(axis=1)
             n = width - start
-            ends = np.minimum(np.minimum(np.where(any_over, over.argmax(axis=1), n),
-                                         np.where(any_fall, fall.argmax(axis=1) + 1, n)),
-                              limit - start)
+            ends = np.minimum(np.where(any_over, over.argmax(axis=1), n),
+                              np.where(any_fall, fall.argmax(axis=1) + 1, n))
             kept = np.arange(n) < ends[:, None]
             parts.append((np.repeat(run, ends), np.broadcast_to(ks, kept.shape)[kept],
                           eta[kept], p_out[kept]))
             peak[run] = peaks[:, -1]
-            run = run[~(any_over | any_fall) & (width < limit)]
+            run = run[~(any_over | any_fall)]
             start, width = width, 2 * width
         loop, ks, eta, p_out = (np.concatenate(part) for part in zip(*parts))
         order = np.argsort(loop, kind="stable")
         return loop[order], ks[order], eta[order], p_out[order]
 
-    # Every noise power of the outage mean lies above mu1, so a hop's outage
-    # at y is at least F(y mu1), F the gain CDF.  Hop 1 of row p_s is thus
-    # over the outage budget from the first rate whose kappa mu1 / p_s
-    # reaches x_top, where F reaches (1 + delta) / 2, and no rate loop of
-    # the row has more than `most` points.  The margin (1 - delta) / 2 must
-    # dwarf the kernel's rounding, so with delta within 1e-9 of 1 no row is
-    # bounded and the loops run one at a time.
-    ladder = np.ldexp(1.0, np.arange(-40, 11))
-    top = ladder[tas_mrc_gain_cdf(*hop1, ladder) >= (1.0 + delta) / 2.0]
-    x_top = top[0] if top.size and 1.0 - delta > 1e-9 else math.inf
-
     best = None
     budget = v_max
     for p_s, d_s in zip(ps_grid.tolist(), dep_s.tolist()):
-        prs = pr_grid[covert(d_s)].tolist()
-        most = 1.0 + math.log2(1.0 + x_top * p_s / params.mu1) / (2.0 * h3)
-        taken = 0
-        while taken < len(prs) and budget:
-            # Loops run side by side only where together they stay below the
-            # v_max cut, so every loop run is one the scan in order would run.
-            chunk = prs[taken : taken + max(1, int((budget - 1) // most))]
-            taken += len(chunk)
-            loop, ks, eta, p_out = scan(p_s, chunk, budget)
-            budget -= eta.size
-            # Ties go to the first in scan order: the smallest p_s, p_r and t.
-            if eta.size and (best is None or eta.max() > best[3]):
-                i = int(eta.argmax())
-                best = p_s, chunk[loop[i]], float(ks[i] * h3), float(eta[i]), float(p_out[i])
-            if evaluations is not None:
-                evaluations.extend(zip(itertools.repeat(p_s), map(chunk.__getitem__, loop.tolist()),
-                                       (ks * h3).tolist(), eta.tolist()))
+        prs = pr_grid[_covert(d_s, dep_r, constraints.epsilon)].tolist()
+        if not prs:
+            continue
+        # The row's first `budget` points in scan order: the v_max cut.
+        loop, ks, eta, p_out = (a[:budget] for a in scan(p_s, prs))
+        budget -= eta.size
+        # Ties go to the first in scan order: the smallest p_s, p_r and t.
+        if eta.size and (best is None or eta.max() > best[3]):
+            i = int(eta.argmax())
+            best = p_s, prs[loop[i]], float(ks[i] * h3), float(eta[i]), float(p_out[i])
+        if evaluations is not None:
+            evaluations.extend(zip(itertools.repeat(p_s), map(prs.__getitem__, loop.tolist()),
+                                   (ks * h3).tolist(), eta.tolist()))
         if not budget:
             break
 
     if best is None:
-        tightest = "reliability" if any(covert(d).any() for d in dep_s.tolist()) else "covertness"
+        covert = any(_covert(d, dep_r, constraints.epsilon).any() for d in dep_s.tolist())
+        tightest = "reliability" if covert else "covertness"
         raise InfeasibleError(
             f"no grid point satisfies the constraints (tightest: {tightest})", tightest
         )

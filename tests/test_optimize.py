@@ -329,12 +329,18 @@ class TestOptimizeMulti:
     def test_matches_the_per_point_scan(self, monkeypatch, antennas, budgets, options):
         # The row-array scan against the earlier generator scan: an equal
         # optimum (or the same InfeasibleError), equal evaluations, and as
-        # many kernel values computed.
+        # many kernel values computed.  Where v_max cuts a row, the row's
+        # loops past the cut run too: at least as many kernel values as the
+        # point scan, and at most as many as the same problem without a cut.
         params = SystemParams(1.0, 1.0, SIGMA_N2, 1.5, AntennaConfig(*antennas))
+        uncut = {k: v for k, v in options.items() if k != "v_max"}
         values = {}
         results = {}
-        for name, module, scan in (("rows", optimize, optimize_multi),
-                                   ("points", oracles, oracle_optimize_multi)):
+        runs = [("rows", optimize, optimize_multi, options),
+                ("points", oracles, oracle_optimize_multi, options)]
+        if uncut != options:
+            runs.append(("uncut", optimize, optimize_multi, uncut))
+        for name, module, scan, kwargs in runs:
             def counted(n_t, n_r, y, params, name=name):
                 values[name] = values.get(name, 0) + np.size(y)
                 return noise_expectation(n_t, n_r, y, params)
@@ -342,13 +348,16 @@ class TestOptimizeMulti:
             monkeypatch.setattr(module, "noise_expectation", counted)
             evals = []
             try:
-                opt = scan(budgets, params, evaluations=evals, **options)
+                opt = scan(budgets, params, evaluations=evals, **kwargs)
             except InfeasibleError as err:
                 opt = err.tightest_constraint
             results[name] = opt, evals
         assert results["rows"][0] == results["points"][0]
         assert results["rows"][1] == results["points"][1]
-        assert values.get("rows") == values.get("points")
+        if uncut == options:
+            assert values.get("rows") == values.get("points")
+        else:
+            assert values["points"] <= values["rows"] <= values["uncut"]
 
     def test_beats_every_evaluated_point(self):
         evals = []
