@@ -9,6 +9,8 @@ so the sequences are reproducible across numpy versions.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,29 +96,44 @@ def sample_tas_mrc_gain(n_t: int, n_r: int, rng: np.random.Generator, size: int 
     return gain[0] if size is None else gain
 
 
-# Gains are capped here before the branch CDF: below it no partial sum
-# overflows (x^j / j! < e^x), and at it the CDF of Gamma(n_r, 1) is 1 to
-# double precision for every n_r up to 400.
-_GAIN_CAP = 700.0
+# Below this gain the branch CDF's sums run by term recurrences from 1 and
+# e^{-x}: no partial sum overflows (x^j / j! < e^x) and e^{-x} is normal.
+# From it on they are formed in log space, so that the CDF of Gamma(n_r, 1)
+# stays right for n_r past ~450, where it is not yet 1 there.
+_LOG_SPACE_GAIN = 700.0
 
 
 def _branch_cdf(n_r: int, x):
-    # CDF of Gamma(n_r, 1): 1 - e^{-x} sum_{j<n_r} x^j / j!, by term recurrence.
+    # CDF of Gamma(n_r, 1): 1 - e^{-x} sum_{j<n_r} x^j / j!.
     shape = np.shape(x)
-    x = np.minimum(np.ravel(np.asarray(x, dtype=float)), _GAIN_CAP)
+    # An infinite gain becomes the largest float, where the CDF is 1.
+    x = np.minimum(np.ravel(np.asarray(x, dtype=float)), sys.float_info.max)
     # 1 - e^{-x} * total carries an absolute error of about x * 1e-16, so
     # below n_r, where the CDF can be far smaller, the lower series
     # replaces it.
     low = x < n_r
+    far = ~low & (x >= _LOG_SPACE_GAIN)
+    near = ~(low | far)
     cdf = np.empty_like(x)
     cdf[low] = _lower_series(n_r, x[low])
-    high = x[~low]
+    high = x[near]
     term = np.ones_like(high)
     total = np.ones_like(high)
     for j in range(1, n_r):
         term = term * high / j
         total = total + term
-    cdf[~low] = -np.expm1(-high + np.log(total))
+    cdf[near] = -np.expm1(-high + np.log(total))
+    if far.any():
+        # The sum runs from j = n_r - 1 down, scaled by that largest term;
+        # x >= n_r here, so each term is below the one before it.
+        high = x[far]
+        term = np.ones_like(high)
+        total = np.ones_like(high)
+        for j in range(n_r - 1, 0, -1):
+            term = term * j / high
+            total = total + term
+        cdf[far] = -np.expm1(-high + (n_r - 1) * np.log(high) - math.lgamma(n_r)
+                             + np.log(total))
     return cdf.reshape(shape)
 
 
@@ -126,6 +143,11 @@ def _lower_series(n_r: int, x: np.ndarray) -> np.ndarray:
     lead = np.exp(-x)
     for j in range(1, n_r + 1):
         lead = lead * x / j
+    # e^{-x} is subnormal past ~708: from _LOG_SPACE_GAIN on, the leading
+    # factor is formed in log space.
+    far = x >= _LOG_SPACE_GAIN
+    if far.any():
+        lead[far] = np.exp(-x[far] + n_r * np.log(x[far]) - math.lgamma(n_r + 1))
     # The sum stops where the same recurrence, run at the largest x, first
     # gives a term below 1e-17.  Each term rises with x and each total is
     # at least 1, so every term left out is below half an ulp of its total.

@@ -1,6 +1,8 @@
 """Outage probability and covert throughput for both antenna scenarios.
 
-The single-antenna outage has a compact closed form in Ei differences.
+The single-antenna outage has a compact closed form in Ei differences,
+1 - G / (2 ln rho); where x2 = kappa mu2 / p is at most 0.1 that form
+cancels, and the outage is taken as (Ein(x2) - Ein(x1)) / (2 ln rho).
 The TAS/MRC outage is the mean of the exact composite-gain CDF over the
 log-uniform noise (the reference path).  `noise_expectation` evaluates
 that mean for an array of thresholds with a fixed Gauss-Legendre rule in
@@ -105,12 +107,13 @@ def outage_hop_single(p: float, rate: RateParams, params: SystemParams) -> float
     if x2 == math.inf:
         return 1.0  # the SNR threshold exceeds the float range: certain outage
     x1 = kappa * params.mu1 / p
-    if min(kappa * params.mu1, x1) >= sys.float_info.min:
+    if x2 > 0.1 and min(kappa * params.mu1, x1) >= sys.float_info.min:
         value = 1.0 - ei_diff(x2, x1) / (2.0 * math.log(params.rho))
     else:
-        # A subnormal product loses the Ei gap's precision; the outage is also
-        # (Ein(x2) - Ein(x1)) / (2 ln rho), with x = kappa mu / p formed from
-        # mantissas and exponents so that no subnormal or overflow enters it.
+        # 1 - G / (2 ln rho) cancels where x2 is small, and a subnormal product
+        # loses the Ei gap's precision; the outage is also (Ein(x2) - Ein(x1))
+        # / (2 ln rho), with x = kappa mu / p formed from mantissas and
+        # exponents so that no subnormal or overflow enters it.
         (mk, ek), (mp, ep) = math.frexp(kappa), math.frexp(p)
         x1, x2 = (math.ldexp(mk * mu / mp, ek - ep) for mu in (params.mu1, params.mu2))
         value = (_ein(x2) - _ein(x1)) / (2.0 * math.log(params.rho))

@@ -106,6 +106,18 @@ def oracle_lower_series(n_r: int, x: np.ndarray) -> np.ndarray:
         total = total + term
 
 
+def oracle_outage_single(p: float, kappa: float, params: SystemParams) -> float:
+    """Single-antenna hop outage by quadrature of (1 - e^{-z}) / z over [x1, x2].
+
+    With x = kappa mu / p at mu1 and mu2, the outage is
+    (Ein(x2) - Ein(x1)) / (2 ln rho), and Ein'(z) = (1 - e^{-z}) / z.
+    """
+    x1, x2 = kappa * params.mu1 / p, kappa * params.mu2 / p
+    value, _ = integrate.quad(lambda z: -math.expm1(-z) / z, x1, x2, epsabs=0.0, epsrel=1e-13,
+                              limit=400)
+    return value / (2.0 * math.log(params.rho))
+
+
 def oracle_tas_mrc_outage(p: float, kappa: float, sigma2: float, rho: float,
                           n_t: int, n_r: int) -> float:
     """TAS/MRC hop outage by quadrature over the noise exponent.

@@ -8,7 +8,7 @@ from scipy import special, stats
 
 from covertrelay import channel
 from covertrelay.channel import (
-    _GAIN_CAP,
+    _LOG_SPACE_GAIN,
     RngSpec,
     make_generator,
     sample_noise_power,
@@ -128,6 +128,17 @@ class TestTasMrcGain:
             np.testing.assert_allclose(got[resolved], ref[resolved], rtol=2e-12, atol=0)
         assert tas_mrc_gain_cdf(1, 200, 101) == pytest.approx(2.5393e-18, rel=1e-4)
 
+    @pytest.mark.parametrize("n_r", [1, 8, 400, 450, 700, 1000, 2000])
+    def test_cdf_matches_incomplete_gamma_for_many_branches(self, n_r):
+        # From _LOG_SPACE_GAIN on, the sums are formed in log space: past
+        # n_r ~ 450 the CDF of Gamma(n_r, 1) is not yet 1 there.
+        x = np.concatenate([np.geomspace(1e-3, 1e4, 1000), np.linspace(n_r / 2, 1.5 * n_r, 1001),
+                            np.linspace(600.0, 800.0, 401), [900.0, 2000.0, 2100.0, math.inf]])
+        for n_t in (1, 2, 4):
+            got = tas_mrc_gain_cdf(n_t, n_r, x)
+            ref = special.gammainc(n_r, x) ** n_t
+            assert np.max(np.abs(got - ref)) <= n_r * 1e-15, n_t
+
     def test_more_antennas_stochastically_larger(self):
         x = np.linspace(0.05, 30.0, 300)
         base = tas_mrc_gain_cdf(2, 2, x)
@@ -142,8 +153,8 @@ class TestTasMrcGain:
         for n_r in range(1, 401):
             n_t = int(rng.integers(1, 9))
             x = np.concatenate([rng.uniform(0.0, n_r, 64), n_r * rng.random(8) ** 8,
-                                [0.0, math.nextafter(n_r, 0.0), n_r, 2.0 * n_r, _GAIN_CAP,
-                                 np.nextafter(_GAIN_CAP, math.inf), 1e300, math.inf]])
+                                [0.0, math.nextafter(n_r, 0.0), n_r, 2.0 * n_r, _LOG_SPACE_GAIN,
+                                 np.nextafter(_LOG_SPACE_GAIN, math.inf), 1e300, math.inf]])
             shapes = (x, x[:0], x.reshape(8, -1)) if n_r % 40 == 1 else (x,)
             for x in shapes:
                 with pytest.MonkeyPatch.context() as mp:

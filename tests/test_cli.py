@@ -78,6 +78,12 @@ class TestDep:
     def test_invalid_rho(self):
         assert main(["dep", "--rho", "0.9"]) == 2
 
+    def test_rho_in_db(self, tmp_path):
+        out = tmp_path / "dep.csv"
+        assert main(["dep", "--rho-db", "3", "--out", str(out)]) == 0
+        fields = dict(field.split("=") for field in read_csv(out)[0].split()[2:])
+        assert float(fields["rho"]) == 10.0 ** 0.3
+
 
 class TestThroughput:
     def test_point(self, tmp_path):
@@ -133,6 +139,21 @@ class TestSweep:
     def test_log_scale_validation(self):
         assert main(["sweep", "--variable", "t", "--from", "0", "--to", "1",
                      "--scale", "log"]) == 2
+
+    def test_log_scale_grid(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--variable", "p", "--scale", "log", "--from", "1e-6", "--to", "5",
+                     "--steps", "7", "--nt", "2", "--nr", "8", "--out", str(out)]) == 0
+        assert [float(r[0]) for r in read_csv(out)[2]] == np.geomspace(1e-6, 5.0, 7).tolist()
+
+    @pytest.mark.parametrize("grid", [
+        ["--from", "2", "--to", "2"],
+        ["--from", "3", "--to", "1"],
+        ["--from", "0.1", "--to", "1", "--steps", "1"],
+        ["--from", "0.1", "--to", "1", "--scale", "cubic"],
+    ], ids=["empty-range", "reversed-range", "one-step", "unknown-scale"])
+    def test_bad_grid_is_invalid(self, grid):
+        assert main(["sweep", "--variable", "t", *grid]) == 2
 
 
 SWEEP_RANGES = {

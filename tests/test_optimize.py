@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from covertrelay.errors import InfeasibleError
+from covertrelay.errors import InfeasibleError, NumericError
 from covertrelay.model import (
     AntennaConfig,
     ConstraintSet,
@@ -208,6 +208,15 @@ class TestOptimizeSingle:
         opt = optimize_single(constraints, params)
         assert opt.method == "kkt"
         assert opt.eta >= symmetric_eta
+
+    def test_certificate_rejects_a_non_stationary_point(self):
+        # Halving p_r leaves the frontier: no nonnegative multipliers of the
+        # optimum's active constraints make the gradient vanish there.
+        opt = optimize_single(BUDGETS, BASE)
+        args = (opt.t, opt.eta, opt.active_constraints, BASE)
+        optimize._kkt_certificate(opt.p_s, opt.p_r, *args)
+        with pytest.raises(NumericError, match="no KKT certificate"):
+            optimize._kkt_certificate(opt.p_s, 0.5 * opt.p_r, *args)
 
     def test_frontier_below_the_first_bracket(self):
         # The covert partner of p_s = P_max lies below 1e-12 P_max, the lower

@@ -4,8 +4,9 @@ Domain: p in [1e-12, 1e3] W, sigma^2 in [1e-13, 1] W, rho in [1.001, 1e3],
 t in [0, 600] bit/s/Hz, n_t in 1..4 and n_r in 1..16; the slot-DEP
 reference also over rho in [1.001, 1e300] and tau in (0, 4 rho sigma^2].
 No evaluation may raise, and (with warnings as errors) none may warn.
-The CLI verbs `dep` and `throughput` exit 0 over the same domain and 2
-outside it.
+The outages rise with t and fall with p, and the minimum slot DEP falls
+with p and rises with rho.  The CLI verbs `dep` and `throughput` exit 0
+over the same domain and 2 outside it.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ import csv
 import io
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from covertrelay.cli import main
@@ -101,6 +102,50 @@ def test_ei_has_its_sign_or_overflows_to_inf(x):
     # Within rounding of the root the sign is not resolved.
     if abs(x - EI_ROOT) > 1e-12:
         assert (value > 0.0) == (x > EI_ROOT)
+
+
+# Monotonicity: compared points lie a factor f >= 1 + 1e-6 apart.
+factors = log_uniform(1e-6, 10.0).map(lambda d: 1.0 + d)
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=50)
+@given(x2=log_uniform(1e-9, 1e2), t=log_uniform(1e-6, 10.0), params=params, f=factors)
+@example(x2=0.09, t=0.5, params=SystemParams(1.0, 1.0, 1e-3, 1.5), f=1.5)
+@example(x2=0.11, t=0.5, params=SystemParams(1.0, 1.0, 1e-3, 1.5), f=1.5)
+def test_single_antenna_outage_is_monotone(x2, t, params, f):
+    # x2 = kappa mu2 / p, drawn on both sides of the cut at 0.1 between the
+    # Ein form and the closed form.
+    rate = RateParams(t)
+    p = rate.kappa * params.mu2 / x2
+    assume(1e-12 <= p <= 1e3)
+    out = outage_hop_single(p, rate, params)
+    assert outage_hop_single(p, RateParams(t * f), params) >= out
+    assert outage_hop_single(p * f, rate, params) <= out
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=50)
+@given(p=powers, t=log_uniform(1e-6, 600.0), params=params, ant=antennas, f=factors)
+def test_tas_mrc_outage_is_monotone(p, t, params, ant, f):
+    # Up to 1e-12, the accuracy of the Gauss-Legendre kernel.
+    rate = RateParams(t)
+    out = outage_hop_multi_reference(p, rate, params, *ant)
+    assert outage_hop_multi_reference(p, RateParams(t * f), params, *ant) >= out - 1e-12
+    assert outage_hop_multi_reference(p * f, rate, params, *ant) <= out + 1e-12
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=50)
+@given(p=powers, sigma2=log_uniform(1e-13, 1.0), rho=log_uniform(1.01, 1e3), f=factors)
+def test_min_dep_slot_is_monotone(p, sigma2, rho, f):
+    # Up to 1e-12: where the DEP is tiny, 1 - B / (2 ln rho) cancels, and
+    # points a factor 1 + 1e-6 apart can differ by less than its rounding
+    # (by up to 2.1e-13 the wrong way on 40 000 random pairs).
+    pe = min_dep_slot(p, SystemParams(1.0, 1.0, sigma2, rho))
+    assert min_dep_slot(p * f, SystemParams(1.0, 1.0, sigma2, rho)) <= pe + 1e-12
+    if rho * f <= 1e3:
+        assert min_dep_slot(p, SystemParams(1.0, 1.0, sigma2, rho * f)) >= pe - 1e-12
 
 
 # The CLI verbs over the same domain, in the units of their flags.

@@ -14,7 +14,7 @@ from covertrelay.model import (
     dbm_to_watts,
 )
 from covertrelay.specfun import ei_diff
-from oracles import oracle_ei, oracle_tas_mrc_outage
+from oracles import oracle_ei, oracle_outage_single, oracle_tas_mrc_outage
 from covertrelay.throughput import (
     ThroughputOutcome,
     capacity_hop,
@@ -125,6 +125,16 @@ class TestSingleAntenna:
         first = rate.kappa * (params.mu2 - params.mu1) / (2e-12 * math.log(1.25))
         assert outage_hop_single(1e-12, rate, params) == pytest.approx(first, rel=1e-9)
 
+    @pytest.mark.parametrize("p,t,rho,sigma2", [(1.0, 1e-6, 1.5, 1e-3),
+                                                (1e3, 1e-100, 1.001, 1e-13)])
+    def test_small_thresholds_keep_relative_accuracy(self, p, t, rho, sigma2):
+        # Below x2 = kappa mu2 / p = 0.1, 1 - G / (2 ln rho) cancels; the
+        # Ein form does not.
+        params = SystemParams(1.0, 1.0, sigma2, rho)
+        rate = RateParams(t)
+        expected = oracle_outage_single(p, rate.kappa, params)
+        assert outage_hop_single(p, rate, params) == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_subnormal_power_and_threshold(self):
         # p and kappa * mu1 below the normal floats: mu / p overflows and a
         # subnormal product rounds coarsely, so x1 and x2 are formed without
@@ -176,6 +186,15 @@ class TestMultiAntenna:
                     assert abs(got - ref) <= 1e-12, (rho, p, t)
                     if ref > 1e-300:
                         assert abs(got - ref) <= 1e-10 * ref, (rho, p, t)
+
+    def test_many_receive_antennas(self):
+        # Gains past 700 at n_r = 1000, where the Gamma(n_r, 1) CDF is far
+        # from 1.
+        rate = RateParams(7.5)
+        got = outage_hop_multi_reference(0.01, rate, BASE, 1, 1000)
+        ref = oracle_tas_mrc_outage(0.01, rate.kappa, SIGMA_N2, 1.5, 1, 1000)
+        assert ref == pytest.approx(0.544448159033560, rel=1e-12)
+        assert got == pytest.approx(ref, rel=1e-12)
 
     def test_panels_resolve_huge_noise_uncertainty(self):
         # A single 1024-node rule no longer resolves the outage at rho = 1e30.
