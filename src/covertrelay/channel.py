@@ -98,35 +98,36 @@ def sample_tas_mrc_gain(n_t: int, n_r: int, rng: np.random.Generator, size: int 
 
 # Below this gain the branch CDF's sums run by term recurrences from 1 and
 # e^{-x}: no partial sum overflows (x^j / j! < e^x) and e^{-x} is normal.
-# From it on they are formed in log space, so that the CDF of Gamma(n_r, 1)
-# stays right for n_r past ~450, where it is not yet 1 there.
+# From it on they are formed in log space: for n_r past ~450 the CDF of
+# Gamma(n_r, 1) is not yet 1 at this gain.
 _LOG_SPACE_GAIN = 700.0
 
 
 def _branch_cdf(n_r: int, x):
     # CDF of Gamma(n_r, 1): 1 - e^{-x} sum_{j<n_r} x^j / j!.
     shape = np.shape(x)
-    # An infinite gain becomes the largest float, where the CDF is 1.
-    x = np.minimum(np.ravel(np.asarray(x, dtype=float)), sys.float_info.max)
+    x = np.ravel(np.asarray(x, dtype=float))
     # 1 - e^{-x} * total carries an absolute error of about x * 1e-16, so
     # below n_r, where the CDF can be far smaller, the lower series
     # replaces it.
     low = x < n_r
-    far = ~low & (x >= _LOG_SPACE_GAIN)
-    near = ~(low | far)
     cdf = np.empty_like(x)
     cdf[low] = _lower_series(n_r, x[low])
-    high = x[near]
+    # By term recurrence below _LOG_SPACE_GAIN; gains past it are capped
+    # here and formed again below.
+    high = np.minimum(x[~low], _LOG_SPACE_GAIN)
     term = np.ones_like(high)
     total = np.ones_like(high)
     for j in range(1, n_r):
         term = term * high / j
         total = total + term
-    cdf[near] = -np.expm1(-high + np.log(total))
-    if far.any():
+    cdf[~low] = -np.expm1(-high + np.log(total))
+    if x.max(initial=0.0) >= _LOG_SPACE_GAIN:
         # The sum runs from j = n_r - 1 down, scaled by that largest term;
-        # x >= n_r here, so each term is below the one before it.
-        high = x[far]
+        # x >= n_r here, so each term is below the one before it.  An
+        # infinite gain becomes the largest float, where the CDF is 1.
+        far = ~low & (x >= _LOG_SPACE_GAIN)
+        high = np.minimum(x[far], sys.float_info.max)
         term = np.ones_like(high)
         total = np.ones_like(high)
         for j in range(n_r - 1, 0, -1):
@@ -143,15 +144,16 @@ def _lower_series(n_r: int, x: np.ndarray) -> np.ndarray:
     lead = np.exp(-x)
     for j in range(1, n_r + 1):
         lead = lead * x / j
-    # e^{-x} is subnormal past ~708: from _LOG_SPACE_GAIN on, the leading
-    # factor is formed in log space.
-    far = x >= _LOG_SPACE_GAIN
-    if far.any():
+    last = float(x.max(initial=0.0))
+    if last >= _LOG_SPACE_GAIN:
+        # e^{-x} is subnormal past ~708, so from _LOG_SPACE_GAIN on the
+        # leading factor is formed in log space.
+        far = x >= _LOG_SPACE_GAIN
         lead[far] = np.exp(-x[far] + n_r * np.log(x[far]) - math.lgamma(n_r + 1))
     # The sum stops where the same recurrence, run at the largest x, first
     # gives a term below 1e-17.  Each term rises with x and each total is
     # at least 1, so every term left out is below half an ulp of its total.
-    top, last, k = 1.0, float(x.max(initial=0.0)), n_r
+    top, k = 1.0, n_r
     while top >= 1e-17:
         k += 1
         top = top * last / k

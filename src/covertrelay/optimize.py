@@ -18,14 +18,14 @@ covertness budget puts the feasible powers decades below P_max).  For
 each p_s it filters the covert p_r as one array row and runs all of the
 row's rate loops side by side as one (p_r, rate) array; a loop stops at
 the outage budget or once it has passed its peak, and the first v_max
-points in scan order count.  Hop outages are read from tables with one column per
-(antennas, power) of a covert pair and one row per rate k h3.  The
-Gauss-Legendre kernel `throughput.noise_expectation` fills them, with
-its 64/128-node error estimate and refinement up to 1024 nodes.  Loops
-still running past the last row of their columns double the columns
-and run on: one kernel call per antenna pair fills every column of a
-doubling, and each column ends as long as a scan of one point at a time
-would make it.
+points in scan order count.  Hop outages are read from tables with one
+column per (antennas, power) of a covert pair and one row per rate
+k h3.  The Gauss-Legendre kernel `throughput.noise_expectation` fills
+them, with its 64/128-node error estimate and refinement up to 1024
+nodes.  Loops still running past the last row of their columns double
+the columns and run on: one kernel call per antenna pair fills every
+column of a doubling, and each column ends as long as a scan of one
+point at a time would make it, except where v_max cuts a row.
 """
 
 from __future__ import annotations
