@@ -98,7 +98,7 @@ def sample_tas_mrc_gain(n_t: int, n_r: int, rng: np.random.Generator, size: int 
 
 # Below this gain the branch CDF's sums run by term recurrences from 1 and
 # e^{-x}: no partial sum overflows (x^j / j! < e^x) and e^{-x} is normal.
-# From it on they are formed in log space: for n_r past ~450 the CDF of
+# From it on they are formed in log space: for n_r past ~500 the CDF of
 # Gamma(n_r, 1) is not yet 1 at this gain.
 _LOG_SPACE_GAIN = 700.0
 

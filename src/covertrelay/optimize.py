@@ -468,8 +468,8 @@ def optimize_multi(
             break
 
     if best is None:
-        covert = any(_covert(d, dep_r, constraints.epsilon).any() for d in dep_s.tolist())
-        tightest = "reliability" if covert else "covertness"
+        any_covert = any(_covert(d, dep_r, constraints.epsilon).any() for d in dep_s.tolist())
+        tightest = "reliability" if any_covert else "covertness"
         raise InfeasibleError(
             f"no grid point satisfies the constraints (tightest: {tightest})", tightest
         )

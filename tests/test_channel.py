@@ -128,10 +128,10 @@ class TestTasMrcGain:
             np.testing.assert_allclose(got[resolved], ref[resolved], rtol=2e-12, atol=0)
         assert tas_mrc_gain_cdf(1, 200, 101) == pytest.approx(2.5393e-18, rel=1e-4)
 
-    @pytest.mark.parametrize("n_r", [1, 8, 400, 450, 700, 1000, 2000])
+    @pytest.mark.parametrize("n_r", [1, 8, 400, 500, 700, 1000, 2000])
     def test_cdf_matches_incomplete_gamma_for_many_branches(self, n_r):
         # From _LOG_SPACE_GAIN on, the sums are formed in log space: past
-        # n_r ~ 450 the CDF of Gamma(n_r, 1) is not yet 1 there.
+        # n_r ~ 500 the CDF of Gamma(n_r, 1) is not yet 1 there.
         x = np.concatenate([np.geomspace(1e-3, 1e4, 1000), np.linspace(n_r / 2, 1.5 * n_r, 1001),
                             np.linspace(600.0, 800.0, 401), [900.0, 2000.0, 2100.0, math.inf]])
         for n_t in (1, 2, 4):
