@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_rayleigh_gain
 from .errors import clamp_unit_interval
-from .model import McEstimate, SystemParams
+from .model import McEstimate, SystemParams, _two_hop
 from .specfun import _POS_SERIES_CUTOFF, _ei_asymptotic_excess, expint_ei_scaled
 from .throughput import _by_rule, _gl_refine
 
@@ -54,13 +54,13 @@ class DetectionOutcome:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a probability, got {v}")
-        expected = 1.0 - (1.0 - self.pe1) * (1.0 - self.pe2)
+        expected = _two_hop(self.pe1, self.pe2)
         if self.xi != expected:
             raise ValueError(f"xi = {self.xi!r} does not equal 1-(1-pe1)(1-pe2) = {expected!r}")
 
     @classmethod
     def combine(cls, tau: float, pe1: float, pe2: float) -> "DetectionOutcome":
-        return cls(tau, pe1, pe2, 1.0 - (1.0 - pe1) * (1.0 - pe2))
+        return cls(tau, pe1, pe2, _two_hop(pe1, pe2))
 
 
 def _log_noise_ratio(x: float, params: SystemParams) -> float:
@@ -184,7 +184,7 @@ def min_dep_two_hop(params: SystemParams) -> float:
     """Minimum two-hop DEP: the warden must win in both slots."""
     pe1 = min_dep_slot(params.p_s, params)
     pe2 = min_dep_slot(params.p_r, params)
-    return 1.0 - (1.0 - pe1) * (1.0 - pe2)
+    return _two_hop(pe1, pe2)
 
 
 def mc_dep_slot(
@@ -225,7 +225,7 @@ def mc_dep_two_hop(
     """
     est1 = mc_dep_slot(params.p_s, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 1))
     est2 = mc_dep_slot(params.p_r, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 2))
-    xi = 1.0 - (1.0 - est1.mean) * (1.0 - est2.mean)
+    xi = _two_hop(est1.mean, est2.mean)
     stderr = math.sqrt(
         ((1.0 - est2.mean) * est1.stderr) ** 2 + ((1.0 - est1.mean) * est2.stderr) ** 2
     )

@@ -35,6 +35,11 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _two_hop(a, b):
+    """1 - (1 - a)(1 - b): either of two independent events, for floats or arrays."""
+    return 1.0 - (1.0 - a) * (1.0 - b)
+
+
 def dbm_to_watts(x_dbm: float) -> float:
     """Convert a power level in dBm to watts (30 dBm -> 1 W)."""
     x_dbm = _require_finite("power in dBm", x_dbm)

@@ -5,13 +5,13 @@ depends only on the powers, and eta and the reliability both grow with
 each power, so the optimum lies on the covertness frontier, capped at
 P_max.  By the symmetry in the powers, the outer search bisects log p_s
 over the half p_s >= p_r of the frontier on the sign of eta's slope
-along the frontier tangent, both read from `lagrangian_gradient`; for
-each frontier point the inner search takes the peak of t S(t) or the
-root of S(t) = 1 - delta, whichever comes first (S is the product of
-the hop success probabilities).  The rate domain is t >= 1e-3 bit/s/Hz.
-Method "kkt" certifies the result: the active multipliers, fitted to
-`lagrangian_gradient` by least squares, are nonnegative and leave a
-stationarity residual below 1e-6 eta.
+along the frontier tangent, both read from `_gradients`; for each
+frontier point the inner search takes the peak of t S(t) or the root of
+S(t) = 1 - delta, whichever comes first (S is the product of the hop
+success probabilities, read from `throughput`'s hop model).  The rate
+domain is t >= 1e-3 bit/s/Hz.  Method "kkt" certifies the result: the
+active multipliers, fitted to `_gradients` by least squares, are
+nonnegative and leave a stationarity residual below 1e-6 eta.
 
 Multi-antenna: a grid scan over log-spaced power grids (a tight
 covertness budget puts the feasible powers decades below P_max).  For
@@ -39,9 +39,10 @@ import numpy as np
 
 from .detection import _dep_gap_dp, _scaled_ei_gap, min_dep_slot, min_dep_two_hop
 from .errors import InfeasibleError, NumericError
-from .model import ConstraintSet, RateParams, SystemParams
+from .model import ConstraintSet, RateParams, SystemParams, _two_hop
+# Unused here: bench/tests/test_bench.py checks that the tracer patches this binding.
 from .specfun import ei_diff
-from .throughput import noise_expectation, throughput_single
+from .throughput import _hop_single, noise_expectation, throughput_single
 
 __all__ = [
     "Optimum",
@@ -70,7 +71,7 @@ _NO_ROWS = np.empty(0)
 
 def _covert(pe_a, pe_b, epsilon: float):
     """Whether hops with slot DEPs pe_a and pe_b keep the two-hop DEP >= 1 - epsilon."""
-    return 1.0 - (1.0 - pe_a) * (1.0 - pe_b) >= 1.0 - epsilon
+    return _two_hop(pe_a, pe_b) >= 1.0 - epsilon
 
 
 @dataclass(frozen=True)
@@ -99,17 +100,28 @@ class Optimum:
 # ---------------------------------------------------------------------------
 
 
-def _ei_gap(p: float, kappa: float, params: SystemParams) -> float:
-    # G(p) = Ei(-kappa mu2 / p) - Ei(-kappa mu1 / p) > 0; 1 - p_out = G / (2 ln rho).
-    return ei_diff(kappa * params.mu2 / p, kappa * params.mu1 / p)
+def _gradients(p_s: float, p_r: float, t: float, params: SystemParams) -> np.ndarray:
+    """Rows of gradients in (p_s, p_r, t): -eta, then the constraints in _CONSTRAINTS order.
 
-
-def _ei_gap_dp(p: float, kappa: float, params: SystemParams) -> float:
-    return (math.exp(-kappa * params.mu1 / p) - math.exp(-kappa * params.mu2 / p)) / p
-
-
-def _ei_gap_dkappa(p: float, kappa: float, params: SystemParams) -> float:
-    return (math.expm1(-kappa * params.mu2 / p) - math.expm1(-kappa * params.mu1 / p)) / kappa
+    Covertness enters as (1 - Pe_s)(1 - Pe_r) = B_s B_r / (4 ln^2 rho).  A
+    hop's p dE/dp is minus its slope kappa dE/dkappa, and dkappa/dt = 2 ln 2 (kappa + 1).
+    """
+    kappa = RateParams(t).kappa
+    (e_s, slope_s), (e_r, slope_r) = (_hop_single(p, kappa, params) for p in (p_s, p_r))
+    ok_s, ok_r = 1.0 - e_s, 1.0 - e_r
+    # Written with 1 / kappa so that kappa = inf, where both slopes are 0, gives 0.
+    dlnk_dt = 2.0 * math.log(2.0) * (1.0 + 1.0 / kappa)
+    dp_out = [-ok_r * slope_s / p_s, -ok_s * slope_r / p_r,
+              (slope_s * ok_r + ok_s * slope_r) * dlnk_dt]
+    c = 4.0 * math.log(params.rho) ** 2
+    b_s, b_r = (_scaled_ei_gap(params.mu2 / p, params.mu1 / p) for p in (p_s, p_r))
+    return np.array([
+        [t * dp_out[0], t * dp_out[1], t * dp_out[2] - ok_s * ok_r],
+        [_dep_gap_dp(p_s, params) * b_r / c, b_s * _dep_gap_dp(p_r, params) / c, 0.0],
+        dp_out,
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+    ])
 
 
 def lagrangian_gradient(
@@ -123,28 +135,8 @@ def lagrangian_gradient(
     """
     if p_s <= 0 or p_r <= 0 or t <= 0:
         raise ValueError("lagrangian_gradient needs a strictly interior point")
-    k1, k2, k3, k4 = (float(m) for m in multipliers)
-    kappa = RateParams(t).kappa
-    c = 4.0 * math.log(params.rho) ** 2
-    b1, b2 = (_scaled_ei_gap(params.mu2 / p, params.mu1 / p) for p in (p_s, p_r))
-    db1, db2 = _dep_gap_dp(p_s, params), _dep_gap_dp(p_r, params)
-    if kappa * params.mu2 / min(p_s, p_r) == math.inf:
-        # A hop's SNR threshold exceeds the float range: certain outage, so
-        # eta, p_out and all their partials vanish.
-        g1 = g2 = dg1 = dg2 = dprod_dt = 0.0
-    else:
-        g1, g2 = _ei_gap(p_s, kappa, params), _ei_gap(p_r, kappa, params)
-        dg1, dg2 = _ei_gap_dp(p_s, kappa, params), _ei_gap_dp(p_r, kappa, params)
-        dkappa_dt = 2.0 ** (2.0 * t) * 2.0 * math.log(2.0)
-        dgk1 = _ei_gap_dkappa(p_s, kappa, params)
-        dgk2 = _ei_gap_dkappa(p_r, kappa, params)
-        dprod_dt = (dgk1 * g2 + g1 * dgk2) * dkappa_dt
-
-    # eta = t G1 G2 / c;  p_out = 1 - G1 G2 / c;  xi* = 1 - B1 B2 / c.
-    d_ps = -t * dg1 * g2 / c + k1 * db1 * b2 / c - k2 * dg1 * g2 / c + k3
-    d_pr = -t * g1 * dg2 / c + k1 * b1 * db2 / c - k2 * g1 * dg2 / c + k4
-    d_t = -(g1 * g2 + t * dprod_dt) / c - k2 * dprod_dt / c
-    return d_ps, d_pr, d_t
+    g = _gradients(p_s, p_r, t, params)
+    return tuple((g[0] + np.asarray(multipliers, dtype=float) @ g[1:]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +194,22 @@ def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> fl
 def _best_rate(p_s: float, p_r: float, delta: float, params: SystemParams) -> float | None:
     """Best rate t >= _T_FLOOR at fixed powers, or None if none is reliable.
 
-    S(t) = G_s G_r / (4 ln^2 rho), the product of the hop success
+    S(t) = (1 - E_s)(1 - E_r), the product of the hop success
     probabilities, falls with t and t S(t) is unimodal, so the best rate
     is the peak of t S(t) or the root of S(t) = 1 - delta, whichever comes
     first: one bisection on "reliable and eta still rising".
     """
-    c = 4.0 * math.log(params.rho) ** 2
-
     def rising(t: float) -> bool | None:
         # None where rate t is unreliable, else whether eta still rises at t.
         kappa = RateParams(t).kappa
-        if kappa * params.mu2 / min(p_s, p_r) == math.inf:
-            return None  # certain outage
-        gaps = [_ei_gap(p, kappa, params) for p in (p_s, p_r)]
-        if 1.0 - gaps[0] * gaps[1] / c > delta:
+        e_s, slope_s = _hop_single(p_s, kappa, params)
+        e_r, slope_r = _hop_single(p_r, kappa, params)
+        if _two_hop(e_s, e_r) > delta:
             return None
-        dlog_s = sum(_ei_gap_dkappa(p, kappa, params) / g for p, g in zip((p_s, p_r), gaps))
-        # d(t S)/dt > 0  <=>  1 + t dlog S/dt > 0, with dkappa/dt = 2 ln 2 (kappa + 1).
-        return 1.0 + t * 2.0 * math.log(2.0) * (kappa + 1.0) * dlog_s > 0.0
+        # d(t S)/dt > 0  <=>  1 + t dln S/dt > 0, with dln S/dt = dln S/dln kappa
+        # * 2 ln 2 (1 + 1/kappa); each hop adds -slope / (1 - E) to dln S/dln kappa.
+        dlns_dlnk = -(slope_s / (1.0 - e_s) + slope_r / (1.0 - e_r))
+        return 1.0 + t * 2.0 * math.log(2.0) * (1.0 + 1.0 / kappa) * dlns_dlnk > 0.0
 
     at_floor = rising(_T_FLOOR)
     if not at_floor:
@@ -242,16 +232,13 @@ def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams
 def _rises(point, params: SystemParams) -> bool:
     """Whether eta grows as a feasible frontier point moves to larger p_s.
 
-    `lagrangian_gradient` at zero multipliers is -grad eta, and its change
-    at k1 = 1 is the gradient of the covertness term C.  The frontier's
-    tangent toward larger p_s is (dC/dp_r, -dC/dp_s); at the best rate,
-    whether the peak of t S(t) or the reliability root, eta moves with the
-    sign of its power gradient along that tangent.
+    The frontier's tangent toward larger p_s is (dC/dp_r, -dC/dp_s), C the
+    covertness term; at the best rate, whether the peak of t S(t) or the
+    reliability root, eta moves with the sign of its power gradient along
+    that tangent.
     """
-    neg_eta = lagrangian_gradient(*point, (0.0, 0.0, 0.0, 0.0), params)
-    with_c = lagrangian_gradient(*point, (1.0, 0.0, 0.0, 0.0), params)
-    dc_s, dc_r = with_c[0] - neg_eta[0], with_c[1] - neg_eta[1]
-    return neg_eta[1] * dc_s > neg_eta[0] * dc_r
+    (neg_eta_s, neg_eta_r, _), (dc_s, dc_r, _) = _gradients(*point, params)[:2].tolist()
+    return neg_eta_r * dc_s > neg_eta_s * dc_r
 
 
 def _active_set(p_s, p_r, p_out, constraints, params) -> frozenset:
@@ -270,19 +257,15 @@ def _kkt_certificate(p_s, p_r, t, eta, active, params) -> None:
     """Certify the optimum by the multipliers of its active constraints.
 
     They are fitted by least squares to stationarity of the elasticity-
-    scaled gradient x * dL/dx, which is affine in them.  At the rate floor,
-    the bound of the rate domain, stationarity in t relaxes to dL/dt >= 0.
+    scaled gradient x * dL/dx, which is affine in them, with the scaled
+    rows of `_gradients` as its columns.  At the rate floor, the bound of
+    the rate domain, stationarity in t relaxes to dL/dt >= 0.
     Raises NumericError unless the residual is below _CERT_TOL eta and no
     multiplier is negative beyond that tolerance.
     """
-    x = np.array([p_s, p_r, t])
-
-    def scaled_gradient(mult) -> np.ndarray:
-        return x * np.array(lagrangian_gradient(p_s, p_r, t, mult, params))
-
-    base = scaled_gradient((0.0, 0.0, 0.0, 0.0))
     idx = [i for i, name in enumerate(_CONSTRAINTS) if name in active]
-    cols = np.array([scaled_gradient(np.eye(4)[i]) - base for i in idx]).T.reshape(3, len(idx))
+    scaled = _gradients(p_s, p_r, t, params) * np.array([p_s, p_r, t])
+    base, cols = scaled[0], scaled[[1 + i for i in idx]].T
     rows = 2 if t == _T_FLOOR else 3
     k = np.linalg.lstsq(cols[:rows], -base[:rows], rcond=None)[0]
     stationarity = base + cols @ k
@@ -426,7 +409,7 @@ def optimize_multi(
             keys = [keys2[i] for i in run.tolist()]
             extend([key1, *keys], width)
             outage2 = np.array([columns[key][start:width] for key in keys])
-            p_out = 1.0 - (1.0 - columns[key1][start:width]) * (1.0 - outage2)
+            p_out = _two_hop(columns[key1][start:width], outage2)
             # k * h3, not a running sum, so every rate lies on the grid.
             ks = np.arange(start + 1, width + 1)
             eta = ks * h3 * (1.0 - p_out)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from .model import _require_finite
+
 __all__ = [
     "expint_ei",
     "expint_ei_scaled",
@@ -102,20 +104,13 @@ def _e1_continued_fraction(z: float) -> float:
     raise ArithmeticError(f"E1 continued fraction did not converge for z={z}")
 
 
-def _check_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x}")
-    return x
-
-
 def expint_ei(x: float) -> float:
     """Exponential integral Ei(x) for real nonzero x.
 
     For x < 0 this equals -E1(-x).  The logarithmic singularity at the
     origin is rejected rather than returned as -inf.
     """
-    x = _check_finite("x", x)
+    x = _require_finite("x", x)
     if x == 0.0:
         raise ValueError("Ei has a logarithmic singularity at x = 0")
     if x > 0:
@@ -140,7 +135,7 @@ def expint_ei_scaled(x: float) -> float:
     The unscaled Ei overflows near x = 709; the detection formulas only
     ever need the scaled product, which stays O(1/x).
     """
-    x = _check_finite("x", x)
+    x = _require_finite("x", x)
     if x <= 0:
         raise ValueError(f"expint_ei_scaled requires x > 0, got {x}")
     if x <= _POS_SERIES_CUTOFF:
@@ -186,8 +181,8 @@ def ei_diff(x: float, y: float) -> float:
     other the naive difference cancels badly, so the gap is evaluated as
     the integral of e^(-t)/t over [x, y] instead.
     """
-    x = _check_finite("x", x)
-    y = _check_finite("y", y)
+    x = _require_finite("x", x)
+    y = _require_finite("y", y)
     if x <= 0 or y <= 0:
         raise ValueError(f"ei_diff requires positive arguments, got ({x}, {y})")
     if x == y:
@@ -209,7 +204,7 @@ def upper_gamma(s: int, x: float) -> float:
         raise ValueError(f"order s must be a positive integer, got {s!r}")
     if s < 1:
         raise ValueError(f"order s must be >= 1, got {s}")
-    x = _check_finite("x", x)
+    x = _require_finite("x", x)
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     # term_k = e^{-x} x^k / k!, accumulated by recurrence to avoid overflow.

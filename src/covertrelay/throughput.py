@@ -3,6 +3,7 @@
 The single-antenna outage has a compact closed form in Ei differences,
 1 - G / (2 ln rho); where x2 = kappa mu2 / p is at most 0.1 that form
 cancels, and the outage is taken as (Ein(x2) - Ein(x1)) / (2 ln rho).
+`_hop_single` returns it with its slope kappa dE/dkappa, for the optimizer.
 The TAS/MRC outage is the mean of the exact composite-gain CDF over the
 log-uniform noise (the reference path).  `noise_expectation` evaluates
 that mean for an array of thresholds with a fixed Gauss-Legendre rule in
@@ -27,7 +28,7 @@ import numpy as np
 
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_tas_mrc_gain, tas_mrc_gain_cdf
 from .errors import NumericError, clamp_unit_interval
-from .model import McEstimate, RateParams, SystemParams
+from .model import McEstimate, RateParams, SystemParams, _two_hop
 from .specfun import _ein, ei_diff, upper_gamma
 
 __all__ = [
@@ -61,7 +62,7 @@ class ThroughputOutcome:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a probability, got {v}")
-        expected_out = 1.0 - (1.0 - self.p_out_hop1) * (1.0 - self.p_out_hop2)
+        expected_out = _two_hop(self.p_out_hop1, self.p_out_hop2)
         if self.p_out != expected_out:
             raise ValueError(f"p_out = {self.p_out!r} != combined per-hop value {expected_out!r}")
         if self.eta != self.t * (1.0 - self.p_out):
@@ -71,7 +72,7 @@ class ThroughputOutcome:
 
     @classmethod
     def combine(cls, hop1: float, hop2: float, t: float) -> "ThroughputOutcome":
-        p_out = 1.0 - (1.0 - hop1) * (1.0 - hop2)
+        p_out = _two_hop(hop1, hop2)
         return cls(hop1, hop2, p_out, t * (1.0 - p_out), t)
 
 
@@ -96,28 +97,39 @@ def capacity_hop(p: float, gain: float, sigma2: float) -> float:
     return 0.5 * math.log2(1.0 + p * gain / sigma2)
 
 
-def outage_hop_single(p: float, rate: RateParams, params: SystemParams) -> float:
-    """Single-antenna hop outage probability, closed form."""
-    if p <= 0:
-        raise ValueError(f"p must be > 0, got {p}")
-    if rate.t == 0.0:
-        return 0.0
-    kappa = rate.kappa
-    x2 = kappa * params.mu2 / p
+def _hop_single(p: float, kappa: float, params: SystemParams) -> tuple[float, float]:
+    """(E, kappa dE/dkappa): a single-antenna hop outage at SNR threshold kappa > 0.
+
+    The slope is (F(x2) - F(x1)) / (2 ln rho), F(x) = 1 - e^{-x}, with
+    x = kappa mu / p.  E depends on kappa / p alone, so p dE/dp = -slope.
+    """
+    mu1, mu2 = params.mu1, params.mu2
+    x2 = kappa * mu2 / p
     if x2 == math.inf:
-        return 1.0  # the SNR threshold exceeds the float range: certain outage
-    x1 = kappa * params.mu1 / p
-    if x2 > 0.1 and min(kappa * params.mu1, x1) >= sys.float_info.min:
-        value = 1.0 - ei_diff(x2, x1) / (2.0 * math.log(params.rho))
+        return 1.0, 0.0  # the SNR threshold exceeds the float range: certain outage
+    x1 = kappa * mu1 / p
+    two_ln_rho = 2.0 * math.log(params.rho)
+    if x2 > 0.1 and min(kappa * mu1, x1) >= sys.float_info.min:
+        value = 1.0 - ei_diff(x2, x1) / two_ln_rho
     else:
         # 1 - G / (2 ln rho) cancels where x2 is small, and a subnormal product
         # loses the Ei gap's precision; the outage is also (Ein(x2) - Ein(x1))
         # / (2 ln rho), with x = kappa mu / p formed from mantissas and
         # exponents so that no subnormal or overflow enters it.
         (mk, ek), (mp, ep) = math.frexp(kappa), math.frexp(p)
-        x1, x2 = (math.ldexp(mk * mu / mp, ek - ep) for mu in (params.mu1, params.mu2))
-        value = (_ein(x2) - _ein(x1)) / (2.0 * math.log(params.rho))
-    return clamp_unit_interval(value, "outage_hop_single")
+        x1, x2 = (math.ldexp(mk * mu / mp, ek - ep) for mu in (mu1, mu2))
+        value = (_ein(x2) - _ein(x1)) / two_ln_rho
+    slope = (math.expm1(-x1) - math.expm1(-x2)) / two_ln_rho
+    return clamp_unit_interval(value, "outage_hop_single"), slope
+
+
+def outage_hop_single(p: float, rate: RateParams, params: SystemParams) -> float:
+    """Single-antenna hop outage probability, closed form."""
+    if p <= 0:
+        raise ValueError(f"p must be > 0, got {p}")
+    if rate.t == 0.0:
+        return 0.0
+    return _hop_single(p, rate.kappa, params)[0]
 
 
 def throughput_single(params: SystemParams, rate: RateParams) -> ThroughputOutcome:

@@ -228,6 +228,18 @@ class TestOptimizeSingle:
         assert opt.p_s == constraints.p_max
         assert opt.eta == pytest.approx(0.41138924109499, rel=1e-9)
 
+    def test_optimum_reports_p_out_within_delta(self):
+        # The rate search reads the outage that throughput_single reports, so
+        # the optimum's p_out is at most delta exactly; an outage spelled
+        # differently in the search left it 1.85e-15 over here.
+        constraints = ConstraintSet(0.1769865127428548, 0.015906942767481315,
+                                    5.840148483024082e-05)
+        params = SystemParams(1.0, 1.0, 7.811834269047716e-07, 1.2125381814042602)
+        opt = optimize_single(constraints, params)
+        assert opt.active_constraints == frozenset({"covertness", "reliability"})
+        out = throughput_single(params.with_powers(opt.p_s, opt.p_r), RateParams(opt.t))
+        assert out.p_out <= constraints.delta
+
     @seed(20261018)
     @settings(deadline=None, max_examples=10)
     @given(
@@ -310,7 +322,7 @@ class TestOptimizeSingle:
         point = params.with_powers(opt.p_s, opt.p_r)
         assert min_dep_two_hop(point) >= 1.0 - epsilon - 1e-9
         out = throughput_single(point, RateParams(opt.t))
-        assert out.p_out <= delta + 1e-9
+        assert out.p_out <= delta
         assert opt.eta == out.eta
         assert opt.method == "kkt"
 

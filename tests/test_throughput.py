@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covertrelay.channel import RngSpec
+from covertrelay.channel import RngSpec, tas_mrc_gain_cdf
 from covertrelay.model import (
     AntennaConfig,
     RateParams,
@@ -17,6 +17,7 @@ from covertrelay.specfun import ei_diff
 from oracles import oracle_ei, oracle_outage_single, oracle_tas_mrc_outage
 from covertrelay.throughput import (
     ThroughputOutcome,
+    _hop_single,
     capacity_hop,
     mc_outage_hop,
     noise_expectation,
@@ -146,6 +147,29 @@ class TestSingleAntenna:
                       for mu in (params.mu1, params.mu2))
             expected = 1.0 - (oracle_ei(-x2) - oracle_ei(-x1)) / (2.0 * math.log(2.0))
             assert outage_hop_single(p, rate, params) == pytest.approx(expected, rel=1e-12)
+
+
+    def test_hop_slope_is_the_gain_cdf_gap_and_minus_p_de_dp(self):
+        # kappa dE/dkappa = (F(x2) - F(x1)) / (2 ln rho), F the (1,1) gain CDF;
+        # E depends on kappa / p alone, so the slope is also -p dE/dp.  x2
+        # stays below 10, where E's rounding near 1 does not swamp a central
+        # difference in p.
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            rho = math.exp(rng.uniform(math.log(1.001), math.log(1e3)))
+            params = SystemParams(1.0, 1.0, math.exp(rng.uniform(math.log(1e-13), 0.0)), rho)
+            p = math.exp(rng.uniform(math.log(1e-6), math.log(1e3)))
+            x2 = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+            rate = RateParams(0.5 * math.log2(1.0 + x2 * p / params.mu2))
+            kappa = rate.kappa
+            slope = _hop_single(p, kappa, params)[1]
+            cdf_gap = (tas_mrc_gain_cdf(1, 1, kappa * params.mu2 / p)
+                       - tas_mrc_gain_cdf(1, 1, kappa * params.mu1 / p)) / (2.0 * math.log(rho))
+            assert slope == pytest.approx(cdf_gap, rel=1e-12, abs=0)
+            h = 1e-6 * p
+            central = (outage_hop_single(p + h, rate, params)
+                       - outage_hop_single(p - h, rate, params)) / (2.0 * h)
+            assert slope == pytest.approx(-p * central, rel=1e-5, abs=0)
 
 
 class TestMultiAntenna:
