@@ -104,38 +104,44 @@ _LOG_SPACE_GAIN = 700.0
 
 
 def _branch_cdf(n_r: int, x):
-    # CDF of Gamma(n_r, 1): 1 - e^{-x} sum_{j<n_r} x^j / j!.
+    # (P, Q): the CDF of Gamma(n_r, 1), 1 - e^{-x} sum_{j<n_r} x^j / j!, and
+    # its complement Q = e^{-x} sum_{j<n_r} x^j / j!, from x >= n_r on
+    # formed directly, so that it keeps its relative accuracy where it is small.
     shape = np.shape(x)
     x = np.ravel(np.asarray(x, dtype=float))
     # 1 - e^{-x} * total carries an absolute error of about x * 1e-16, so
     # below n_r, where the CDF can be far smaller, the lower series
     # replaces it.
     low = x < n_r
+    high_x = ~low
     cdf = np.empty_like(x)
+    upper = np.empty_like(x)
     cdf[low] = _lower_series(n_r, x[low])
-    # By term recurrence below _LOG_SPACE_GAIN; gains past it are capped
-    # here and formed again below.
-    high = np.minimum(x[~low], _LOG_SPACE_GAIN)
+    upper[low] = 1.0 - cdf[low]
+    # ln Q by term recurrence below _LOG_SPACE_GAIN; gains past it are
+    # capped here and formed again below.
+    high = np.minimum(x[high_x], _LOG_SPACE_GAIN)
     term = np.ones_like(high)
     total = np.ones_like(high)
     for j in range(1, n_r):
         term = term * high / j
         total = total + term
-    cdf[~low] = -np.expm1(-high + np.log(total))
+    upper[high_x] = -high + np.log(total)
     if x.max(initial=0.0) >= _LOG_SPACE_GAIN:
         # The sum runs from j = n_r - 1 down, scaled by that largest term;
         # x >= n_r here, so each term is below the one before it.  An
         # infinite gain becomes the largest float, where the CDF is 1.
-        far = ~low & (x >= _LOG_SPACE_GAIN)
+        far = high_x & (x >= _LOG_SPACE_GAIN)
         high = np.minimum(x[far], sys.float_info.max)
         term = np.ones_like(high)
         total = np.ones_like(high)
         for j in range(n_r - 1, 0, -1):
             term = term * j / high
             total = total + term
-        cdf[far] = -np.expm1(-high + (n_r - 1) * np.log(high) - math.lgamma(n_r)
-                             + np.log(total))
-    return cdf.reshape(shape)
+        upper[far] = -high + (n_r - 1) * np.log(high) - math.lgamma(n_r) + np.log(total)
+    cdf[high_x] = -np.expm1(upper[high_x])
+    upper[high_x] = np.exp(upper[high_x])
+    return cdf.reshape(shape), upper.reshape(shape)
 
 
 def _lower_series(n_r: int, x: np.ndarray) -> np.ndarray:
@@ -172,6 +178,14 @@ def tas_mrc_gain_cdf(n_t: int, n_r: int, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0):  # also rejects NaN
         raise ValueError("gain must be >= 0")
-    value = _branch_cdf(n_r, arr) ** n_t
+    value = _branch_cdf(n_r, arr)[0] ** n_t
     return float(value) if np.isscalar(x) or arr.ndim == 0 else value
+
+
+def _tas_mrc_gain_cdf_sf(n_t: int, n_r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (F, 1 - F) for the gains x >= 0, F = `tas_mrc_gain_cdf(n_t, n_r, x)`;
+    # 1 - F = -expm1(n_t log1p(-Q)) keeps its relative accuracy where F is near 1.
+    cdf, upper = _branch_cdf(n_r, x)
+    with np.errstate(divide="ignore"):  # Q = 1 where F = 0
+        return cdf**n_t, -np.expm1(n_t * np.log1p(-upper))
 

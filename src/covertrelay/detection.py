@@ -2,8 +2,9 @@
 
 Three parallel evaluation paths per quantity:
   * a semi-analytic quadrature reference (the in-repo arbiter): exact false
-    alarm, and missed detection by the Gauss-Legendre rule and error
-    estimate of `throughput.noise_expectation`,
+    alarm, and missed detection by the Gauss-Legendre rule, error estimate
+    and refinement (`throughput._gl_refine`) of the TAS/MRC kernel
+    `throughput.noise_expectation`,
   * the closed forms built on the exponential-integral machinery,
   * a seeded Monte-Carlo estimator (the final oracle in the tests).
 

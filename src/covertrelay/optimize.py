@@ -20,12 +20,12 @@ row's rate loops side by side as one (p_r, rate) array; a loop stops at
 the outage budget or once it has passed its peak, and the first v_max
 points in scan order count.  Hop outages are read from tables with one
 column per (antennas, power) of a covert pair and one row per rate
-k h3.  The Gauss-Legendre kernel `throughput.noise_expectation` fills
-them, with its 64/128-node error estimate and refinement up to 1024
-nodes.  Loops still running past the last row of their columns double
-the columns and run on: one kernel call per antenna pair fills every
-column of a doubling, and each column ends as long as a scan of one
-point at a time would make it, except where v_max cuts a row.
+k h3, filled from the antenna pair's outage table by
+`throughput._tas_mrc_outage`, two lookups per value.  Loops still running
+past the last row of their columns double the columns and run on: one
+lookup call per antenna pair fills every column of a doubling, and each
+column ends as long as a scan of one point at a time would make it,
+except where v_max cuts a row.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import InfeasibleError, NumericError
 from .model import ConstraintSet, RateParams, SystemParams, _two_hop
 # Unused here: bench/tests/test_bench.py checks that the tracer patches this binding.
 from .specfun import ei_diff
-from .throughput import _hop_single, noise_expectation, throughput_single
+from .throughput import _hop_single, _tas_mrc_outage, throughput_single
 
 __all__ = [
     "Optimum",
@@ -391,7 +391,7 @@ def optimize_multi(
                 short.setdefault(key[:2], {})[key] = col
         for pair, cols in short.items():
             y = np.concatenate([kappas[col.size : rows] / key[2] for key, col in cols.items()])
-            values = noise_expectation(*pair, y, params)
+            values = _tas_mrc_outage(*pair, y, params)
             for key, col in cols.items():
                 columns[key] = np.concatenate((col, values[: rows - col.size]))
                 values = values[rows - col.size :]

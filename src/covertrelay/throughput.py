@@ -4,17 +4,23 @@ The single-antenna outage has a compact closed form in Ei differences,
 1 - G / (2 ln rho); where x2 = kappa mu2 / p is at most 0.1 that form
 cancels, and the outage is taken as (Ein(x2) - Ein(x1)) / (2 ln rho).
 `_hop_single` returns it with its slope kappa dE/dkappa, for the optimizer.
-The TAS/MRC outage is the mean of the exact composite-gain CDF over the
-log-uniform noise (the reference path).  `noise_expectation` evaluates
-that mean for an array of thresholds with a fixed Gauss-Legendre rule in
-the noise exponent (split into equal panels above rho = 1e6, one more per
-factor 1e6): each value is computed with 64 and 128 nodes per panel, in
-one pass over the thresholds, and any whose two values differ by more
-than 1e-12 is recomputed with twice the nodes, up to 1024, before
-NumericError is raised.  The published combinatorial expansion of the
-integral is also evaluated verbatim, solely to feed the discrepancy
-report, because it contains sub-terms that are undefined or inconsistent
-as printed.
+The TAS/MRC outage is the mean of the exact composite-gain CDF F over
+the log-uniform noise (the reference path), a difference of two values
+of an antiderivative of F in the log gain divided by 2 ln rho.  That
+antiderivative depends on the antenna pair alone: `_tas_mrc_outage`
+reads each outage from the pair's table, built once per process (see
+`_outage_table`), with two lookups per threshold.  `noise_expectation`
+evaluates the same mean for an array of thresholds with a fixed
+Gauss-Legendre rule in the noise exponent (split into equal panels above
+rho = 1e6, one more per factor 1e6): each value is computed with 64 and
+128 nodes per panel, in one pass over the thresholds, and any whose two
+values differ by more than 1e-12 is recomputed with twice the nodes, up
+to 1024, before NumericError is raised.  It is the table's test oracle
+and the path below rho = 1.01, where the table's difference cancels; its
+refinement loop also serves the DEP reference.  The published
+combinatorial expansion of the integral is also evaluated verbatim,
+solely to feed the discrepancy report, because it contains sub-terms
+that are undefined or inconsistent as printed.
 """
 
 from __future__ import annotations
@@ -26,7 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RngSpec, _mc_count, sample_noise_power, sample_tas_mrc_gain, tas_mrc_gain_cdf
+from .channel import (
+    RngSpec,
+    _mc_count,
+    _tas_mrc_gain_cdf_sf,
+    sample_noise_power,
+    sample_tas_mrc_gain,
+    tas_mrc_gain_cdf,
+)
 from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, RateParams, SystemParams, _two_hop
 from .specfun import _ein, ei_diff, upper_gamma
@@ -226,7 +239,10 @@ def noise_expectation(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray
     F is `tas_mrc_gain_cdf(n_t, n_r, .)`, so at y = kappa / p this is the
     hop outage at power p.  Gauss-Legendre in s, with the error estimate
     and refinement the module docstring describes; raises NumericError
-    where 512 and 1024 nodes per panel still disagree.
+    where 512 and 1024 nodes per panel still disagree.  That happens where
+    F's step from 0 to 1, about 1 / sqrt(n_r) wide in ln(gain), is narrow
+    against a panel's 2 ln rho / panels: for n_r = 200 at rho = 1e6, and
+    for n_r = 400 at rho = 1e10 (y = 3 at -5 dBm), for example.
     """
     y = np.asarray(y, dtype=float)
     flat = y.ravel()
@@ -236,15 +252,184 @@ def noise_expectation(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray
     return np.minimum(out, 1.0).reshape(y.shape)
 
 
+# The hop outage at threshold y is E(y) = (H(b) - H(a)) / (2 ln rho) with
+# H(v) = int_{-inf}^v F(e^w) dw and [a, b] = ln(y sigma^2) -/+ ln rho, or
+# 1 - (K(a) - K(b)) / (2 ln rho) with K(v) = int_v^inf (1 - F(e^w)) dw.  H and
+# K depend on the antenna pair alone, so each pair gets one table of ln H and
+# K, built on first use.  Panels of width a power of 2 (at most 1/2, and at
+# most 2 / sqrt(n_t n_r), as the gain CDF steepens) carry _TABLE_NODES
+# Chebyshev-Lobatto nodes each; the node values come from _SEGMENT_NODES-point
+# Gauss-Legendre segments between consecutive nodes, summed from one panel
+# outside each end of the table.
+_TABLE_NODES, _SEGMENT_NODES = 20, 8
+# Largest interpolation error estimate the table accepts: the last two
+# Chebyshev coefficients of a panel over 1 + its largest |ln H|, or K.
+_TABLE_TOL = 1e-14
+# The table spans gains where F >= 1e-300 (and >= 1e-17, below which F is a
+# power of the gain and ln H rises linearly) up to where 1 - F < 1e-17, past
+# which H grows as v and K is below 1e-17 / gain.
+_TABLE_LOW_GAIN, _TABLE_LOW_CDF, _TABLE_HIGH_SF = 1e-17, 1e-300, 1e-17
+# Below this rho noise_expectation takes over.  As rho -> 1 the two lookups
+# tend to the table's slope, whose rounding error (about 1e-15 / (2 ln rho))
+# passes 1e-12 near rho - 1 = 3e-4; from rho = 1.01 up it stays near 1e-13.
+_TABLE_RHO = 1.01
+# Thresholds per lookup pass: the (2, n, 2, nodes) coefficient arrays stay
+# small enough to be reused from the allocator.
+_TABLE_BLOCK = 1024
+# The signs of the interval ends a, b, and the row the powers x^1 .. x^19 of
+# a panel coordinate x are accumulated along.
+_ENDS = np.array([[-1.0], [1.0]])
+_ONES = np.ones(_TABLE_NODES - 1)
+
+
+def _golub_welsch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], from the
+    # eigenvalues and eigenvectors of its Jacobi matrix: the table's build
+    # then imports no numpy.polynomial, about 5 ms at a process's start.
+    k = np.arange(1, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+@dataclass(frozen=True)
+class _OutageTable:
+    """ln H and K of one antenna pair, piecewise polynomial in v = ln(gain).
+
+    Panel i (1..panels) covers [(lo + i - 1) width, (lo + i) width], where
+    a function is its value at the panel's left end plus a polynomial in
+    x in [-1, 1] that vanishes there; panels 0 and panels + 1 hold the end
+    values.  Left of the table ln H rises by `slope` per panel.  `error` is
+    the build's interpolation error estimate.
+    """
+
+    width: float
+    lo: float
+    hi: float
+    slope: float
+    coef: np.ndarray  # (panels + 2, 2, 1 + _TABLE_NODES): left value, powers of x
+    error: float
+
+    def outage(self, y: np.ndarray, params: SystemParams) -> np.ndarray:
+        # The interval ends a, b in panels from the table's left end: a whole
+        # number and each end's offset from it, so that the local coordinates
+        # are exact and two nearby ends differ by 2 ln rho / width.
+        half = math.log(params.rho) / self.width
+        c = np.log(np.minimum(np.maximum(y, 5e-324), sys.float_info.max))
+        u = (c + math.log(params.sigma_n2)) / self.width
+        whole = np.floor(u)
+        ends = (u - whole) + half * _ENDS
+        shift = np.floor(ends)
+        frac = ends - shift
+        panel = shift + (whole - self.lo)
+        coef = self.coef[np.minimum(np.maximum(panel + 1.0, 0.0), self.coef.shape[0] - 1.0)
+                         .astype(np.intp)]
+        powers = np.cumprod((2.0 * frac - 1.0)[..., None] * _ONES, axis=-1)
+        # The left values and the polynomials kept apart: two ends in one
+        # panel share the left value, and in two panels differ by the change
+        # over whole panels, the polynomials only by the rest.
+        left_value = coef[..., 0]
+        rest = coef[..., 1] + (coef[..., 2:] * powers[:, :, None, :]).sum(axis=-1)
+        diff = (left_value[1] - left_value[0]) + (rest[1] - rest[0])
+        pos = panel + frac
+        # The length of [a, b] left of the table, in panels.
+        left = np.minimum(np.maximum(-pos[0], 0.0), 2.0 * half)
+        two_ln_rho = 2.0 * math.log(params.rho)
+        ln_h_b = left_value[1, :, 0] + rest[1, :, 0] + self.slope * np.minimum(pos[1], 0.0)
+        by_h = np.exp(ln_h_b) * -np.expm1(-diff[:, 0] - self.slope * left) / two_ln_rho
+        by_k = 1.0 - (left * self.width - diff[:, 1]) / two_ln_rho
+        # K where the outage passes 1/2, or where b leaves the table on the right.
+        use_k = (by_h > 0.5) | (pos[1] > self.hi - self.lo)
+        return np.minimum(np.maximum(np.where(use_k, by_k, by_h), 0.0), 1.0)
+
+
+@functools.cache
+def _outage_table(n_t: int, n_r: int) -> _OutageTable:
+    """The (n_t, n_r) table of ln H and K.
+
+    Raises NumericError where a panel's interpolation error estimate passes
+    _TABLE_TOL = 1e-14.
+    """
+    nodes_per = _TABLE_NODES
+    width = 2.0 ** math.floor(math.log2(min(0.5, 2.0 / math.sqrt(n_t * n_r))))
+    # Panel edges k * width, from below the gain _TABLE_LOW_GAIN to past
+    # 2 n_r + 100, where 1 - F is far below _TABLE_HIGH_SF.
+    k0 = math.floor(math.log(_TABLE_LOW_GAIN) / width) - 1
+    k1 = math.ceil(math.log(2.0 * n_r + 100.0) / width) + 2
+    edges = np.arange(k0, k1 + 1) * width
+    cdf, sf = _tas_mrc_gain_cdf_sf(n_t, n_r, np.exp(edges))
+    first = max(1, int(np.argmax(cdf >= _TABLE_LOW_CDF)))
+    last = int(np.flatnonzero(sf >= _TABLE_HIGH_SF)[-1]) + 1
+    theta = np.pi * np.arange(nodes_per) / (nodes_per - 1)
+    nodes = edges[first - 1 : last + 1, None] + width / 2 * (1.0 - np.cos(theta))
+    start, stop = nodes[:, :-1], nodes[:, 1:]
+    s, w = _golub_welsch(_SEGMENT_NODES)
+    half = (stop - start) / 2
+    seg_cdf, seg_sf = _tas_mrc_gain_cdf_sf(
+        n_t, n_r, np.exp(((start + stop) / 2)[..., None] + half[..., None] * s))
+    # H and K at every node; below the first node H is F / (n_t n_r), F being
+    # a power of the gain there, and past the last K is taken as 0.
+    h = cdf[first - 1] / (n_t * n_r) + np.concatenate(
+        ([0.0], np.cumsum((seg_cdf @ w * half).ravel())))
+    k = np.concatenate((np.cumsum((seg_sf @ w * half).ravel()[::-1])[::-1], [0.0]))
+    panels = last - first
+    idx = np.arange(1, panels + 1)[:, None] * (nodes_per - 1) + np.arange(nodes_per)
+    values = np.stack((np.log(h[idx]), k[idx]), axis=1)
+    # Chebyshev coefficients of each panel's rise from its left value
+    # (x = -cos theta), and the powers of x they sum to.
+    to_cheb = np.cos(np.outer(np.arange(nodes_per), theta)) * (2.0 / (nodes_per - 1))
+    to_cheb[:, [0, -1]] /= 2
+    to_cheb[[0, -1]] /= 2
+    to_cheb *= (-1.0) ** np.arange(nodes_per)[:, None]
+    cheb = (values - values[..., :1]) @ to_cheb.T
+    error = float(np.max(np.abs(cheb[..., -2:]).sum(axis=-1)
+                         / (1.0 + np.abs(values).max(axis=-1))))
+    if error > _TABLE_TOL:
+        raise NumericError(f"TAS/MRC outage table for ({n_t}, {n_r}) has interpolation "
+                           f"error {error:.2e} > {_TABLE_TOL}")
+    to_powers = np.zeros((nodes_per, nodes_per))
+    to_powers[0, 0] = to_powers[1, 1] = 1.0
+    for j in range(2, nodes_per):
+        to_powers[j, 1:] = 2.0 * to_powers[j - 1, :-1]
+        to_powers[j] -= to_powers[j - 2]
+    coef = np.zeros((panels + 2, 2, 1 + nodes_per))
+    coef[1:-1, :, 0] = values[..., 0]
+    coef[1:-1, :, 1:] = cheb @ to_powers
+    coef[0, :, 0], coef[-1, :, 0] = values[0, :, 0], values[-1, :, -1]
+    coef.setflags(write=False)  # shared by every caller through the cache
+    slope = cdf[first] / h[nodes_per - 1]  # d ln H / dv at the table's left end
+    return _OutageTable(width, float(k0 + first), float(k0 + last), slope * width, coef,
+                        error)
+
+
+def _tas_mrc_outage(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray:
+    """`noise_expectation`'s values, by two lookups per threshold in the pair's table.
+
+    Below rho = _TABLE_RHO = 1.01 the two lookups cancel, and this is
+    `noise_expectation` itself.  Raises ValueError for a negative or NaN y.
+    """
+    if params.rho < _TABLE_RHO:
+        return noise_expectation(n_t, n_r, y, params)
+    y = np.asarray(y, dtype=float)
+    if not np.all(y >= 0):  # also rejects NaN
+        raise ValueError("thresholds must be >= 0")
+    table = _outage_table(n_t, n_r)
+    flat = y.ravel()
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, _TABLE_BLOCK):
+        out[i : i + _TABLE_BLOCK] = table.outage(flat[i : i + _TABLE_BLOCK], params)
+    return out.reshape(y.shape)
+
+
 def _outages_multi(ps: tuple[float, ...], rate: RateParams, params: SystemParams, n_t: int,
                    n_r: int) -> list[float]:
-    # TAS/MRC hop outages at the powers ps, from one noise_expectation call.
+    # TAS/MRC hop outages at the powers ps, from one _tas_mrc_outage call.
     if rate.t == 0.0:
         return [0.0] * len(ps)
     kappa = rate.kappa
     if kappa == math.inf:
         return [1.0] * len(ps)
-    return noise_expectation(n_t, n_r, [kappa / p for p in ps], params).tolist()
+    return _tas_mrc_outage(n_t, n_r, [kappa / p for p in ps], params).tolist()
 
 
 def outage_hop_multi_reference(

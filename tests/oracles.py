@@ -23,7 +23,7 @@ from covertrelay.detection import min_dep_slot, min_dep_two_hop, noise_cdf
 from covertrelay.errors import InfeasibleError, NumericError, clamp_unit_interval
 from covertrelay.model import ConstraintSet, RateParams, SystemParams
 from covertrelay.optimize import _FIRST_ROWS, _NO_ROWS, _POWER_SPAN, Optimum, _active_set
-from covertrelay.throughput import noise_expectation, throughput_single
+from covertrelay.throughput import _tas_mrc_outage, throughput_single
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -246,7 +246,7 @@ def oracle_optimize_multi(
             kappas.extend(RateParams(j * h3).kappa for j in range(len(kappas) + 1, rows + 1))
             y = np.array(kappas[col.size : rows]) / p
             col = columns[(n_t, n_r, p)] = np.concatenate(
-                (col, noise_expectation(n_t, n_r, y, params))
+                (col, _tas_mrc_outage(n_t, n_r, y, params))
             )
         return float(col[k - 1])
 

@@ -15,6 +15,7 @@ from covertrelay.detection import min_dep_two_hop
 from covertrelay.model import AntennaConfig, RateParams, SystemParams, dbm_to_watts
 from covertrelay.optimize import covert_power_limit
 from covertrelay.throughput import throughput_multi, throughput_single
+from oracles import oracle_tas_mrc_outage
 
 
 SRC = os.path.dirname(os.path.dirname(covertrelay.__file__))
@@ -101,6 +102,18 @@ class TestThroughput:
             _, _, rows = read_csv(out)
             t, h1, h2, p_out, eta = (float(v) for v in rows[0])
             assert (t, p_out, eta) == (600.0, 1.0, 0.0)
+
+    def test_many_receive_antennas_at_huge_noise_uncertainty(self, tmp_path):
+        # The Gamma(400) step is too sharp for the Gauss-Legendre kernel over
+        # rho = 1e10 (it exited 4); the outage table resolves it.
+        out = tmp_path / "tp.csv"
+        argv = ["throughput", "--rho", "1e10", "--nt", "1", "--nr", "400", "--ps", "1", "--pr", "1",
+                "--t", "1", "--out", str(out)]
+        assert main(argv) == 0
+        hop1 = float(read_csv(out)[2][0][1])
+        ref = oracle_tas_mrc_outage(1.0, RateParams(1.0).kappa, dbm_to_watts(-5.0), 1e10, 1, 400)
+        assert ref == pytest.approx(0.218780217884449, rel=1e-12)
+        assert hop1 == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
     def test_multi_antenna_beats_single(self, tmp_path):
         single, multi = tmp_path / "s.csv", tmp_path / "m.csv"

@@ -24,7 +24,12 @@ from covertrelay.optimize import (
     optimize_single,
 )
 from covertrelay import optimize
-from covertrelay.throughput import noise_expectation, throughput_multi, throughput_single
+from covertrelay.throughput import (
+    _tas_mrc_outage,
+    noise_expectation,
+    throughput_multi,
+    throughput_single,
+)
 
 import oracles
 from oracles import oracle_lagrangian_gradient, oracle_optimize_multi
@@ -364,9 +369,9 @@ class TestOptimizeMulti:
         for name, module, scan, kwargs in runs:
             def counted(n_t, n_r, y, params, name=name):
                 values[name] = values.get(name, 0) + np.size(y)
-                return noise_expectation(n_t, n_r, y, params)
+                return _tas_mrc_outage(n_t, n_r, y, params)
 
-            monkeypatch.setattr(module, "noise_expectation", counted)
+            monkeypatch.setattr(module, "_tas_mrc_outage", counted)
             evals = []
             try:
                 opt = scan(budgets, params, evaluations=evals, **kwargs)
@@ -379,6 +384,21 @@ class TestOptimizeMulti:
             assert values.get("rows") == values.get("points")
         else:
             assert values["points"] <= values["rows"] <= values["uncut"]
+
+    @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 2), (2, 8), (4, 4)])
+    def test_table_scan_matches_the_gauss_legendre_scan(self, monkeypatch, n_t, n_r):
+        # The paper's default grid read from the outage table and from the
+        # Gauss-Legendre kernel: the same optimum and evaluated points, and
+        # eta within the kernels' 1e-12.
+        params = SystemParams(1.0, 1.0, SIGMA_N2, 1.5, AntennaConfig(n_t, n_r, n_t, n_r))
+        table_evals, gl_evals = [], []
+        table = optimize_multi(BUDGETS, params, evaluations=table_evals)
+        monkeypatch.setattr(optimize, "_tas_mrc_outage", noise_expectation)
+        gl = optimize_multi(BUDGETS, params, evaluations=gl_evals)
+        assert (table.p_s, table.p_r, table.t) == (gl.p_s, gl.p_r, gl.t)
+        assert table.eta == pytest.approx(gl.eta, rel=1e-12)
+        assert [e[:3] for e in table_evals] == [e[:3] for e in gl_evals]
+        assert max(abs(a[3] - b[3]) for a, b in zip(table_evals, gl_evals)) <= 1e-12
 
     def test_beats_every_evaluated_point(self):
         evals = []

@@ -4,8 +4,8 @@ Domain: p in [1e-12, 1e3] W, sigma^2 in [1e-13, 1] W, rho in [1.001, 1e3],
 t in [0, 600] bit/s/Hz, n_t in 1..4 and n_r in 1..16; the slot-DEP
 reference also over rho in [1.001, 1e300] and tau in (0, 4 rho sigma^2].
 No evaluation may raise, and (with warnings as errors) none may warn.
-The outages rise with t and fall with p, and the minimum slot DEP falls
-with p and rises with rho.  The CLI verbs `dep` and `throughput` exit 0
+The outages rise with t and fall with p and with each antenna count, and
+the minimum slot DEP falls with p and rises with rho.  The CLI verbs `dep` and `throughput` exit 0
 over the same domain and 2 outside it.
 """
 
@@ -133,6 +133,21 @@ def test_tas_mrc_outage_is_monotone(p, t, params, ant, f):
     out = outage_hop_multi_reference(p, rate, params, *ant)
     assert outage_hop_multi_reference(p, RateParams(t * f), params, *ant) >= out - 1e-12
     assert outage_hop_multi_reference(p * f, rate, params, *ant) <= out + 1e-12
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=50)
+@given(p=powers, t=log_uniform(1e-6, 600.0), sigma2=log_uniform(1e-13, 1.0),
+       rho=log_uniform(1.01, 1e3), ant=antennas)
+def test_tas_mrc_outage_falls_with_each_antenna_count(p, t, sigma2, rho, ant):
+    # One more transmit or receive antenna never raises the outage, up to
+    # the same 1e-12.
+    rate, params, (n_t, n_r) = RateParams(t), SystemParams(1.0, 1.0, sigma2, rho), ant
+    out = outage_hop_multi_reference(p, rate, params, n_t, n_r)
+    if n_t < 4:
+        assert outage_hop_multi_reference(p, rate, params, n_t + 1, n_r) <= out + 1e-12
+    if n_r < 16:
+        assert outage_hop_multi_reference(p, rate, params, n_t, n_r + 1) <= out + 1e-12
 
 
 @seed(20261019)

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from covertrelay import throughput
 from covertrelay.channel import RngSpec, tas_mrc_gain_cdf
+from covertrelay.errors import NumericError
 from covertrelay.model import (
     AntennaConfig,
     RateParams,
@@ -18,6 +20,8 @@ from oracles import oracle_ei, oracle_outage_single, oracle_tas_mrc_outage
 from covertrelay.throughput import (
     ThroughputOutcome,
     _hop_single,
+    _outage_table,
+    _tas_mrc_outage,
     capacity_hop,
     mc_outage_hop,
     noise_expectation,
@@ -221,30 +225,40 @@ class TestMultiAntenna:
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_panels_resolve_huge_noise_uncertainty(self):
-        # A single 1024-node rule no longer resolves the outage at rho = 1e30.
+        # A single 1024-node rule no longer resolves the outage at rho = 1e30;
+        # the Gauss-Legendre kernel's panels do, and so does the table.
         for rho in (1e10, 1e30):
             params = SystemParams(1.0, 1.0, SIGMA_N2, rho)
             for p in (1e-4, 1.0):
                 for t in (0.1, 1.5):
                     rate = RateParams(t)
-                    got = outage_hop_multi_reference(p, rate, params, 2, 8)
                     ref = oracle_tas_mrc_outage(p, rate.kappa, SIGMA_N2, rho, 2, 8)
-                    assert abs(got - ref) <= 1e-12, (rho, p, t)
+                    for kernel in (noise_expectation, _tas_mrc_outage):
+                        got = kernel(2, 8, rate.kappa / p, params)
+                        assert abs(got - ref) <= 1e-12, (kernel, rho, p, t)
 
     def test_kernel_is_elementwise(self):
-        # An array of thresholds gives the scalar wrapper's values exactly;
-        # rho = 1e10 takes two panels.
+        # An array of thresholds gives each kernel's own scalar values
+        # exactly: the table's through the scalar wrapper, the Gauss-Legendre
+        # kernel's one threshold at a time; rho = 1e10 takes two of its panels.
         rates = [RateParams(t) for t in (0.3, 1.5, 4.0)]
         y = np.array([[r.kappa / p for r in rates] for p in (1e-4, 1.0)])
         for rho in (1.5, 1e10):
             params = SystemParams(1.0, 1.0, SIGMA_N2, rho)
             for n_t, n_r in ((1, 1), (2, 8), (4, 4)):
-                table = noise_expectation(n_t, n_r, y, params)
-                assert table.shape == y.shape
+                table = _tas_mrc_outage(n_t, n_r, y, params)
+                gl = noise_expectation(n_t, n_r, y, params)
+                assert table.shape == gl.shape == y.shape
                 for i, p in enumerate((1e-4, 1.0)):
                     for j, rate in enumerate(rates):
                         value = outage_hop_multi_reference(p, rate, params, n_t, n_r)
                         assert table[i, j] == value, (rho, n_t, n_r, p, rate.t)
+                        assert gl[i, j] == noise_expectation(n_t, n_r, y[i, j], params)
+        # Across the table's lookup blocks too.
+        y = np.geomspace(1e-3, 1e6, 2100)
+        table = _tas_mrc_outage(2, 8, y, BASE)
+        for i in range(0, y.size, 41):
+            assert table[i] == _tas_mrc_outage(2, 8, y[i], BASE), i
 
     @pytest.mark.parametrize("ant", [AntennaConfig(2, 8, 2, 8), AntennaConfig(4, 4, 4, 4),
                                      AntennaConfig(2, 8, 4, 4)])
@@ -328,6 +342,61 @@ class TestMultiAntenna:
         est = mc_outage_hop(p, rate, BASE, 2, 2, 500_000, RngSpec(42, 12))
         floor = max(est.stderr, math.sqrt(analytic * (1 - analytic) / est.n))
         assert abs(analytic - est.mean) <= 4.0 * floor
+
+
+class TestOutageTable:
+    """The antiderivative table against the Gauss-Legendre kernel and the oracle."""
+
+    def test_matches_the_gauss_legendre_kernel(self):
+        # A seeded corpus over rho - 1 in [1e-6, 1e-2] (the kernel itself,
+        # below the cut) and rho in [1.01, 1e300], thresholds from the power-
+        # law tail to past the step.  Where the kernel cannot resolve a large-
+        # n_r threshold, the incomplete-gamma oracle is the reference; its
+        # quadrature steps over the Gamma(n_r) step past rho = 1e10 (0.50045
+        # for 0.50033 at (3, 100), rho = 1e146), so large n_r stop there.
+        rng = np.random.default_rng(15)
+        pairs = [(1, 1), (2, 2), (2, 8), (4, 4), (1, 32), (3, 100), (1, 400)]
+        for n_t, n_r in pairs:
+            top = 300 if n_r <= 32 else 10
+            for k in range(8):
+                rho = (1.0 + 10.0 ** rng.uniform(-6, -2) if k < 2
+                       else 1.01 if k == 2 else 10.0 ** rng.uniform(math.log10(1.01), top))
+                sigma2 = 10.0 ** rng.uniform(-13, 0)
+                params = SystemParams(1.0, 1.0, sigma2, rho)
+                lo, hi = math.log(1e-20) / n_r, math.log(4.0 * n_r + 40.0)
+                y = np.exp(rng.uniform(lo, hi, 24)) / sigma2
+                got = _tas_mrc_outage(n_t, n_r, y, params)
+                try:
+                    ref = noise_expectation(n_t, n_r, y, params)
+                except NumericError:
+                    ref = np.array([oracle_tas_mrc_outage(1.0, v, sigma2, rho, n_t, n_r)
+                                    for v in y])
+                for g, r, v in zip(got.tolist(), ref.tolist(), y.tolist()):
+                    assert abs(g - r) <= 1e-12, (n_t, n_r, rho, sigma2, v)
+                    if r > 1e-280:
+                        assert abs(g - r) <= 1e-10 * r, (n_t, n_r, rho, sigma2, v)
+
+    def test_tails_and_ends(self):
+        # Past either end of the table, and for thresholds of 0 and inf.
+        params = SystemParams(1.0, 1.0, 1e-3, 3.0)
+        y = np.array([0.0, 1e-300, 1e-30, 1e-18, 1e6, 1e300, math.inf])
+        for n_t, n_r in ((1, 1), (2, 8)):
+            got = _tas_mrc_outage(n_t, n_r, y, params)
+            ref = noise_expectation(n_t, n_r, y, params)
+            assert got[0] == 0.0 and got[-1] == 1.0
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        with pytest.raises(ValueError, match="thresholds must be >= 0"):
+            _tas_mrc_outage(2, 8, [1.0, math.nan], BASE)
+
+    def test_error_estimate(self, monkeypatch):
+        # Every default pair's table is within its stated bound, and a bound
+        # below the estimate raises (a failed build is not cached).
+        for n_t, n_r in ((1, 1), (2, 2), (2, 8), (4, 4), (1, 1000)):
+            assert 0.0 < _outage_table(n_t, n_r).error <= throughput._TABLE_TOL
+        _outage_table.cache_clear()
+        monkeypatch.setattr(throughput, "_TABLE_TOL", 1e-18)
+        with pytest.raises(NumericError, match="outage table for \\(2, 8\\)"):
+            _tas_mrc_outage(2, 8, 1.0, BASE)
 
 
 class TestMcOutage:
