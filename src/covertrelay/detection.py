@@ -133,7 +133,9 @@ def _dep_gap_dp(p: float, params: SystemParams) -> float:
     u, v = params.mu2 / p, params.mu1 / p
     if u <= _POS_SERIES_CUTOFF:
         b = _scaled_ei_gap(u, v)
-        return (params.mu2 / p**2) * b + math.expm1((params.mu1 - params.mu2) / p) / p
+        # u / p, not mu2 / p**2: p**2 leaves the floats for p past ~1e154 or
+        # below ~1e-154 where the slope itself does not.
+        return (u / p) * b + math.expm1((params.mu1 - params.mu2) / p) / p
     # dB/dp = [(u S(u) - 1) - e^{v-u} (u S(v) - 1)] / p with S(x) = e^{-x} Ei(x).
     # u S(u) - 1 cancels for large u, so its asymptotic series is summed.
     return (_ei_asymptotic_excess(u) - math.exp(v - u) * (u * expint_ei_scaled(v) - 1.0)) / p

@@ -3,15 +3,20 @@
 Single-antenna: covertness, (1 - Pe(p_s))(1 - Pe(p_r)) <= epsilon,
 depends only on the powers, and eta and the reliability both grow with
 each power, so the optimum lies on the covertness frontier, capped at
-P_max.  By the symmetry in the powers, the outer search bisects log p_s
-over the half p_s >= p_r of the frontier on the sign of eta's slope
-along the frontier tangent, both read from `_gradients`; for each
-frontier point the inner search takes the peak of t S(t) or the root of
-S(t) = 1 - delta, whichever comes first (S is the product of the hop
-success probabilities, read from `throughput`'s hop model).  The rate
-domain is t >= 1e-3 bit/s/Hz.  Method "kkt" certifies the result: the
-active multipliers, fitted to `_gradients` by least squares, are
-nonnegative and leave a stationarity residual below 1e-6 eta.
+P_max.  By the symmetry in the powers, the outer search runs over the
+half p_s >= p_r of the frontier on the sign of eta's slope along the
+frontier tangent, read from `_gradients`, with secant steps on that
+slope.  Each frontier point pairs p_s with the largest covert p_r, found
+by Newton steps on the covertness term, and takes the peak of t S(t) or
+the root of S(t) = 1 - delta, whichever comes first, by secant and
+Newton steps (S is the product of the hop success probabilities, read
+from `throughput`'s hop model).  All three levels are one search,
+`_search`: a step is taken only where it lands inside the bracket kept
+by the level's test, else the search bisects, so each result passes its
+test exactly.  The rate domain is t >= 1e-3 bit/s/Hz.  Method "kkt"
+certifies the result: the active multipliers, fitted to `_gradients` by
+least squares, are nonnegative and leave a stationarity residual below
+1e-6 eta.
 
 Multi-antenna: a grid scan over log-spaced power grids (a tight
 covertness budget puts the feasible powers decades below P_max).  For
@@ -58,9 +63,10 @@ _ACTIVITY_TOL = 1e-6
 _POWER_SPAN = 1e-6
 # Factor by which the covertness search steps its lower end down from P_max.
 _POWER_FLOOR = 1e-12
-# The single-antenna rate domain starts at _T_FLOOR; the rate bracket
-# starts at _T_BRACKET and doubles while eta still rises.
-_T_FLOOR, _T_BRACKET = 1e-3, 4.0
+# The single-antenna rate domain starts at _T_FLOOR.  The rate bracket
+# ends at _T_CEIL: from t = 512 on kappa leaves the floats, and every hop
+# is in outage.
+_T_FLOOR, _T_CEIL = 1e-3, 1024.0
 # Largest stationarity residual the KKT certificate accepts, relative to eta.
 _CERT_TOL = 1e-6
 _CONSTRAINTS = ("covertness", "reliability", "power_s", "power_r")
@@ -144,46 +150,116 @@ def lagrangian_gradient(
 # ---------------------------------------------------------------------------
 
 
-def _bisect(holds, lo: float, hi: float, rel: float) -> float:
-    """Last x in [lo, hi) where holds(x), to `rel` relative, by bisection in log x.
+def _search(probe, lo: float, hi: float, rel: float, x: float | None = None,
+            step: float | None = 0.0) -> float:
+    """Last x in [lo, hi) where the test holds, to `rel` relative.
 
-    `holds` must be true below a threshold and false above it; hi counts
-    as false, and lo is returned when holds fails everywhere above it.
+    probe(x) returns whether the test holds at x and a proposed step in
+    ln x toward the threshold, or None.  The test must hold below a
+    threshold and fail above it; hi counts as failing, and lo is returned
+    when the test fails everywhere above it.  The first proposal is x
+    moved by `step`, each next one the last probe moved by its step.  It
+    is probed where it lands inside the bracket and moves at most half as
+    far as the move before the last, so that the moves shrink at least
+    geometrically.  A converged step lands on an end: a proposal within a
+    factor 1 + rel/2 inside an end, or within 1 + sqrt(rel) outside it
+    (where a quadratically converging step's next error is rel), is moved
+    a factor 1 + rel/2 inside that end, so that one more probe closes the
+    bracket; each further such probe before the next proposal that is
+    taken as it is doubles that factor, up to half the bracket.  Otherwise
+    the search bisects in ln x.  Between subnormal ends it stops where no
+    float lies between them, short of `rel`.
     """
+    reach = rel / 2
+    older = old = math.inf  # lengths in ln x of the last two moves
     while hi / lo >= 1.0 + rel:
-        mid = math.sqrt(lo * hi)
-        if holds(mid):
-            lo = mid
+        at = x
+        if x is not None:
+            # A step past e^700 leaves any bracket; the cap keeps exp finite.
+            x = None if step is None else x * math.exp(min(step, 700.0))
+        low, high = lo * (1.0 + reach), hi / (1.0 + reach)
+        near = 1.0 + max(reach, math.sqrt(rel))
+        if x is not None and low <= x <= high and abs(math.log(x / at)) <= older / 2:
+            reach = rel / 2
+        elif x is not None and low < high and (lo / near < x < low or high < x < hi * near):
+            x, reach = min(max(x, low), high), 2.0 * reach
         else:
-            hi = mid
+            x = None
+        if x is None or not lo < x < hi:
+            x = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < x < hi:
+                break  # subnormal ends: no float lies between them
+        # A start that was never probed (x == at) has made no move yet.
+        older, old = old, math.inf if at in (None, x) else abs(math.log(x / at))
+        holds, step = probe(x)
+        if holds:
+            lo = x
+        else:
+            hi = x
     return lo
 
 
-def _largest_power(covert, p_max: float, mu2: float) -> float | None:
-    """Largest p <= p_max with covert(p); None before mu2 / p leaves the floats.
+def _secant(last, z: float, v: float) -> float | None:
+    """Step from z to the root of the line through last = (z0, v0) and (z, v), or None."""
+    return None if last is None or last[1] == v else -v * (z - last[0]) / (v - last[1])
 
-    The lower end starts at p_max and steps down by factors of _POWER_FLOOR,
-    the last non-covert end becoming the upper end, until it is covert.
+
+def _covert_probe(epsilon: float, params: SystemParams, pe_s: float | None = None):
+    """probe(p) for `_search`: whether p is covert beside a hop of slot DEP pe_s.
+
+    With pe_s None the other hop has power p too.  The step is Newton's on
+    ln C - ln epsilon in ln p, C = (1 - pe_s)(1 - Pe(p)) the covertness
+    term; d ln(1 - Pe) / d ln p = p B'(p) / B(p), B = 2 ln rho (1 - Pe).
+    The test is the covertness test itself, so a covert result is covert
+    by it and not by a tolerance.
+    """
+    log_eps, two_ln_rho = math.log(epsilon), 2.0 * math.log(params.rho)
+    hops = 2.0 if pe_s is None else 1.0
+
+    def probe(p: float):
+        pe = min_dep_slot(p, params)
+        other = pe if pe_s is None else pe_s
+        c = (1.0 - other) * (1.0 - pe)
+        slope = hops * p * _dep_gap_dp(p, params) / (two_ln_rho * (1.0 - pe)) if c else 0.0
+        step = (log_eps - math.log(c)) / slope if slope > 0.0 else None
+        return _covert(other, pe, epsilon), step
+
+    return probe
+
+
+def _largest_power(probe, p_max: float, mu2: float, start: float | None = None) -> float | None:
+    """Largest p <= p_max where probe(p) holds; None before mu2 / p leaves the floats.
+
+    Probes p_max first.  While the lower end fails, it becomes the upper
+    end, and the next lower end is `start` (once, where it lies below),
+    else the failing end's Newton target (once, where it lies less than a
+    factor _POWER_FLOOR below), else a factor _POWER_FLOOR lower.  The
+    search from the first end that holds starts with that end's step.
     """
     hi = lo = p_max
+    newton = True
     while lo * sys.float_info.max >= mu2:
-        if covert(lo):
-            return _bisect(covert, lo, hi, 1e-14)
-        hi, lo = lo, lo * _POWER_FLOOR
+        holds, step = probe(lo)
+        if holds:
+            return _search(probe, lo, hi, 1e-14, lo, step)
+        hi = lo
+        if start is not None and start < hi:
+            lo, start = start, None
+        elif newton and step is not None and math.log(_POWER_FLOOR) < step < -1e-14:
+            lo, newton = hi * math.exp(step), False
+        else:
+            lo = hi * _POWER_FLOOR
     return None
 
 
 def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> float:
     """Largest equal per-hop power keeping the two-hop DEP above 1 - epsilon.
 
-    Bisection on the monotone-decreasing DEP; returns p_max itself when
-    even full power stays covert.
+    Newton steps on the covertness term, safeguarded by its bracket, as
+    `_search` takes them; returns p_max itself when even full power stays
+    covert.
     """
-    def covert(p: float) -> bool:
-        pe = min_dep_slot(p, params)
-        return _covert(pe, pe, epsilon)
-
-    p_cov = _largest_power(covert, p_max, params.mu2)
+    p_cov = _largest_power(_covert_probe(epsilon, params), p_max, params.mu2)
     if p_cov is None:
         raise InfeasibleError(
             "covertness constraint unsatisfiable even at vanishing power", "covertness"
@@ -191,54 +267,82 @@ def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> fl
     return p_cov
 
 
-def _best_rate(p_s: float, p_r: float, delta: float, params: SystemParams) -> float | None:
+def _best_rate(p_s: float, p_r: float, delta: float, params: SystemParams,
+               start: float | None = None) -> float | None:
     """Best rate t >= _T_FLOOR at fixed powers, or None if none is reliable.
 
     S(t) = (1 - E_s)(1 - E_r), the product of the hop success
     probabilities, falls with t and t S(t) is unimodal, so the best rate
     is the peak of t S(t) or the root of S(t) = 1 - delta, whichever comes
-    first: one bisection on "reliable and eta still rising".
+    first: one search on "reliable and eta still rising", from `start` if
+    given.  Its steps in ln t are Newton's toward S = 1 - delta, on
+    ln(-ln S) - ln(-ln(1 - delta)), which is near-linear in ln t where
+    S -> 1, and the secant's on g = 1 + d ln S / d ln t, whichever lands
+    first.
     """
-    def rising(t: float) -> bool | None:
-        # None where rate t is unreliable, else whether eta still rises at t.
+    log_ok = math.log1p(-delta)
+    last = None  # (ln t, g) of the previous probe
+
+    def rising(t: float):
+        # Whether rate t is reliable and eta still rises there (None where
+        # it is unreliable), and the step.
+        nonlocal last
         kappa = RateParams(t).kappa
         e_s, slope_s = _hop_single(p_s, kappa, params)
         e_r, slope_r = _hop_single(p_r, kappa, params)
-        if _two_hop(e_s, e_r) > delta:
-            return None
+        if e_s == 1.0 or e_r == 1.0:
+            return None, None
         # d(t S)/dt > 0  <=>  1 + t dln S/dt > 0, with dln S/dt = dln S/dln kappa
         # * 2 ln 2 (1 + 1/kappa); each hop adds -slope / (1 - E) to dln S/dln kappa.
         dlns_dlnk = -(slope_s / (1.0 - e_s) + slope_r / (1.0 - e_r))
-        return 1.0 + t * 2.0 * math.log(2.0) * (1.0 + 1.0 / kappa) * dlns_dlnk > 0.0
+        dlns = t * 2.0 * math.log(2.0) * (1.0 + 1.0 / kappa) * dlns_dlnk
+        holds = None if _two_hop(e_s, e_r) > delta else 1.0 + dlns > 0.0
+        z, g = math.log(t), 1.0 + dlns
+        ln_s = math.log1p(-e_s) + math.log1p(-e_r)
+        newton = ((math.log(-log_ok) - math.log(-ln_s)) * ln_s / dlns
+                  if dlns < 0.0 and ln_s < 0.0 else None)
+        steps = [step for step in (newton, _secant(last, z, g)) if step is not None]
+        last = z, g
+        return holds, min(steps, default=None)
 
-    at_floor = rising(_T_FLOOR)
+    at_floor, step = rising(_T_FLOOR)
     if not at_floor:
         return None if at_floor is None else _T_FLOOR
-    lo, hi = _T_FLOOR, _T_BRACKET
-    while rising(hi):
-        lo, hi = hi, 2.0 * hi
-    return _bisect(rising, lo, hi, 1e-13)
+    if start is not None:
+        return _search(rising, _T_FLOOR, _T_CEIL, 1e-13, start)
+    return _search(rising, _T_FLOOR, _T_CEIL, 1e-13, _T_FLOOR, step)
 
 
-def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams):
-    """(p_s, p_r, t): the frontier partner of p_s and their best rate, or None."""
-    pe_s = min_dep_slot(p_s, params)
-    p_r = _largest_power(lambda p: _covert(pe_s, min_dep_slot(p, params), constraints.epsilon),
-                         constraints.p_max, params.mu2)
-    t = None if p_r is None else _best_rate(p_s, p_r, constraints.delta, params)
+def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams,
+                    p_cov: float, t: float | None):
+    """(p_s, p_r, t): the frontier partner of p_s and their best rate, or None.
+
+    The partner search starts at p_cov, the partner of p_s = p_cov, and the
+    rate search at t where it is given.
+    """
+    probe = _covert_probe(constraints.epsilon, params, min_dep_slot(p_s, params))
+    p_r = _largest_power(probe, constraints.p_max, params.mu2, p_cov)
+    t = None if p_r is None else _best_rate(p_s, p_r, constraints.delta, params, t)
     return None if t is None else (p_s, p_r, t)
 
 
-def _rises(point, params: SystemParams) -> bool:
-    """Whether eta grows as a feasible frontier point moves to larger p_s.
+def _rises(point, p_cov: float, params: SystemParams) -> tuple[bool, float]:
+    """Whether eta grows as a feasible frontier point moves to larger p_s, and d.
 
     The frontier's tangent toward larger p_s is (dC/dp_r, -dC/dp_s), C the
     covertness term; at the best rate, whether the peak of t S(t) or the
     reliability root, eta moves with the sign of its power gradient along
-    that tangent.
+    that tangent.  d is that slope normalised, as the sine of the angle
+    between the elasticity gradients of eta and of C, over ln(p_s / p_cov):
+    by symmetry the slope vanishes at p_cov too, and d keeps only the
+    optimum's root.
     """
-    (neg_eta_s, neg_eta_r, _), (dc_s, dc_r, _) = _gradients(*point, params)[:2].tolist()
-    return neg_eta_r * dc_s > neg_eta_s * dc_r
+    grad = _gradients(*point, params)
+    (neg_eta_s, neg_eta_r, _), (dc_s, dc_r, _) = grad[:2].tolist()
+    (e_s, e_r), (c_s, c_r) = (grad[:2, :2] * np.array(point[:2])).tolist()
+    d = ((e_r * c_s - e_s * c_r)
+         / (math.hypot(e_s, e_r) * math.hypot(c_s, c_r) * math.log(point[0] / p_cov)))
+    return neg_eta_r * dc_s > neg_eta_s * dc_r, d
 
 
 def _active_set(p_s, p_r, p_out, constraints, params) -> frozenset:
@@ -296,21 +400,34 @@ def optimize_single(constraints: ConstraintSet, params_template: SystemParams) -
                          "use optimize_multi for TAS/MRC")
     p_max = constraints.p_max
     p_cov = covert_power_limit(constraints.epsilon, params, p_max)
+    points: dict = {}
+    t_last = None  # the last best rate found, where the next rate search starts
+    last = None  # (ln p_s, d) of the previous outer probe
 
-    def rises(p_s: float) -> bool:
-        point = _frontier_point(p_s, constraints, params)
-        return point is not None and _rises(point, params)
+    def point(p_s: float):
+        # Each frontier point is evaluated once per solve.
+        nonlocal t_last
+        if p_s not in points:
+            points[p_s] = pt = _frontier_point(p_s, constraints, params, p_cov, t_last)
+            t_last = t_last if pt is None else pt[2]
+        return points[p_s]
 
-    def eta(p_s: float) -> float:
-        p_s, p_r, t = _frontier_point(p_s, constraints, params) or (p_s, p_s, 0.0)
-        return throughput_single(params.with_powers(p_s, p_r), RateParams(t)).eta
+    def rises(p_s: float):
+        # `_rises` at the frontier point of p_s, with the secant's step on d.
+        nonlocal last
+        pt = point(p_s)
+        if pt is None:
+            return False, None
+        up, d = _rises(pt, p_cov, params)
+        step = _secant(last, math.log(p_s), d)
+        last = math.log(p_s), d
+        return up, step
 
-    # On the half p_s >= p_r: the end p_s = P_max if eta still rises there
-    # and is no lower than at p_cov (on a long, flat frontier the slope at
-    # P_max is rounding noise), else the last point at which it rises.
-    cap = p_cov == p_max or (rises(p_max) and eta(p_max) >= eta(p_cov))
-    p_s = p_max if cap else _bisect(rises, p_cov, p_max, 1e-10)
-    best = _frontier_point(p_s, constraints, params)
+    # On the half p_s >= p_r: the end p_s = P_max if eta still rises there,
+    # else the last point at which it rises, searched from next to p_cov.
+    cap = p_cov == p_max or rises(p_max)[0]
+    p_s = p_max if cap else _search(rises, p_cov, p_max, 1e-10, p_cov)
+    best = point(p_s)
     if best is None:
         raise InfeasibleError("no rate t >= 1e-3 is reliable at covert powers", "reliability")
     p_s, p_r, t = best
@@ -451,10 +568,23 @@ def optimize_multi(
             break
 
     if best is None:
-        any_covert = any(_covert(d, dep_r, constraints.epsilon).any() for d in dep_s.tolist())
-        tightest = "reliability" if any_covert else "covertness"
+        if any(_covert(d, dep_r, constraints.epsilon).any() for d in dep_s.tolist()):
+            raise InfeasibleError(
+                "no grid point satisfies the constraints (tightest: reliability)", "reliability"
+            )
+        # No grid power is covert: say where the grids start, and where the
+        # covert equal powers lie when that is below them.
+        lowest = min(ps_grid[0], pr_grid[0])
+        why = f"no grid power is covert; the grids start at {lowest:.6g} W"
+        try:
+            p_cov = covert_power_limit(constraints.epsilon, params, p_max)
+        except InfeasibleError as exc:
+            why += f", and {exc}"
+        else:
+            if p_cov < lowest:
+                why += f", and the largest covert equal power is {p_cov:.6g} W"
         raise InfeasibleError(
-            f"no grid point satisfies the constraints (tightest: {tightest})", tightest
+            f"no grid point satisfies the constraints (tightest: covertness): {why}", "covertness"
         )
     p_s, p_r, t, eta, p_out = best
     return Optimum(p_s, p_r, t, eta, _active_set(p_s, p_r, p_out, constraints, params),

@@ -300,6 +300,16 @@ class TestOptimize:
         assert rows[0][4] == "grid"
         assert float(rows[0][3]) > 0.5
 
+    def test_multi_names_the_covert_powers_below_its_grid(self, capsys):
+        # At -80 dBm the covert powers lie about twelve decades below P_max,
+        # and the paper's grids start six decades below it.
+        assert main(["optimize-multi", "--sigma-n-dbm", "-80"]) == 3
+        err = capsys.readouterr().err
+        p_cov = covert_power_limit(0.15, SystemParams(1.0, 1.0, dbm_to_watts(-80.0), 1.5), 5.0)
+        assert "(tightest: covertness)" in err
+        assert "the grids start at 5e-06 W" in err
+        assert f"the largest covert equal power is {p_cov:.6g} W" in err
+
     def test_multi_partial_steps_rejected(self):
         assert main(["optimize-multi", "--h1", "0.05"]) == 2
 

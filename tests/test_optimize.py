@@ -87,6 +87,15 @@ class TestGradient:
         limit = params.mu2 / 1e3**2 * (2.0 * math.log(1.5) - 1.0 + 1.5**-2)
         assert _dep_gap_dp(1e3, params) == pytest.approx(limit, rel=1e-12, abs=0)
 
+    def test_dep_gap_slope_where_p_squared_leaves_the_floats(self):
+        # B depends on p / sigma^2 alone, so dB/dp scales as 1 / sigma^2.
+        # At p = 1e-3 * 2^-600 or 2^600, p**2 under- or overflows.
+        ref = _dep_gap_dp(1e-3, SystemParams(1.0, 1.0, 1e-3, 1.5))
+        for k in (-600, 600):
+            p = math.ldexp(1e-3, k)
+            assert _dep_gap_dp(p, SystemParams(1.0, 1.0, p, 1.5)) == pytest.approx(
+                math.ldexp(ref, -k), rel=1e-12, abs=0)
+
     def test_rejects_boundary_point(self):
         with pytest.raises(ValueError):
             lagrangian_gradient(0.0, 1.0, 1.0, (0, 0, 0, 0), BASE)
@@ -105,6 +114,14 @@ class TestCovertPowerLimit:
         assert covert_power_limit(0.15, BASE, 5.0) == pytest.approx(
             1.3460775747e-4, rel=1e-6
         )
+
+    def test_subnormal_limit(self):
+        # Covert powers near 2e-315 W: the search ends where no float lies
+        # between its ends, with a power that is covert by the test itself.
+        params = SystemParams(1.0, 1.0, 1e-300, 1.0 + 1e-9)
+        p_cov = covert_power_limit(1e-12, params, 1e-300)
+        assert 0.0 < p_cov < 1e-312
+        assert min_dep_two_hop(params.with_powers(p_cov, p_cov)) >= 1.0 - 1e-12
 
     def test_returns_p_max_when_unconstrained(self):
         # With epsilon near 1 the covertness budget never binds.
@@ -172,6 +189,19 @@ class TestOptimizeSingle:
         params = dataclasses.replace(BASE, antennas=antennas)
         with pytest.raises(ValueError, match="optimize_multi"):
             optimize_single(BUDGETS, params)
+
+    def test_default_solve_makes_few_scalar_calls(self, monkeypatch):
+        # The frontier search steps by Newton and the secant inside its
+        # brackets; bisecting at every level, it made 6255 of these calls.
+        calls = []
+        for name in ("min_dep_slot", "_scaled_ei_gap", "_dep_gap_dp", "_hop_single"):
+            def counted(*args, kernel=getattr(optimize, name)):
+                calls.append(kernel)
+                return kernel(*args)
+
+            monkeypatch.setattr(optimize, name, counted)
+        assert optimize_single(BUDGETS, BASE).method == "kkt"
+        assert len(calls) <= 1000
 
     def test_power_cap_returned_exactly(self):
         # Loose covertness: the optimum sits at the p_s cap, which must not

@@ -6,7 +6,10 @@ reference also over rho in [1.001, 1e300] and tau in (0, 4 rho sigma^2].
 No evaluation may raise, and (with warnings as errors) none may warn.
 The outages rise with t and fall with p and with each antenna count, and
 the minimum slot DEP falls with p and rises with rho.  The CLI verbs `dep` and `throughput` exit 0
-over the same domain and 2 outside it.
+over the same domain and 2 outside it.  `optimize_single` returns a
+certified optimum inside its constraints, or InfeasibleError, over
+epsilon, delta in (1e-4, 0.999), rho - 1 in (1e-5, 1e4), sigma^2 in
+(1e-15, 10) W and P_max in (1e-9, 1e4) W.
 """
 
 import contextlib
@@ -18,14 +21,17 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from covertrelay.cli import main
-from covertrelay.detection import dep_slot_reference, min_dep_slot
-from covertrelay.model import RateParams, SystemParams
+from covertrelay.detection import dep_slot_reference, min_dep_slot, min_dep_two_hop
+from covertrelay.errors import InfeasibleError
+from covertrelay.model import ConstraintSet, RateParams, SystemParams
+from covertrelay.optimize import optimize_single
 from covertrelay.specfun import expint_ei
 from covertrelay.throughput import (
     PaperFormulaValue,
     outage_hop_multi_paper,
     outage_hop_multi_reference,
     outage_hop_single,
+    throughput_single,
 )
 
 # The positive zero of Ei (the Ramanujan-Soldner constant's logarithm).
@@ -161,6 +167,31 @@ def test_min_dep_slot_is_monotone(p, sigma2, rho, f):
     assert min_dep_slot(p * f, SystemParams(1.0, 1.0, sigma2, rho)) <= pe + 1e-12
     if rho * f <= 1e3:
         assert min_dep_slot(p, SystemParams(1.0, 1.0, sigma2, rho * f)) >= pe - 1e-12
+
+
+def log_uniform_open(lo, hi):
+    return log_uniform(lo, hi).filter(lambda x: lo < x < hi)
+
+
+@seed(20261019)
+@settings(deadline=None, max_examples=360)
+@given(epsilon=log_uniform_open(1e-4, 0.999), delta=log_uniform_open(1e-4, 0.999),
+       rho_excess=log_uniform_open(1e-5, 1e4), sigma2=log_uniform_open(1e-15, 10.0),
+       p_max=log_uniform_open(1e-9, 1e4))
+def test_single_antenna_optimum_is_certified_and_feasible(epsilon, delta, rho_excess, sigma2,
+                                                          p_max):
+    # A KKT-certified optimum or InfeasibleError, never NumericError; the
+    # optimum keeps every constraint exactly, with no slack.
+    params = SystemParams(1.0, 1.0, sigma2, 1.0 + rho_excess)
+    try:
+        opt = optimize_single(ConstraintSet(epsilon, delta, p_max), params)
+    except InfeasibleError:
+        return
+    assert opt.method == "kkt"
+    assert 0.0 < opt.p_s <= p_max and 0.0 < opt.p_r <= p_max
+    point = params.with_powers(opt.p_s, opt.p_r)
+    assert throughput_single(point, RateParams(opt.t)).p_out <= delta
+    assert min_dep_two_hop(point) >= 1.0 - epsilon
 
 
 # The CLI verbs over the same domain, in the units of their flags.
