@@ -150,7 +150,7 @@ def lagrangian_gradient(
 # ---------------------------------------------------------------------------
 
 
-def _search(probe, lo: float, hi: float, rel: float, x: float | None = None,
+def _search(probe, lo: float, hi: float, rel: float, x: float,
             step: float | None = 0.0) -> float:
     """Last x in [lo, hi) where the test holds, to `rel` relative.
 
@@ -173,10 +173,8 @@ def _search(probe, lo: float, hi: float, rel: float, x: float | None = None,
     reach = rel / 2
     older = old = math.inf  # lengths in ln x of the last two moves
     while hi / lo >= 1.0 + rel:
-        at = x
-        if x is not None:
-            # A step past e^700 leaves any bracket; the cap keeps exp finite.
-            x = None if step is None else x * math.exp(min(step, 700.0))
+        # A step past e^700 leaves any bracket; the cap keeps exp finite.
+        at, x = x, None if step is None else x * math.exp(min(step, 700.0))
         low, high = lo * (1.0 + reach), hi / (1.0 + reach)
         near = 1.0 + max(reach, math.sqrt(rel))
         if x is not None and low <= x <= high and abs(math.log(x / at)) <= older / 2:
@@ -190,7 +188,7 @@ def _search(probe, lo: float, hi: float, rel: float, x: float | None = None,
             if not lo < x < hi:
                 break  # subnormal ends: no float lies between them
         # A start that was never probed (x == at) has made no move yet.
-        older, old = old, math.inf if at in (None, x) else abs(math.log(x / at))
+        older, old = old, math.inf if at == x else abs(math.log(x / at))
         holds, step = probe(x)
         if holds:
             lo = x
@@ -308,9 +306,7 @@ def _best_rate(p_s: float, p_r: float, delta: float, params: SystemParams,
     at_floor, step = rising(_T_FLOOR)
     if not at_floor:
         return None if at_floor is None else _T_FLOOR
-    if start is not None:
-        return _search(rising, _T_FLOOR, _T_CEIL, 1e-13, start)
-    return _search(rising, _T_FLOOR, _T_CEIL, 1e-13, _T_FLOOR, step)
+    return _search(rising, _T_FLOOR, _T_CEIL, 1e-13, start or _T_FLOOR, 0.0 if start else step)
 
 
 def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams,
@@ -326,8 +322,8 @@ def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams
     return None if t is None else (p_s, p_r, t)
 
 
-def _rises(point, p_cov: float, params: SystemParams) -> tuple[bool, float]:
-    """Whether eta grows as a feasible frontier point moves to larger p_s, and d.
+def _rises(point, p_cov: float, params: SystemParams) -> float:
+    """d, positive where eta grows as a feasible frontier point moves to larger p_s.
 
     The frontier's tangent toward larger p_s is (dC/dp_r, -dC/dp_s), C the
     covertness term; at the best rate, whether the peak of t S(t) or the
@@ -335,14 +331,12 @@ def _rises(point, p_cov: float, params: SystemParams) -> tuple[bool, float]:
     that tangent.  d is that slope normalised, as the sine of the angle
     between the elasticity gradients of eta and of C, over ln(p_s / p_cov):
     by symmetry the slope vanishes at p_cov too, and d keeps only the
-    optimum's root.
+    optimum's root.  Frontier points have p_s > p_cov, so the denominator
+    is positive and d has the slope's sign.
     """
-    grad = _gradients(*point, params)
-    (neg_eta_s, neg_eta_r, _), (dc_s, dc_r, _) = grad[:2].tolist()
-    (e_s, e_r), (c_s, c_r) = (grad[:2, :2] * np.array(point[:2])).tolist()
-    d = ((e_r * c_s - e_s * c_r)
-         / (math.hypot(e_s, e_r) * math.hypot(c_s, c_r) * math.log(point[0] / p_cov)))
-    return neg_eta_r * dc_s > neg_eta_s * dc_r, d
+    (e_s, e_r), (c_s, c_r) = (_gradients(*point, params)[:2, :2] * np.array(point[:2])).tolist()
+    return ((e_r * c_s - e_s * c_r)
+            / (math.hypot(e_s, e_r) * math.hypot(c_s, c_r) * math.log(point[0] / p_cov)))
 
 
 def _active_set(p_s, p_r, p_out, constraints, params) -> frozenset:
@@ -418,10 +412,10 @@ def optimize_single(constraints: ConstraintSet, params_template: SystemParams) -
         pt = point(p_s)
         if pt is None:
             return False, None
-        up, d = _rises(pt, p_cov, params)
+        d = _rises(pt, p_cov, params)
         step = _secant(last, math.log(p_s), d)
         last = math.log(p_s), d
-        return up, step
+        return d > 0.0, step
 
     # On the half p_s >= p_r: the end p_s = P_max if eta still rises there,
     # else the last point at which it rises, searched from next to p_cov.

@@ -275,6 +275,17 @@ class TestOptimizeSingle:
         out = throughput_single(params.with_powers(opt.p_s, opt.p_r), RateParams(opt.t))
         assert out.p_out <= constraints.delta
 
+    def test_outer_side_test_survives_underflowing_derivatives(self):
+        # Near p = 1e206 W the power derivatives of eta and of covertness are
+        # ~1e-207 and their products underflow to -0.0; the side test reads
+        # elasticities, so a noise power of 1e200 W still reaches the eta of
+        # the same problem at 1 W (a product test stopped 1.2e-4 short).
+        constraints = ConstraintSet(0.999999, 0.5, 1e300)
+        unit = optimize_single(constraints, SystemParams(1.0, 1.0, 1.0, 1.5))
+        huge = optimize_single(constraints, SystemParams(1.0, 1.0, 1e200, 1.5))
+        assert huge.method == "kkt"
+        assert huge.eta == pytest.approx(unit.eta, rel=1e-8)
+
     @seed(20261018)
     @settings(deadline=None, max_examples=10)
     @given(
