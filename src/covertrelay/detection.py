@@ -2,9 +2,8 @@
 
 Three parallel evaluation paths per quantity:
   * a semi-analytic quadrature reference (the in-repo arbiter): exact false
-    alarm, and missed detection by the Gauss-Legendre rule, error estimate
-    and refinement (`throughput._gl_refine`) of the TAS/MRC kernel
-    `throughput.noise_expectation`,
+    alarm, and missed detection by a Gauss-Legendre rule that estimates
+    its own error and refines by node doubling (`_gl_refine`),
   * the closed forms built on the exponential-integral machinery,
   * a seeded Monte-Carlo estimator (the final oracle in the tests).
 
@@ -15,16 +14,16 @@ uncertainty rho; false alarm and missed detection together form the DEP.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_rayleigh_gain
-from .errors import clamp_unit_interval
+from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, SystemParams, _two_hop
 from .specfun import _POS_SERIES_CUTOFF, _ei_asymptotic_excess, expint_ei_scaled
-from .throughput import _by_rule, _gl_refine
 
 __all__ = [
     "DetectionOutcome",
@@ -85,6 +84,65 @@ def noise_cdf(x: float, params: SystemParams) -> float:
     if x >= params.mu2:
         return 1.0
     return (1.0 + _log_noise_ratio(x, params) / math.log(params.rho)) / 2.0
+
+
+# Gauss-Legendre node counts of the reference: the first estimate, and the
+# most nodes refinement may reach.  Two estimates a factor 2 apart in
+# node count must agree to _GL_TOL.
+_GL_FIRST, _GL_MAX = 64, 1024
+_GL_TOL = 1e-12
+# The rule has one panel in s per factor _PANEL_RHO of rho: one panel up
+# to rho = 1e6.
+_PANEL_RHO = 1e6
+
+
+@functools.cache
+def _gl_rule(ns: tuple[int, ...], panels: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    # The nodes of the n-node Gauss-Legendre rule on each of `panels` equal
+    # parts of [-1, 1], concatenated over n in ns, and each rule's weights,
+    # scaled to give a mean.
+    nodes, weights = [], []
+    for n in ns:
+        s, w = np.polynomial.legendre.leggauss(n)
+        nodes.append(((2 * np.arange(panels) + 1 - panels)[:, None] + s).ravel() / panels)
+        weights.append(np.tile(w, panels) / (2 * panels))
+    return np.concatenate(nodes), tuple(weights)
+
+
+def _gl_refine(mean, size: int, rho: float, what) -> np.ndarray:
+    """mean(s, ws, todo) for todo = arange(size), refined by node doubling.
+
+    (s, ws) is the `_gl_rule` with one panel per factor _PANEL_RHO of rho:
+    s holds the nodes of one or more rules, one after another, and ws the
+    weights of each.  mean returns one row of estimates per rule.  The
+    first call evaluates the _GL_FIRST- and 2 _GL_FIRST-node rules together,
+    so one pass over the thresholds gives both estimates; each later call
+    evaluates the next doubling for the values still unresolved.
+    NumericError names what(i) of the first value i still unresolved.
+    """
+    panels = math.ceil(math.log(rho) / math.log(_PANEL_RHO))
+    out = np.empty(size)
+    todo = np.arange(size)
+    n = _GL_FIRST
+    coarse, fine = mean(*_gl_rule((n, 2 * n), panels), todo)
+    while True:
+        done = np.abs(fine - coarse) <= _GL_TOL
+        out[todo[done]] = fine[done]
+        todo, coarse = todo[~done], fine[~done]
+        n *= 2
+        if not todo.size:
+            return out
+        if 2 * n > _GL_MAX:
+            raise NumericError(f"{what(todo[0])} unresolved with {n} nodes per panel")
+        (fine,) = mean(*_gl_rule((2 * n,), panels), todo)
+
+
+def _by_rule(f: np.ndarray, ws: tuple[np.ndarray, ...]):
+    # (part, weights) of each rule, its part of the last axis of f.
+    start = 0
+    for w in ws:
+        yield f[..., start : start + w.size], w
+        start += w.size
 
 
 def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:

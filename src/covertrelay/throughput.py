@@ -9,18 +9,13 @@ the log-uniform noise (the reference path), a difference of two values
 of an antiderivative of F in the log gain divided by 2 ln rho.  That
 antiderivative depends on the antenna pair alone: `_tas_mrc_outage`
 reads each outage from the pair's table, built once per process (see
-`_outage_table`), with two lookups per threshold.  `noise_expectation`
-evaluates the same mean for an array of thresholds with a fixed
-Gauss-Legendre rule in the noise exponent (split into equal panels above
-rho = 1e6, one more per factor 1e6): each value is computed with 64 and
-128 nodes per panel, in one pass over the thresholds, and any whose two
-values differ by more than 1e-12 is recomputed with twice the nodes, up
-to 1024, before NumericError is raised.  It is the table's test oracle
-and the path below rho = 1.01, where the table's difference cancels; its
-refinement loop also serves the DEP reference.  The published
-combinatorial expansion of the integral is also evaluated verbatim,
-solely to feed the discrepancy report, because it contains sub-terms
-that are undefined or inconsistent as printed.
+`_outage_table`), for every rho > 1.  Where 2 ln rho spans a panel or
+more, the difference is two lookups; below that it is the table
+polynomial's divided difference times the interval's exact length, so
+it does not cancel as rho -> 1.  The published combinatorial expansion
+of the integral is also evaluated verbatim, solely to feed the
+discrepancy report, because it contains sub-terms that are undefined or
+inconsistent as printed.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from .channel import (
     _tas_mrc_gain_cdf_sf,
     sample_noise_power,
     sample_tas_mrc_gain,
-    tas_mrc_gain_cdf,
 )
 from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, RateParams, SystemParams, _two_hop
@@ -50,7 +44,6 @@ __all__ = [
     "capacity_hop",
     "outage_hop_single",
     "throughput_single",
-    "noise_expectation",
     "outage_hop_multi_reference",
     "outage_hop_multi_paper",
     "throughput_multi",
@@ -152,106 +145,6 @@ def throughput_single(params: SystemParams, rate: RateParams) -> ThroughputOutco
     return ThroughputOutcome.combine(hop1, hop2, rate.t)
 
 
-# Gauss-Legendre node counts of noise_expectation: the first estimate, and
-# the most nodes refinement may reach.  Two estimates a factor 2 apart in
-# node count must agree to _GL_TOL.
-_GL_FIRST, _GL_MAX = 64, 1024
-_GL_TOL = 1e-12
-# The rule has one panel in s per factor _PANEL_RHO of rho: one panel up
-# to rho = 1e6, where 512 nodes resolve every outage.
-_PANEL_RHO = 1e6
-# Gain evaluations per block, keeping the kernel's temporaries small: with
-# glibc's malloc, 32 KiB arrays are reused within the process, while 256
-# KiB ones (2**15) go back to the system at each free and fault in again,
-# up to 4 minor page faults per value of a 1000-value call.
-_GL_BLOCK = 2**12
-
-
-@functools.cache
-def _gl_rule(ns: tuple[int, ...], panels: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    # The nodes of the n-node Gauss-Legendre rule on each of `panels` equal
-    # parts of [-1, 1], concatenated over n in ns, and each rule's weights,
-    # scaled to give a mean.
-    nodes, weights = [], []
-    for n in ns:
-        s, w = np.polynomial.legendre.leggauss(n)
-        nodes.append(((2 * np.arange(panels) + 1 - panels)[:, None] + s).ravel() / panels)
-        weights.append(np.tile(w, panels) / (2 * panels))
-    return np.concatenate(nodes), tuple(weights)
-
-
-def _gl_refine(mean, size: int, rho: float, what) -> np.ndarray:
-    """mean(s, ws, todo) for todo = arange(size), refined by node doubling.
-
-    (s, ws) is the `_gl_rule` with one panel per factor _PANEL_RHO of rho:
-    s holds the nodes of one or more rules, one after another, and ws the
-    weights of each.  mean returns one row of estimates per rule.  The
-    first call evaluates the _GL_FIRST- and 2 _GL_FIRST-node rules together,
-    so one pass over the thresholds gives both estimates; each later call
-    evaluates the next doubling for the values still unresolved.
-    NumericError names what(i) of the first value i still unresolved.
-    """
-    panels = math.ceil(math.log(rho) / math.log(_PANEL_RHO))
-    out = np.empty(size)
-    todo = np.arange(size)
-    n = _GL_FIRST
-    coarse, fine = mean(*_gl_rule((n, 2 * n), panels), todo)
-    while True:
-        done = np.abs(fine - coarse) <= _GL_TOL
-        out[todo[done]] = fine[done]
-        todo, coarse = todo[~done], fine[~done]
-        n *= 2
-        if not todo.size:
-            return out
-        if 2 * n > _GL_MAX:
-            raise NumericError(f"{what(todo[0])} unresolved with {n} nodes per panel")
-        (fine,) = mean(*_gl_rule((2 * n,), panels), todo)
-
-
-def _by_rule(f: np.ndarray, ws: tuple[np.ndarray, ...]):
-    # (part, weights) of each rule, its part of the last axis of f.
-    start = 0
-    for w in ws:
-        yield f[..., start : start + w.size], w
-        start += w.size
-
-
-def _gl_mean(n_t: int, n_r: int, y: np.ndarray, s: np.ndarray, ws: tuple[np.ndarray, ...],
-             params: SystemParams) -> np.ndarray:
-    noise = params.sigma_n2 * params.rho**s
-    rows = max(1, _GL_BLOCK // s.size)
-    out = np.empty((len(ws), y.size))
-    for i in range(0, y.size, rows):
-        # A gain threshold past the float range is inf, where the CDF is 1.
-        with np.errstate(over="ignore"):
-            gain = np.multiply.outer(y[i : i + rows], noise)
-        gain_cdf = tas_mrc_gain_cdf(n_t, n_r, gain)
-        # Row sums, not matrix products: each value is then independent of
-        # the rows computed with it.
-        for k, (part, w) in enumerate(_by_rule(gain_cdf, ws)):
-            out[k, i : i + rows] = (part * w).sum(axis=1)
-    return out
-
-
-def noise_expectation(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray:
-    """E_s[F(y sigma^2 rho^s)] for each y >= 0, with s uniform on [-1, 1].
-
-    F is `tas_mrc_gain_cdf(n_t, n_r, .)`, so at y = kappa / p this is the
-    hop outage at power p.  Gauss-Legendre in s, with the error estimate
-    and refinement the module docstring describes; raises NumericError
-    where 512 and 1024 nodes per panel still disagree.  That happens where
-    F's step from 0 to 1, about 1 / sqrt(n_r) wide in ln(gain), is narrow
-    against a panel's 2 ln rho / panels: for n_r = 200 at rho = 1e6, and
-    for n_r = 400 at rho = 1e10 (y = 3 at -5 dBm), for example.
-    """
-    y = np.asarray(y, dtype=float)
-    flat = y.ravel()
-    out = _gl_refine(lambda s, w, todo: _gl_mean(n_t, n_r, flat[todo], s, w, params), flat.size,
-                     params.rho, lambda i: f"TAS/MRC noise expectation at y = {flat[i]}")
-    # The weights sum to 1 only up to rounding.
-    return np.minimum(out, 1.0).reshape(y.shape)
-
-
 # The hop outage at threshold y is E(y) = (H(b) - H(a)) / (2 ln rho) with
 # H(v) = int_{-inf}^v F(e^w) dw and [a, b] = ln(y sigma^2) -/+ ln rho, or
 # 1 - (K(a) - K(b)) / (2 ln rho) with K(v) = int_v^inf (1 - F(e^w)) dw.  H and
@@ -269,10 +162,6 @@ _TABLE_TOL = 1e-14
 # power of the gain and ln H rises linearly) up to where 1 - F < 1e-17, past
 # which H grows as v and K is below 1e-17 / gain.
 _TABLE_LOW_GAIN, _TABLE_LOW_CDF, _TABLE_HIGH_SF = 1e-17, 1e-300, 1e-17
-# Below this rho noise_expectation takes over.  As rho -> 1 the two lookups
-# tend to the table's slope, whose rounding error (about 1e-15 / (2 ln rho))
-# passes 1e-12 near rho - 1 = 3e-4; from rho = 1.01 up it stays near 1e-13.
-_TABLE_RHO = 1.01
 # Thresholds per lookup pass: the (2, n, 2, nodes) coefficient arrays stay
 # small enough to be reused from the allocator.
 _TABLE_BLOCK = 1024
@@ -324,23 +213,55 @@ class _OutageTable:
         panel = shift + (whole - self.lo)
         coef = self.coef[np.minimum(np.maximum(panel + 1.0, 0.0), self.coef.shape[0] - 1.0)
                          .astype(np.intp)]
-        powers = np.cumprod((2.0 * frac - 1.0)[..., None] * _ONES, axis=-1)
-        # The left values and the polynomials kept apart: two ends in one
-        # panel share the left value, and in two panels differ by the change
-        # over whole panels, the polynomials only by the rest.
+        x = 2.0 * frac - 1.0
+        powers = np.cumprod(x[..., None] * _ONES, axis=-1)
         left_value = coef[..., 0]
         rest = coef[..., 1] + (coef[..., 2:] * powers[:, :, None, :]).sum(axis=-1)
-        diff = (left_value[1] - left_value[0]) + (rest[1] - rest[0])
         pos = panel + frac
-        # The length of [a, b] left of the table, in panels.
-        left = np.minimum(np.maximum(-pos[0], 0.0), 2.0 * half)
+        # The change of ln H and of K per panel left of the table.
+        tail = np.array([self.slope, -self.width])
+        if 2.0 * half < 1.0:
+            # [a, b] spans at most one panel edge: its length 4 half in x
+            # times the chord's slope, free of the ends' rounding.
+            diff = 4.0 * half * _chord_slope(coef, x, shift, panel, tail)
+        else:
+            # The left values and the polynomials kept apart: two ends in one
+            # panel share the left value, and in two panels differ by the
+            # change over whole panels, the polynomials only by the rest.
+            diff = (left_value[1] - left_value[0]) + (rest[1] - rest[0])
+            # The length of [a, b] left of the table, in panels.
+            left = np.minimum(np.maximum(-pos[0], 0.0), 2.0 * half)
+            diff = diff + left[:, None] * tail
         two_ln_rho = 2.0 * math.log(params.rho)
         ln_h_b = left_value[1, :, 0] + rest[1, :, 0] + self.slope * np.minimum(pos[1], 0.0)
-        by_h = np.exp(ln_h_b) * -np.expm1(-diff[:, 0] - self.slope * left) / two_ln_rho
-        by_k = 1.0 - (left * self.width - diff[:, 1]) / two_ln_rho
+        by_h = np.exp(ln_h_b) * -np.expm1(-diff[:, 0]) / two_ln_rho
+        by_k = 1.0 + diff[:, 1] / two_ln_rho
         # K where the outage passes 1/2, or where b leaves the table on the right.
         use_k = (by_h > 0.5) | (pos[1] > self.hi - self.lo)
         return np.minimum(np.maximum(np.where(use_k, by_k, by_h), 0.0), 1.0)
+
+
+def _chord_slope(coef: np.ndarray, x: np.ndarray, shift: np.ndarray, panel: np.ndarray,
+                 tail: np.ndarray) -> np.ndarray:
+    # The mean slope in x of ln H and K over [a, b], at most one panel edge
+    # wide.  Within a panel it is the polynomial's divided difference,
+    # sum_k c_k h_{k-1}(x_a, x_b) with h_k = x_b h_{k-1} + x_a^k; across an
+    # edge, the mean of the slopes over [x_a, 1] and [-1, x_b] weighted by
+    # their lengths, so that an error in the weight multiplies only the
+    # difference of the two.  Left of the table it is tail / 2, tail being
+    # the change per panel and a panel 2 wide in x.
+    same = shift[0] == shift[1]
+    lo = np.stack((x[0], np.where(same, x[0], -1.0)))
+    hi = np.stack((np.where(same, x[1], 1.0), x[1]))
+    h = np.empty(lo.shape + (_TABLE_NODES - 1,))
+    h[..., 0] = power = 1.0
+    for k in range(1, _TABLE_NODES - 1):
+        power = power * lo
+        h[..., k] = hi * h[..., k - 1] + power
+    slope = np.where((panel < 0.0)[..., None], 0.5 * tail,
+                     (coef[..., 2:] * h[:, :, None, :]).sum(axis=-1))
+    w = np.where(same, 1.0, (1.0 - x[0]) / ((1.0 - x[0]) + (x[1] + 1.0)))[:, None]
+    return w * slope[0] + (1.0 - w) * slope[1]
 
 
 @functools.cache
@@ -403,13 +324,12 @@ def _outage_table(n_t: int, n_r: int) -> _OutageTable:
 
 
 def _tas_mrc_outage(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray:
-    """`noise_expectation`'s values, by two lookups per threshold in the pair's table.
+    """E_s[F(y sigma^2 rho^s)] for each threshold y >= 0, s uniform on [-1, 1].
 
-    Below rho = _TABLE_RHO = 1.01 the two lookups cancel, and this is
-    `noise_expectation` itself.  Raises ValueError for a negative or NaN y.
+    F is `tas_mrc_gain_cdf(n_t, n_r, .)`, so at y = kappa / p this is the
+    hop outage at power p, read from the pair's table for every rho > 1.
+    Raises ValueError for a negative or NaN y.
     """
-    if params.rho < _TABLE_RHO:
-        return noise_expectation(n_t, n_r, y, params)
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0):  # also rejects NaN
         raise ValueError("thresholds must be >= 0")
@@ -438,8 +358,8 @@ def outage_hop_multi_reference(
     """TAS/MRC hop outage: E over noise of the composite-gain CDF.
 
     The outage event {capacity < T} is {gain < kappa * sigma^2 / p}; its
-    mean over the log-uniform noise power is `noise_expectation` at
-    kappa / p.
+    mean over the log-uniform noise power is read from the antenna pair's
+    table at the threshold kappa / p.
     """
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")

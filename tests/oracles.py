@@ -8,6 +8,9 @@ oracle differentiates the validated throughput and DEP values
 numerically, as a check on their analytic derivatives.  The grid-scan
 oracle is the multi-antenna optimizer's earlier per-point scan, kept as
 it was: a generator that visits each feasible point in Python.
+`noise_expectation`, the mean of the TAS/MRC gain CDF over the noise by
+a Gauss-Legendre rule, is the outage tables' oracle: it shares the DEP
+reference's refinement loop and none of the tables' antiderivative.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc
 
-from covertrelay.detection import min_dep_slot, min_dep_two_hop, noise_cdf
+from covertrelay.channel import tas_mrc_gain_cdf
+from covertrelay.detection import _by_rule, _gl_refine, min_dep_slot, min_dep_two_hop, noise_cdf
 from covertrelay.errors import InfeasibleError, NumericError, clamp_unit_interval
 from covertrelay.model import ConstraintSet, RateParams, SystemParams
 from covertrelay.optimize import _FIRST_ROWS, _NO_ROWS, _POWER_SPAN, Optimum, _active_set
@@ -124,14 +128,69 @@ def oracle_tas_mrc_outage(p: float, kappa: float, sigma2: float, rho: float,
 
     With the noise sigma2 * rho^(2u - 1), u uniform on [0, 1], the outage
     is the mean over u of P(gain < kappa * noise / p), where the gain CDF
-    is scipy's regularized lower incomplete gamma to the n_t power.
+    is scipy's regularized lower incomplete gamma to the n_t power.  The
+    quadrature is split where the gain passes n_r e^(k / sqrt(n_r)), k in
+    -8..8, the Gamma(n_r) CDF's step: at large rho that step is a sliver
+    of [0, 1], which an unsplit rule steps over.
     """
 
     def integrand(u: float) -> float:
         return gammainc(n_r, kappa * sigma2 * rho ** (2.0 * u - 1.0) / p) ** n_t
 
-    value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=400)
+    centre, two_ln_rho = math.log(kappa * sigma2 / p), 2.0 * math.log(rho)
+    steps = ((math.log(n_r) + k / math.sqrt(n_r) - centre) / two_ln_rho + 0.5
+             for k in range(-8, 9))
+    points = [u for u in steps if 0.0 < u < 1.0] or None
+    value, _ = integrate.quad(integrand, 0.0, 1.0, points=points, epsabs=0.0, epsrel=1e-13,
+                              limit=400)
     return value
+
+
+# Gain evaluations per block of noise_expectation, keeping its temporaries small: with
+# glibc's malloc, 32 KiB arrays are reused within the process, while 256
+# KiB ones (2**15) go back to the system at each free and fault in again,
+# up to 4 minor page faults per value of a 1000-value call.
+_GL_BLOCK = 2**12
+
+
+def _gl_mean(n_t: int, n_r: int, y: np.ndarray, s: np.ndarray, ws: tuple[np.ndarray, ...],
+             params: SystemParams) -> np.ndarray:
+    noise = params.sigma_n2 * params.rho**s
+    rows = max(1, _GL_BLOCK // s.size)
+    out = np.empty((len(ws), y.size))
+    for i in range(0, y.size, rows):
+        # A gain threshold past the float range is inf, where the CDF is 1.
+        with np.errstate(over="ignore"):
+            gain = np.multiply.outer(y[i : i + rows], noise)
+        gain_cdf = tas_mrc_gain_cdf(n_t, n_r, gain)
+        # Row sums, not matrix products: each value is then independent of
+        # the rows computed with it.
+        for k, (part, w) in enumerate(_by_rule(gain_cdf, ws)):
+            out[k, i : i + rows] = (part * w).sum(axis=1)
+    return out
+
+
+def noise_expectation(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray:
+    """E_s[F(y sigma^2 rho^s)] for each y >= 0, with s uniform on [-1, 1].
+
+    F is `tas_mrc_gain_cdf(n_t, n_r, .)`, so at y = kappa / p this is the
+    hop outage at power p.  This was the library's TAS/MRC kernel before
+    its outage tables, and it is their oracle.  Gauss-Legendre in s (one
+    panel per factor 1e6 of rho): each value is computed with 64 and 128
+    nodes per panel in one pass over the thresholds, and any whose two
+    values differ by more than 1e-12 with twice the nodes, up to 1024.
+    Raises NumericError where 512 and 1024 nodes per panel still disagree.
+    That happens where F's step from 0 to 1, about 1 / sqrt(n_r) wide in
+    ln(gain), is narrow against a panel's 2 ln rho / panels: for n_r = 200
+    at rho = 1e6, and for n_r = 400 at rho = 1e10 (y = 3 at -5 dBm), for
+    example.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    out = _gl_refine(lambda s, w, todo: _gl_mean(n_t, n_r, flat[todo], s, w, params), flat.size,
+                     params.rho, lambda i: f"TAS/MRC noise expectation at y = {flat[i]}")
+    # The weights sum to 1 only up to rounding.
+    return np.minimum(out, 1.0).reshape(y.shape)
 
 
 def oracle_dep_slot(p: float, tau: float, params: SystemParams) -> float:

@@ -26,13 +26,12 @@ from covertrelay.optimize import (
 from covertrelay import optimize
 from covertrelay.throughput import (
     _tas_mrc_outage,
-    noise_expectation,
     throughput_multi,
     throughput_single,
 )
 
 import oracles
-from oracles import oracle_lagrangian_gradient, oracle_optimize_multi
+from oracles import noise_expectation, oracle_lagrangian_gradient, oracle_optimize_multi
 
 SIGMA_N2 = dbm_to_watts(-5.0)
 BASE = SystemParams(1.0, 1.0, SIGMA_N2, 1.5)

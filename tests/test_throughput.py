@@ -16,7 +16,7 @@ from covertrelay.model import (
     dbm_to_watts,
 )
 from covertrelay.specfun import ei_diff
-from oracles import oracle_ei, oracle_outage_single, oracle_tas_mrc_outage
+from oracles import noise_expectation, oracle_ei, oracle_outage_single, oracle_tas_mrc_outage
 from covertrelay.throughput import (
     ThroughputOutcome,
     _hop_single,
@@ -24,7 +24,6 @@ from covertrelay.throughput import (
     _tas_mrc_outage,
     capacity_hop,
     mc_outage_hop,
-    noise_expectation,
     outage_hop_multi_paper,
     outage_hop_multi_reference,
     outage_hop_single,
@@ -202,9 +201,9 @@ class TestMultiAntenna:
 
     @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 2), (2, 8), (4, 4)])
     def test_matches_incomplete_gamma_oracle(self, n_t, n_r):
-        # Up to rho = 1e6, where 128 nodes are not enough and the kernel
-        # must refine.
-        for rho in (1.01, 1.5, 3.0, 10.0, 1e3, 1e6):
+        # From rho - 1 = 1e-9, where the table reads its divided differences,
+        # up to rho = 1e6.
+        for rho in (1.0 + 1e-9, 1.0 + 1e-6, 1.01, 1.5, 3.0, 10.0, 1e3, 1e6):
             params = SystemParams(1.0, 1.0, SIGMA_N2, rho)
             for p in np.geomspace(5e-6, 5.0, 7):
                 for t in np.geomspace(0.01, 5.0, 7):
@@ -240,10 +239,11 @@ class TestMultiAntenna:
     def test_kernel_is_elementwise(self):
         # An array of thresholds gives each kernel's own scalar values
         # exactly: the table's through the scalar wrapper, the Gauss-Legendre
-        # kernel's one threshold at a time; rho = 1e10 takes two of its panels.
+        # kernel's one threshold at a time; rho = 1 + 1e-6 takes the table's
+        # divided differences, and rho = 1e10 two of the kernel's panels.
         rates = [RateParams(t) for t in (0.3, 1.5, 4.0)]
         y = np.array([[r.kappa / p for r in rates] for p in (1e-4, 1.0)])
-        for rho in (1.5, 1e10):
+        for rho in (1.0 + 1e-6, 1.5, 1e10):
             params = SystemParams(1.0, 1.0, SIGMA_N2, rho)
             for n_t, n_r in ((1, 1), (2, 8), (4, 4)):
                 table = _tas_mrc_outage(n_t, n_r, y, params)
@@ -256,9 +256,10 @@ class TestMultiAntenna:
                         assert gl[i, j] == noise_expectation(n_t, n_r, y[i, j], params)
         # Across the table's lookup blocks too.
         y = np.geomspace(1e-3, 1e6, 2100)
-        table = _tas_mrc_outage(2, 8, y, BASE)
-        for i in range(0, y.size, 41):
-            assert table[i] == _tas_mrc_outage(2, 8, y[i], BASE), i
+        for params in (BASE, SystemParams(1.0, 1.0, SIGMA_N2, 1.0 + 1e-6)):
+            table = _tas_mrc_outage(2, 8, y, params)
+            for i in range(0, y.size, 41):
+                assert table[i] == _tas_mrc_outage(2, 8, y[i], params), (params.rho, i)
 
     @pytest.mark.parametrize("ant", [AntennaConfig(2, 8, 2, 8), AntennaConfig(4, 4, 4, 4),
                                      AntennaConfig(2, 8, 4, 4)])
@@ -348,45 +349,60 @@ class TestOutageTable:
     """The antiderivative table against the Gauss-Legendre kernel and the oracle."""
 
     def test_matches_the_gauss_legendre_kernel(self):
-        # A seeded corpus over rho - 1 in [1e-6, 1e-2] (the kernel itself,
-        # below the cut) and rho in [1.01, 1e300], thresholds from the power-
-        # law tail to past the step.  Where the kernel cannot resolve a large-
-        # n_r threshold, the incomplete-gamma oracle is the reference; its
-        # quadrature steps over the Gamma(n_r) step past rho = 1e10 (0.50045
-        # for 0.50033 at (3, 100), rho = 1e146), so large n_r stop there.
+        # A seeded corpus over rho - 1 in [1e-9, 1e-2] (the divided
+        # differences) and rho in [1.01, 1e300], thresholds from the power-
+        # law tail to past the step.
         rng = np.random.default_rng(15)
         pairs = [(1, 1), (2, 2), (2, 8), (4, 4), (1, 32), (3, 100), (1, 400)]
         for n_t, n_r in pairs:
-            top = 300 if n_r <= 32 else 10
             for k in range(8):
-                rho = (1.0 + 10.0 ** rng.uniform(-6, -2) if k < 2
-                       else 1.01 if k == 2 else 10.0 ** rng.uniform(math.log10(1.01), top))
+                rho = (1.0 + 10.0 ** rng.uniform(-9, -2) if k < 2
+                       else 1.01 if k == 2 else 10.0 ** rng.uniform(math.log10(1.01), 300))
                 sigma2 = 10.0 ** rng.uniform(-13, 0)
                 params = SystemParams(1.0, 1.0, sigma2, rho)
                 lo, hi = math.log(1e-20) / n_r, math.log(4.0 * n_r + 40.0)
                 y = np.exp(rng.uniform(lo, hi, 24)) / sigma2
                 got = _tas_mrc_outage(n_t, n_r, y, params)
-                try:
-                    ref = noise_expectation(n_t, n_r, y, params)
-                except NumericError:
+                # The kernel cannot resolve a large n_r's Gamma(n_r) step at
+                # large rho (see noise_expectation); the incomplete-gamma
+                # oracle, split at that step, is the reference there.
+                if n_r >= 100 and rho > 1e6:
                     ref = np.array([oracle_tas_mrc_outage(1.0, v, sigma2, rho, n_t, n_r)
                                     for v in y])
+                else:
+                    ref = noise_expectation(n_t, n_r, y, params)
                 for g, r, v in zip(got.tolist(), ref.tolist(), y.tolist()):
                     assert abs(g - r) <= 1e-12, (n_t, n_r, rho, sigma2, v)
                     if r > 1e-280:
                         assert abs(g - r) <= 1e-10 * r, (n_t, n_r, rho, sigma2, v)
 
     def test_tails_and_ends(self):
-        # Past either end of the table, and for thresholds of 0 and inf.
-        params = SystemParams(1.0, 1.0, 1e-3, 3.0)
-        y = np.array([0.0, 1e-300, 1e-30, 1e-18, 1e6, 1e300, math.inf])
-        for n_t, n_r in ((1, 1), (2, 8)):
-            got = _tas_mrc_outage(n_t, n_r, y, params)
-            ref = noise_expectation(n_t, n_r, y, params)
-            assert got[0] == 0.0 and got[-1] == 1.0
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-        with pytest.raises(ValueError, match="thresholds must be >= 0"):
-            _tas_mrc_outage(2, 8, [1.0, math.nan], BASE)
+        # Past either end of the table, and for thresholds of 0 and inf, with
+        # two lookups (rho = 3) and with divided differences.  Where [a, b]
+        # holds the table's left end, the tail and the first panel share it
+        # by the same weights, so the ends' rounding moves no length between
+        # them (a separate split cost about 4e-10 relative at rho = 1 + 1e-9).
+        for rho in (3.0, 1.0 + 1e-4, 1.0 + 1e-9):
+            params = SystemParams(1.0, 1.0, 1e-3, rho)
+            for n_t, n_r in ((1, 1), (2, 2), (2, 8)):
+                table = _outage_table(n_t, n_r)
+                left_end = np.exp(table.lo * table.width
+                                  + np.array([-0.5, 0.0, 0.5]) * math.log(rho)) / 1e-3
+                y = np.concatenate(([0.0, 1e-300, 1e-30, 1e-18], left_end, [1e6, 1e300, math.inf]))
+                got = _tas_mrc_outage(n_t, n_r, y, params)
+                ref = noise_expectation(n_t, n_r, y, params)
+                assert got[0] == 0.0 and got[-1] == 1.0, rho
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+            with pytest.raises(ValueError, match="thresholds must be >= 0"):
+                _tas_mrc_outage(2, 8, [1.0, math.nan], params)
+
+    def test_oracle_resolves_the_step_at_huge_rho(self):
+        # At rho ~ 1e146 the Gamma(100) step is a sliver of the oracle's
+        # range; unsplit, its quadrature gave 0.5000000000000001.  The value
+        # is a 30-digit integral split at the step.
+        args = (1.0, 4965.895200740788, 0.02717935823776899, 1.3924879833301753e146, 3, 100)
+        assert oracle_tas_mrc_outage(*args) == pytest.approx(0.50032769659788017, rel=0,
+                                                             abs=1e-12)
 
     def test_error_estimate(self, monkeypatch):
         # Every default pair's table is within its stated bound, and a bound
