@@ -3,8 +3,11 @@
 Randomness contract: every sampler takes a numpy Generator produced by
 `make_generator(RngSpec(seed, stream))`.  Identical (seed, stream) pairs
 give bit-identical sequences; distinct stream indices give independent
-streams.  Exponentials are drawn by inverse CDF from the uniform stream
-so the sequences are reproducible across numpy versions.
+streams.  The gains come from numpy's exponential and gamma samplers,
+so a (seed, stream) pair fixes every draw bit for bit only under a given
+numpy version; the Monte-Carlo checks are statistical and hold across
+versions.  The gain sampler draws Gamma(n_r, 1) directly, independently of
+the branch-CDF series that `tas_mrc_gain_cdf` sums.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ def make_generator(spec: RngSpec) -> np.random.Generator:
 
 # Smallest trial count a Monte-Carlo estimator accepts.
 _MIN_MC_SAMPLES = 1000
+# Most trials drawn at once: a chunk holds a few float arrays of this length.
+_MC_CHUNK = 2_000_000
 
 
-def _mc_count(spec: RngSpec, n: int, chunk: int, count):
-    """Sum of count(gen, m) over n trials, drawn in chunks of at most `chunk`.
+def _mc_count(spec: RngSpec, n: int, count):
+    """Sum of count(gen, m) over n trials, drawn in chunks of at most _MC_CHUNK.
 
     count draws m trials from gen, the generator of `spec`, and returns
     their hits (an int, or an array of counts).
@@ -61,25 +66,24 @@ def _mc_count(spec: RngSpec, n: int, chunk: int, count):
         raise ValueError(f"need at least {_MIN_MC_SAMPLES} samples, got {n}")
     gen = make_generator(spec)
     total = 0
-    for done in range(0, n, chunk):
-        total = total + count(gen, min(chunk, n - done))
+    for done in range(0, n, _MC_CHUNK):
+        total = total + count(gen, min(_MC_CHUNK, n - done))
     return total
 
 
 def sample_noise_power(params: SystemParams, rng: np.random.Generator, size: int | None = None):
     """Log-uniform receiver noise power on [mu1, mu2].
 
-    Drawn as sigma_n^2 * rho^U with U uniform on [-1, 1]; the implied
-    density is 1/(2 x ln rho) on the support.
+    Drawn as sigma_n^2 * e^{U ln rho} with U uniform on [-1, 1]; the
+    implied density is 1/(2 x ln rho) on the support.
     """
     u = rng.random(size)
-    return params.sigma_n2 * params.rho ** (2.0 * u - 1.0)
+    return params.sigma_n2 * np.exp((2.0 * u - 1.0) * math.log(params.rho))
 
 
 def sample_rayleigh_gain(rng: np.random.Generator, size: int | None = None):
-    """Squared Rayleigh channel gain |h|^2 ~ Exp(1), via inverse CDF."""
-    u = rng.random(size)
-    return -np.log1p(-u)
+    """Squared Rayleigh channel gain |h|^2 ~ Exp(1)."""
+    return rng.standard_exponential(size)
 
 
 def sample_tas_mrc_gain(n_t: int, n_r: int, rng: np.random.Generator, size: int | None = None):
@@ -91,8 +95,7 @@ def sample_tas_mrc_gain(n_t: int, n_r: int, rng: np.random.Generator, size: int 
     if n_t < 1 or n_r < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({n_t}, {n_r})")
     n = 1 if size is None else int(size)
-    branch = sample_rayleigh_gain(rng, (n, n_t, n_r))
-    gain = branch.sum(axis=2).max(axis=1)
+    gain = rng.standard_gamma(n_r, (n, n_t)).max(axis=1)
     return gain[0] if size is None else gain
 
 

@@ -37,8 +37,6 @@ __all__ = [
     "mc_dep_two_hop",
 ]
 
-_MC_CHUNK = 2_000_000
-
 
 @dataclass(frozen=True)
 class DetectionOutcome:
@@ -266,7 +264,7 @@ def mc_dep_slot(
         return np.array([np.count_nonzero(noise_fa > tau),
                          np.count_nonzero(p * gain + noise_md <= tau)])
 
-    p_fa, p_md = (int(hits) / n for hits in _mc_count(rng, n, _MC_CHUNK, count))
+    p_fa, p_md = (int(hits) / n for hits in _mc_count(rng, n, count))
     var = p_fa * (1.0 - p_fa) + p_md * (1.0 - p_md)
     return McEstimate(p_fa + p_md, math.sqrt(var / n), n, rng.seed)
 

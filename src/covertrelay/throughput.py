@@ -50,8 +50,6 @@ __all__ = [
     "mc_outage_hop",
 ]
 
-_MC_CHUNK = 1_000_000
-
 
 @dataclass(frozen=True)
 class ThroughputOutcome:
@@ -475,5 +473,5 @@ def mc_outage_hop(
         # capacity < T  <=>  p * gain < kappa * sigma2
         return int(np.count_nonzero(p * gain < kappa * sigma2))
 
-    p_hat = _mc_count(rng, n, _MC_CHUNK, count) / n
+    p_hat = _mc_count(rng, n, count) / n
     return McEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), n, rng.seed)

@@ -44,10 +44,14 @@ class TestRngContract:
 
 class TestNoisePower:
     def test_support(self):
-        rng = make_generator(RngSpec(1, 0))
-        draws = sample_noise_power(PARAMS, rng, 200_000)
-        assert draws.min() >= PARAMS.mu1
-        assert draws.max() <= PARAMS.mu2
+        # e^{U ln rho} is rounded apart from mu1 = sigma_n^2 / rho and
+        # mu2 = sigma_n^2 rho, from rho next to 1 up to 1e100.
+        for rho, sigma_n2 in ((PARAMS.rho, PARAMS.sigma_n2), (1.0 + 1e-9, 1e-13),
+                              (1.01, 1e-13), (1e10, 1e-13), (1e100, 1e-13)):
+            params = SystemParams(1.0, 1.0, sigma_n2, rho)
+            draws = sample_noise_power(params, make_generator(RngSpec(1, 0)), 200_000)
+            assert draws.min() >= params.mu1
+            assert draws.max() <= params.mu2
 
     def test_log_uniform(self):
         # ln(draw / mu1) / ln(rho^2) should be uniform on [0, 1].
@@ -74,7 +78,7 @@ class TestRayleighGain:
 
 
 class TestTasMrcGain:
-    @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 2), (2, 8), (4, 4)])
+    @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 2), (2, 8), (4, 4), (1, 400), (3, 100)])
     def test_empirical_cdf_matches_exact(self, n_t, n_r):
         rng = make_generator(RngSpec(5, 0))
         draws = sample_tas_mrc_gain(n_t, n_r, rng, 100_000)

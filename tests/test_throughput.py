@@ -1,6 +1,7 @@
 """Outage and throughput: closed form vs quadrature vs Monte Carlo."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -431,3 +432,15 @@ class TestMcOutage:
             mc_outage_hop(1.0, RateParams(1.5), BASE, 1, 1, 10, RngSpec(0))
         with pytest.raises(ValueError):
             mc_outage_hop(0.0, RateParams(1.5), BASE, 1, 1, 10_000, RngSpec(0))
+
+    def test_peak_memory_per_trial(self):
+        # The gain is the max of n_t Gamma(n_r, 1) draws: no array holds
+        # the n_t * n_r = 64 branch gains of a trial.
+        n = 200_000
+        tracemalloc.start()
+        try:
+            mc_outage_hop(1.0, RateParams(1.5), BASE, 4, 16, n, RngSpec(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * n
