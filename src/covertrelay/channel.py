@@ -74,11 +74,16 @@ def _mc_count(spec: RngSpec, n: int, count):
 def sample_noise_power(params: SystemParams, rng: np.random.Generator, size: int | None = None):
     """Log-uniform receiver noise power on [mu1, mu2].
 
-    Drawn as sigma_n^2 * e^{U ln rho} with U uniform on [-1, 1]; the
-    implied density is 1/(2 x ln rho) on the support.
+    Drawn in place as sigma_n^2 e^{U ln rho}, U uniform on [-1, 1] (density
+    1/(2 x ln rho)), and clipped to the support, which rounding can miss.
     """
-    u = rng.random(size)
-    return params.sigma_n2 * np.exp((2.0 * u - 1.0) * math.log(params.rho))
+    u = np.asarray(rng.random(size))
+    u *= 2.0
+    u -= 1.0
+    u *= math.log(params.rho)
+    np.exp(u, out=u)
+    u *= params.sigma_n2
+    return np.clip(u, params.mu1, params.mu2, out=u)[()]
 
 
 def sample_rayleigh_gain(rng: np.random.Generator, size: int | None = None):

@@ -19,23 +19,17 @@ least squares, are nonnegative and leave a stationarity residual below
 1e-6 eta.
 
 Multi-antenna: a grid scan over log-spaced power grids (a tight
-covertness budget puts the feasible powers decades below P_max).  For
-each p_s it filters the covert p_r as one array row and runs all of the
-row's rate loops side by side as one (p_r, rate) array; a loop stops at
-the outage budget or once it has passed its peak, and the first v_max
-points in scan order count.  Hop outages are read from tables with one
-column per (antennas, power) of a covert pair and one row per rate
-k h3, filled from the antenna pair's outage table by
-`throughput._tas_mrc_outage`, two lookups per value.  Loops still running
-past the last row of their columns double the columns and run on: one
-lookup call per antenna pair fills every column of a doubling, and each
-column ends as long as a scan of one point at a time would make it,
-except where v_max cuts a row.
+covertness budget puts the feasible powers decades below P_max).  The
+covert (p_s, p_r) pairs are scanned in blocks, in scan order: a block's
+rate loops run side by side in passes of 16, 16, 32, 64, ... rates over
+arrays of at most _SCAN_CELLS cells, each stopping at the outage budget
+or once past its peak, and the first v_max points count.  Hop outages
+come from a store per antenna pair with a row per power, filled by
+`throughput._tas_mrc_outage`, one call per antenna pair and pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -70,9 +64,10 @@ _T_FLOOR, _T_CEIL = 1e-3, 1024.0
 # Largest stationarity residual the KKT certificate accepts, relative to eta.
 _CERT_TOL = 1e-6
 _CONSTRAINTS = ("covertness", "reliability", "power_s", "power_r")
-# Rows of a multi-antenna outage column before its first doubling.
+# Rates of a multi-antenna rate loop's first pass; each next pass doubles them.
 _FIRST_ROWS = 16
-_NO_ROWS = np.empty(0)
+# Cells (loops x rates) of a pass's arrays; a block's loops fill the first pass.
+_SCAN_CELLS = 8192
 
 
 def _covert(pe_a, pe_b, epsilon: float):
@@ -453,11 +448,9 @@ def optimize_multi(
     If `evaluations` is a list, every feasible evaluated point is
     appended to it as (p_s, p_r, t, eta).
 
-    The rate loops of one p_s run as arrays, as the module docstring
-    describes; the optimum and the evaluations are those of a scan of one
-    point at a time in the same order, with ties going to the smallest
-    p_s, then p_r, then t, and so are the kernel values computed, except
-    where v_max cuts a row.
+    The optimum (ties go to the smallest p_s, then p_r, then t), the
+    evaluations and the kernel values are those of a scan of one point at
+    a time, except where v_max cuts a block.
     """
     if phi <= 0:
         raise ValueError(f"phi must be > 0, got {phi}")
@@ -471,98 +464,98 @@ def optimize_multi(
         h3 = 0.01
     else:
         h1, h2, h3 = steps
-        if h1 <= 0 or h2 <= 0 or h3 <= 0:
-            raise ValueError(f"step sizes must be > 0, got {steps}")
-        ps_grid = np.arange(h1, p_max * (1 + 1e-12), h1)
-        pr_grid = np.arange(h2, p_max * (1 + 1e-12), h2)
-
-    dep_s = np.array([min_dep_slot(p, params) for p in ps_grid.tolist()])
-    dep_r = dep_s if pr_grid is ps_grid else np.array([min_dep_slot(p, params)
-                                                       for p in pr_grid.tolist()])
-
-    # Hop outages at the rates k * h3, one column per (antennas, power),
-    # built only for powers of covert pairs.  A column's rows are doubled
-    # when a rate loop runs past them, as a one-point-at-a-time scan would.
+        top = p_max * (1 + 1e-12)
+        if not (0 < h1 < top and 0 < h2 < top and h3 > 0):
+            raise ValueError(f"step sizes must be > 0, and h1, h2 <= P_max, got {steps}")
+        # k h rounds up to an ulp past P_max at the top of the grid.
+        ps_grid, pr_grid = (np.minimum(np.arange(h, top, h), p_max) for h in (h1, h2))
+    ps_list, pr_list = ps_grid.tolist(), pr_grid.tolist()  # floats the evaluations share
+    dep_s = np.array([min_dep_slot(p, params) for p in ps_list])
+    dep_r = dep_s if pr_grid is ps_grid else np.array([min_dep_slot(p, params) for p in pr_list])
+    # Hop outages at the rates k * h3 per antenna pair, a row per power id
+    # (equal powers share one), NaN where not yet computed.
+    powers, ids = np.unique(np.concatenate((ps_grid, pr_grid)), return_inverse=True)
+    ps_id, pr_id = ids[: ps_grid.size], ids[ps_grid.size :]
     hop1, hop2 = (ant.n_s, ant.n_rr), (ant.n_rt, ant.n_d)
-    delta = constraints.delta
-    kappas = _NO_ROWS
-    columns: dict[tuple, np.ndarray] = {}
+    stores = {pair: np.full((powers.size, _FIRST_ROWS), np.nan) for pair in (hop1, hop2)}
+    kappas: list[float] = []
 
-    def extend(keys, rows: int) -> None:
-        # Give the columns of keys (n_t, n_r, p) their first `rows` rows: one
-        # kernel call per antenna pair for every column short of them.
-        nonlocal kappas
-        if kappas.size < rows:
-            kappas = np.append(kappas, [RateParams(j * h3).kappa
-                                        for j in range(kappas.size + 1, rows + 1)])
-        short: dict[tuple, dict] = {}
-        for key in keys:
-            col = columns.get(key, _NO_ROWS)
-            if col.size < rows:
-                short.setdefault(key[:2], {})[key] = col
-        for pair, cols in short.items():
-            y = np.concatenate([kappas[col.size : rows] / key[2] for key, col in cols.items()])
-            values = _tas_mrc_outage(*pair, y, params)
-            for key, col in cols.items():
-                columns[key] = np.concatenate((col, values[: rows - col.size]))
-                values = values[rows - col.size :]
-
-    def scan(p_s: float, prs: list):
-        # Loop index, k, eta and p_out of each point of the rate loops of
-        # (p_s, p_r), p_r in prs, in scan order.  Loops that have not
-        # stopped within `width` rates go on from there to twice the width.
-        key1, keys2 = (*hop1, p_s), [(*hop2, p_r) for p_r in prs]
-        run = np.arange(len(prs))
-        peak = np.full(len(prs), -np.inf)
-        parts = []
+    def scan(i: np.ndarray, j: np.ndarray):
+        # Points of each loop of the pairs (i, j), each loop's first point and
+        # every point's eta, in scan order; loops run in passes of doubling width.
+        run, peak, points = np.arange(i.size), np.full(i.size, -np.inf), np.zeros(i.size, int)
+        parts = []  # (loops, start, points kept, their eta) of each array
         start, width = 0, _FIRST_ROWS
         while run.size:
-            keys = [keys2[i] for i in run.tolist()]
-            extend([key1, *keys], width)
-            outage2 = np.array([columns[key][start:width] for key in keys])
-            p_out = _two_hop(columns[key1][start:width], outage2)
+            kappas.extend(RateParams(k * h3).kappa for k in range(len(kappas) + 1, width + 1))
+            a, b = ps_id[i[run]], pr_id[j[run]]
+            # One kernel call per antenna pair fills its rows up to `width`, so
+            # a row ends, as in a scan of one point at a time, at a doubling.
+            for pair, need in ({hop1: a, hop2: b} if hop1 != hop2
+                               else {hop1: np.concatenate((a, b))}).items():
+                values = stores[pair]
+                if values.shape[1] < width:  # by one doubling
+                    values = stores[pair] = np.pad(values, [(0, 0), (0, width // 2)],
+                                                   constant_values=np.nan)
+                short = np.unique(need[np.isnan(values[need, width - 1])])
+                rows, cols = np.nonzero(np.isnan(values[short, :width]))
+                if rows.size:
+                    y = np.array(kappas)[cols] / powers[short[rows]]
+                    values[short[rows], cols] = _tas_mrc_outage(*pair, y, params)
             # k * h3, not a running sum, so every rate lies on the grid.
-            ks = np.arange(start + 1, width + 1)
-            eta = ks * h3 * (1.0 - p_out)
-            # A loop stops before its first rate over the outage budget, or
-            # after its first eta phi below the peak so far.
-            peaks = np.maximum(np.maximum.accumulate(eta, axis=1), peak[run, None])
-            over, fall = p_out > delta, eta + phi < peaks
-            any_over, any_fall = over.any(axis=1), fall.any(axis=1)
-            n = width - start
-            ends = np.minimum(np.where(any_over, over.argmax(axis=1), n),
-                              np.where(any_fall, fall.argmax(axis=1) + 1, n))
-            kept = np.arange(n) < ends[:, None]
-            parts.append((np.repeat(run, ends), np.broadcast_to(ks, kept.shape)[kept],
-                          eta[kept], p_out[kept]))
-            peak[run] = peaks[:, -1]
-            run = run[~(any_over | any_fall)]
+            rates = np.arange(start + 1, width + 1) * h3
+            step = max(1, _SCAN_CELLS // rates.size)
+            going = []
+            for c in range(0, run.size, step):
+                loop = run[c : c + step]
+                p_out = _two_hop(stores[hop1][a[c : c + step], start:width],
+                                 stores[hop2][b[c : c + step], start:width])
+                eta = rates * (1.0 - p_out)
+                # A loop stops before its first rate over the outage budget,
+                # or after its first eta phi below the peak so far.
+                peaks = np.maximum(np.maximum.accumulate(eta, axis=1), peak[loop, None])
+                over, fall = p_out > constraints.delta, eta + phi < peaks
+                any_over, any_fall = over.any(axis=1), fall.any(axis=1)
+                ends = np.minimum(np.where(any_over, over.argmax(axis=1), rates.size),
+                                  np.where(any_fall, fall.argmax(axis=1) + 1, rates.size))
+                parts.append((loop, start, ends, eta[np.arange(rates.size) < ends[:, None]]))
+                points[loop] += ends
+                peak[loop] = peaks[:, -1]
+                going.append(loop[~(any_over | any_fall)])
+            run = np.concatenate(going)
             start, width = width, 2 * width
-        loop, ks, eta, p_out = (np.concatenate(part) for part in zip(*parts))
-        order = np.argsort(loop, kind="stable")
-        return loop[order], ks[order], eta[order], p_out[order]
+        first, eta = np.cumsum(points) - points, np.empty(points.sum())
+        for loop, start, ends, kept in parts:
+            # Each loop keeps its rates start + 1 .. start + ends here.
+            eta[np.repeat(first[loop] + start - np.cumsum(ends) + ends, ends)
+                + np.arange(kept.size)] = kept
+        return points, first, eta
 
-    best = None
-    budget = v_max
-    for p_s, d_s in zip(ps_grid.tolist(), dep_s.tolist()):
-        prs = pr_grid[_covert(d_s, dep_r, constraints.epsilon)].tolist()
-        if not prs:
-            continue
-        # The row's first `budget` points in scan order: the v_max cut.
-        loop, ks, eta, p_out = (a[:budget] for a in scan(p_s, prs))
+    best, budget = None, v_max  # best: (eta, i, j, k) of the best point so far
+    pairs = np.nonzero(_covert(dep_s[:, None], dep_r, constraints.epsilon))
+    for b in range(0, pairs[0].size, _SCAN_CELLS // _FIRST_ROWS):
+        i, j = (a[b : b + _SCAN_CELLS // _FIRST_ROWS] for a in pairs)
+        points, first, eta = scan(i, j)
+        # The block's first `budget` points in scan order: the v_max cut.
+        eta = eta[:budget]
         budget -= eta.size
         # Ties go to the first in scan order: the smallest p_s, p_r and t.
-        if eta.size and (best is None or eta.max() > best[3]):
-            i = int(eta.argmax())
-            best = p_s, prs[loop[i]], float(ks[i] * h3), float(eta[i]), float(p_out[i])
+        if eta.size and (best is None or eta.max() > best[0]):
+            x = int(eta.argmax())
+            loop = int(np.searchsorted(first, x, side="right")) - 1
+            best = float(eta[x]), int(i[loop]), int(j[loop]), x - int(first[loop]) + 1
         if evaluations is not None:
-            evaluations.extend(zip(itertools.repeat(p_s), map(prs.__getitem__, loop.tolist()),
-                                   (ks * h3).tolist(), eta.tolist()))
+            loop = np.repeat(np.arange(points.size), points)[: eta.size]
+            ks = np.arange(eta.size) - first[loop] + 1
+            rates = (np.arange(points.max() + 1) * h3).tolist()
+            evaluations.extend(zip(map(ps_list.__getitem__, i[loop].tolist()),
+                                   map(pr_list.__getitem__, j[loop].tolist()),
+                                   map(rates.__getitem__, ks.tolist()), eta.tolist()))
         if not budget:
             break
 
     if best is None:
-        if any(_covert(d, dep_r, constraints.epsilon).any() for d in dep_s.tolist()):
+        if pairs[0].size:
             raise InfeasibleError(
                 "no grid point satisfies the constraints (tightest: reliability)", "reliability"
             )
@@ -580,6 +573,8 @@ def optimize_multi(
         raise InfeasibleError(
             f"no grid point satisfies the constraints (tightest: covertness): {why}", "covertness"
         )
-    p_s, p_r, t, eta, p_out = best
-    return Optimum(p_s, p_r, t, eta, _active_set(p_s, p_r, p_out, constraints, params),
+    eta, i, j, k = best
+    p_out = float(_two_hop(stores[hop1][ps_id[i], k - 1], stores[hop2][pr_id[j], k - 1]))
+    p_s, p_r = ps_list[i], pr_list[j]
+    return Optimum(p_s, p_r, k * h3, eta, _active_set(p_s, p_r, p_out, constraints, params),
                    method="grid")

@@ -160,9 +160,9 @@ _TABLE_TOL = 1e-14
 # power of the gain and ln H rises linearly) up to where 1 - F < 1e-17, past
 # which H grows as v and K is below 1e-17 / gain.
 _TABLE_LOW_GAIN, _TABLE_LOW_CDF, _TABLE_HIGH_SF = 1e-17, 1e-300, 1e-17
-# Thresholds per lookup pass: the (2, n, 2, nodes) coefficient arrays stay
-# small enough to be reused from the allocator.
-_TABLE_BLOCK = 1024
+# Thresholds per lookup pass: the (2, n, 2, nodes) coefficient arrays, ~0.5 MB
+# in all, stay small enough to be reused from the allocator.
+_TABLE_BLOCK = 256
 # The signs of the interval ends a, b, and the row the powers x^1 .. x^19 of
 # a panel coordinate x are accumulated along.
 _ENDS = np.array([[-1.0], [1.0]])

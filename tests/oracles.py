@@ -7,7 +7,8 @@ between the two is meaningful evidence of correctness.  The Lagrangian
 oracle differentiates the validated throughput and DEP values
 numerically, as a check on their analytic derivatives.  The grid-scan
 oracle is the multi-antenna optimizer's earlier per-point scan, kept as
-it was: a generator that visits each feasible point in Python.
+it was but for the linear grids' clip to P_max: a generator that visits
+each feasible point in Python.
 `noise_expectation`, the mean of the TAS/MRC gain CDF over the noise by
 a Gauss-Legendre rule, is the outage tables' oracle: it shares the DEP
 reference's refinement loop and none of the tables' antiderivative.
@@ -26,7 +27,7 @@ from covertrelay.channel import tas_mrc_gain_cdf
 from covertrelay.detection import _by_rule, _gl_refine, min_dep_slot, min_dep_two_hop, noise_cdf
 from covertrelay.errors import InfeasibleError, NumericError, clamp_unit_interval
 from covertrelay.model import ConstraintSet, RateParams, SystemParams
-from covertrelay.optimize import _FIRST_ROWS, _NO_ROWS, _POWER_SPAN, Optimum, _active_set
+from covertrelay.optimize import _FIRST_ROWS, _POWER_SPAN, Optimum, _active_set
 from covertrelay.throughput import _tas_mrc_outage, throughput_single
 
 EULER_GAMMA = 0.57721566490153286061
@@ -281,8 +282,8 @@ def oracle_optimize_multi(
         h1, h2, h3 = steps
         if h1 <= 0 or h2 <= 0 or h3 <= 0:
             raise ValueError(f"step sizes must be > 0, got {steps}")
-        ps_grid = np.arange(h1, p_max * (1 + 1e-12), h1)
-        pr_grid = np.arange(h2, p_max * (1 + 1e-12), h2)
+        ps_grid = np.minimum(np.arange(h1, p_max * (1 + 1e-12), h1), p_max)
+        pr_grid = np.minimum(np.arange(h2, p_max * (1 + 1e-12), h2), p_max)
 
     dep_s = np.array([min_dep_slot(p, params) for p in ps_grid.tolist()])
     dep_r = dep_s if pr_grid is ps_grid else np.array([min_dep_slot(p, params)
@@ -299,7 +300,7 @@ def oracle_optimize_multi(
     columns: dict[tuple, np.ndarray] = {}
 
     def outage(n_t: int, n_r: int, p: float, k: int) -> float:
-        col = columns.get((n_t, n_r, p), _NO_ROWS)
+        col = columns.get((n_t, n_r, p), np.empty(0))
         if k > col.size:
             rows = max(_FIRST_ROWS, 2 * col.size)
             kappas.extend(RateParams(j * h3).kappa for j in range(len(kappas) + 1, rows + 1))

@@ -53,6 +53,28 @@ class TestNoisePower:
             assert draws.min() >= params.mu1
             assert draws.max() <= params.mu2
 
+    def test_support_at_the_ends_of_u(self):
+        # U within 8 ulps of 0 puts e^{(2U - 1) ln rho} one ulp off 1 / rho,
+        # which the clip keeps on [mu1, mu2]; U next to 1 stays under mu2.
+        class Stub:
+            def random(self, size):
+                u = np.r_[np.arange(9) * 2.0**-53, 1.0 - np.arange(1, 9) * 2.0**-53]
+                return u[0] if size is None else np.resize(u, size)
+
+        for rho in (1.0 + 1e-9, 1.5, 1e10, 1e100):
+            params = SystemParams(1.0, 1.0, 1e-13, rho)
+            draws = sample_noise_power(params, Stub(), 17)
+            assert draws.min() >= params.mu1
+            assert draws.max() <= params.mu2
+        assert sample_noise_power(params, Stub(), None) == params.mu1
+
+    def test_in_place_draws_match_the_closed_form(self):
+        # The in-place chain is sigma_n^2 exp((2U - 1) ln rho), bit for bit.
+        u = make_generator(RngSpec(6, 0)).random(200_000)
+        expected = PARAMS.sigma_n2 * np.exp((2.0 * u - 1.0) * math.log(PARAMS.rho))
+        draws = sample_noise_power(PARAMS, make_generator(RngSpec(6, 0)), 200_000)
+        np.testing.assert_array_equal(draws, expected)
+
     def test_log_uniform(self):
         # ln(draw / mu1) / ln(rho^2) should be uniform on [0, 1].
         rng = make_generator(RngSpec(2, 0))

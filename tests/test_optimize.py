@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -425,6 +427,82 @@ class TestOptimizeMulti:
         else:
             assert values["points"] <= values["rows"] <= values["uncut"]
 
+    @seed(20261019)
+    @settings(deadline=None, max_examples=100)
+    @given(epsilon=st.floats(1e-3, 0.9, exclude_min=True, exclude_max=True),
+           delta=st.floats(1e-3, 0.9, exclude_min=True, exclude_max=True),
+           rho_excess=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+           sigma2=st.floats(-13.0, 0.0).map(lambda e: 10.0**e),
+           antennas=st.tuples(*[st.integers(1, 4), st.integers(1, 16)] * 2),
+           p_max_over_p_cov=st.floats(-0.5, 1.5).map(lambda e: 10.0**e),
+           n_s=st.integers(1, 30), n_r=st.integers(1, 30),
+           h3=st.floats(-2.0, -0.5).map(lambda e: 10.0**e),
+           phi=st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
+           v_max=st.integers(1, 300) | st.integers(1, 10**6),
+           cells=st.sampled_from([64, optimize._SCAN_CELLS]))
+    def test_matches_the_per_point_scan_on_small_grids(self, epsilon, delta, rho_excess, sigma2,
+                                                       antennas, p_max_over_p_cov, n_s, n_r,
+                                                       h3, phi, v_max, cells):
+        # Linear grids of up to 30 powers per axis up to a P_max near the
+        # largest covert equal power, asymmetric relays included: the block
+        # scan, also in blocks of 4 pairs and passes split into arrays of 64
+        # cells, against the generator scan, compared as in
+        # test_matches_the_per_point_scan.
+        params = SystemParams(1.0, 1.0, sigma2, 1.0 + rho_excess, AntennaConfig(*antennas))
+        p_max = covert_power_limit(epsilon, params, 1e3) * p_max_over_p_cov
+        budgets = ConstraintSet(epsilon, delta, p_max)
+        steps = (p_max / n_s, p_max / n_r, h3)
+
+        def run(module, scan, v_max):
+            values = []
+
+            def counted(n_t, n_r, y, params):
+                values.append(np.size(y))
+                return _tas_mrc_outage(n_t, n_r, y, params)
+
+            evals = []
+            with (mock.patch.object(module, "_tas_mrc_outage", counted),
+                  mock.patch.object(optimize, "_SCAN_CELLS", cells)):
+                try:
+                    opt = scan(budgets, params, steps, phi, v_max, evals)
+                except InfeasibleError as err:
+                    opt = err.tightest_constraint
+            return opt, evals, sum(values)
+
+        blocks = run(optimize, optimize_multi, v_max)
+        points = run(oracles, oracle_optimize_multi, v_max)
+        assert blocks[:2] == points[:2]
+        if not isinstance(blocks[0], str):  # inside the power box, and covert
+            assert 0.0 < blocks[0].p_s <= p_max and 0.0 < blocks[0].p_r <= p_max
+            assert min_dep_two_hop(params.with_powers(blocks[0].p_s, blocks[0].p_r)) >= 1 - epsilon
+        if len(points[1]) < v_max:
+            assert blocks[2] == points[2]
+        else:
+            assert points[2] <= blocks[2] <= run(optimize, optimize_multi, 10**6)[2]
+
+    def test_ties_across_blocks(self, monkeypatch):
+        # In blocks of one pair, the mirrored pair (p_r, p_s), whose eta is
+        # equal bit for bit, lies in a later block and does not win the tie.
+        monkeypatch.setattr(optimize, "_SCAN_CELLS", optimize._FIRST_ROWS)
+        opt = optimize_multi(BUDGETS, self.PARAMS)
+        assert (opt.p_s, opt.p_r, opt.t) == (1.2385381779958556e-4, 1.4240179342179008e-4, 0.81)
+
+    def test_peak_memory(self):
+        # Each pass's arrays hold at most _SCAN_CELLS (loop, rate) cells,
+        # also where the loops run 300 rates wide, as at (4, 16) with
+        # epsilon = 0.9 and delta = 0.5 (736 038 points).
+        for antennas, budgets, bound in (((2, 8), BUDGETS, 4e6),
+                                         ((4, 16), ConstraintSet(0.9, 0.5, 5.0), 6e6)):
+            params = SystemParams(1.0, 1.0, SIGMA_N2, 1.5, AntennaConfig(*antennas * 2))
+            optimize_multi(budgets, params)  # builds the antenna pair's outage table
+            tracemalloc.start()
+            try:
+                optimize_multi(budgets, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
     @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 2), (2, 8), (4, 4)])
     def test_table_scan_matches_the_gauss_legendre_scan(self, monkeypatch, n_t, n_r):
         # The paper's default grid read from the outage table and from the
@@ -522,3 +600,7 @@ class TestOptimizeMulti:
             optimize_multi(BUDGETS, self.PARAMS, v_max=0)
         with pytest.raises(ValueError):
             optimize_multi(BUDGETS, self.PARAMS, steps=(0.0, 0.1, 0.1))
+        with pytest.raises(ValueError, match="<= P_max"):
+            optimize_multi(BUDGETS, self.PARAMS, steps=(0.1, 6.0, 0.1))
+        with pytest.raises(ValueError, match="<= P_max"):
+            optimize_multi(BUDGETS, self.PARAMS, steps=(math.nan, 0.1, 0.1))
