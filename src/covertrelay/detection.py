@@ -22,8 +22,8 @@ import numpy as np
 
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_rayleigh_gain
 from .errors import NumericError, clamp_unit_interval
-from .model import McEstimate, SystemParams, _two_hop
-from .specfun import _POS_SERIES_CUTOFF, _ei_asymptotic_excess, expint_ei_scaled
+from .model import McEstimate, SystemParams, _require_finite, _two_hop
+from .specfun import _POS_SERIES_CUTOFF, _ei_asymptotic_excess, _gauss_legendre, expint_ei_scaled
 
 __all__ = [
     "DetectionOutcome",
@@ -101,7 +101,7 @@ def _gl_rule(ns: tuple[int, ...], panels: int) -> tuple[np.ndarray, tuple[np.nda
     # scaled to give a mean.
     nodes, weights = [], []
     for n in ns:
-        s, w = np.polynomial.legendre.leggauss(n)
+        s, w = _gauss_legendre(n)
         nodes.append(((2 * np.arange(panels) + 1 - panels)[:, None] + s).ravel() / panels)
         weights.append(np.tile(w, panels) / (2 * panels))
     return np.concatenate(nodes), tuple(weights)
@@ -179,24 +179,6 @@ def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
     return clamp_unit_interval((1.0 - s_hi) / 2.0 + p_md, "dep_slot_reference")
 
 
-def _scaled_ei_gap(u: float, v: float) -> float:
-    """e^(-u) * [Ei(u) - Ei(v)] for u > v > 0, overflow-safe."""
-    return expint_ei_scaled(u) - math.exp(v - u) * expint_ei_scaled(v)
-
-
-def _dep_gap_dp(p: float, params: SystemParams) -> float:
-    # B(p) = e^{-mu2/p} [Ei(mu2/p) - Ei(mu1/p)]; 1 - Pe* = B / (2 ln rho).
-    u, v = params.mu2 / p, params.mu1 / p
-    if u <= _POS_SERIES_CUTOFF:
-        b = _scaled_ei_gap(u, v)
-        # u / p, not mu2 / p**2: p**2 leaves the floats for p past ~1e154 or
-        # below ~1e-154 where the slope itself does not.
-        return (u / p) * b + math.expm1((params.mu1 - params.mu2) / p) / p
-    # dB/dp = [(u S(u) - 1) - e^{v-u} (u S(v) - 1)] / p with S(x) = e^{-x} Ei(x).
-    # u S(u) - 1 cancels for large u, so its asymptotic series is summed.
-    return (_ei_asymptotic_excess(u) - math.exp(v - u) * (u * expint_ei_scaled(v) - 1.0)) / p
-
-
 def dep_slot_paper(p: float, tau: float, params: SystemParams) -> float:
     """Per-slot DEP via the piecewise closed form.
 
@@ -213,7 +195,8 @@ def dep_slot_paper(p: float, tau: float, params: SystemParams) -> float:
     if tau <= mu1:
         return 1.0
     if tau <= mu2:
-        return 1.0 - _scaled_ei_gap(tau / p, mu1 / p) / two_ln_rho
+        u, v = tau / p, mu1 / p
+        return 1.0 - (expint_ei_scaled(u) - math.exp(v - u) * expint_ei_scaled(v)) / two_ln_rho
     # Verbatim transcription of the tau > mu2 branch, each e^{-tau/p} * Ei(x/p)
     # product carried in scaled form so large tau/p cannot overflow.
     bracket = (
@@ -230,13 +213,36 @@ def optimal_threshold(params: SystemParams) -> float:
     return params.rho * params.sigma_n2
 
 
+def _dep_single(p: float, params: SystemParams) -> tuple[float, float, float]:
+    """(Pe*, B, dB/dp): the minimum slot DEP Pe* = 1 - B / (2 ln rho) at power p > 0.
+
+    B(p) = e^{-u} [Ei(u) - Ei(v)] with u = mu2 / p and v = mu1 / p.  B and
+    its slope share e^{v-u} and S(v) = e^{-v} Ei(v), and past u = 40 also
+    the asymptotic excess u S(u) - 1, summed directly because it cancels.
+    Pe* is not clamped: a caller that reads it as a probability clamps it,
+    and one that reads only B and its slope gets them where Pe* leaves
+    [0, 1] by more than the clamp's slack.
+    """
+    u, v = _require_finite("mu2 / p", params.mu2 / p), params.mu1 / p
+    ratio, s_v = math.exp(v - u), expint_ei_scaled(v)
+    if u <= _POS_SERIES_CUTOFF:
+        b = expint_ei_scaled(u) - ratio * s_v
+        # u / p, not mu2 / p**2: p**2 leaves the floats for p past ~1e154 or
+        # below ~1e-154 where the slope itself does not.
+        slope = (u / p) * b + math.expm1((params.mu1 - params.mu2) / p) / p
+    else:
+        excess = _ei_asymptotic_excess(u)
+        b = (1.0 + excess) / u - ratio * s_v
+        # dB/dp = [(u S(u) - 1) - e^{v-u} (u S(v) - 1)] / p.
+        slope = (excess - ratio * (u * s_v - 1.0)) / p
+    return 1.0 - b / (2.0 * math.log(params.rho)), b, slope
+
+
 def min_dep_slot(p: float, params: SystemParams) -> float:
     """Minimum per-slot DEP, i.e. the DEP at the optimal threshold."""
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
-    two_ln_rho = 2.0 * math.log(params.rho)
-    value = 1.0 - _scaled_ei_gap(params.mu2 / p, params.mu1 / p) / two_ln_rho
-    return clamp_unit_interval(value, "min_dep_slot")
+    return clamp_unit_interval(_dep_single(p, params)[0], "min_dep_slot")
 
 
 def min_dep_two_hop(params: SystemParams) -> float:

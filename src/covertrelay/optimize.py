@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import _dep_gap_dp, _scaled_ei_gap, min_dep_slot, min_dep_two_hop
-from .errors import InfeasibleError, NumericError
+from .detection import _dep_single, min_dep_slot, min_dep_two_hop
+from .errors import InfeasibleError, NumericError, clamp_unit_interval
 from .model import ConstraintSet, RateParams, SystemParams, _two_hop
 # Unused here: bench/tests/test_bench.py checks that the tracer patches this binding.
 from .specfun import ei_diff
@@ -115,10 +115,10 @@ def _gradients(p_s: float, p_r: float, t: float, params: SystemParams) -> np.nda
     dp_out = [-ok_r * slope_s / p_s, -ok_s * slope_r / p_r,
               (slope_s * ok_r + ok_s * slope_r) * dlnk_dt]
     c = 4.0 * math.log(params.rho) ** 2
-    b_s, b_r = (_scaled_ei_gap(params.mu2 / p, params.mu1 / p) for p in (p_s, p_r))
+    (_, b_s, db_s), (_, b_r, db_r) = (_dep_single(p, params) for p in (p_s, p_r))
     return np.array([
         [t * dp_out[0], t * dp_out[1], t * dp_out[2] - ok_s * ok_r],
-        [_dep_gap_dp(p_s, params) * b_r / c, b_s * _dep_gap_dp(p_r, params) / c, 0.0],
+        [db_s * b_r / c, b_s * db_r / c, 0.0],
         dp_out,
         [1.0, 0.0, 0.0],
         [0.0, 1.0, 0.0],
@@ -210,10 +210,11 @@ def _covert_probe(epsilon: float, params: SystemParams, pe_s: float | None = Non
     hops = 2.0 if pe_s is None else 1.0
 
     def probe(p: float):
-        pe = min_dep_slot(p, params)
+        pe, _, db = _dep_single(p, params)
+        pe = clamp_unit_interval(pe, "min_dep_slot")
         other = pe if pe_s is None else pe_s
         c = (1.0 - other) * (1.0 - pe)
-        slope = hops * p * _dep_gap_dp(p, params) / (two_ln_rho * (1.0 - pe)) if c else 0.0
+        slope = hops * p * db / (two_ln_rho * (1.0 - pe)) if c else 0.0
         step = (log_eps - math.log(c)) / slope if slope > 0.0 else None
         return _covert(other, pe, epsilon), step
 

@@ -36,7 +36,7 @@ from .channel import (
 )
 from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, RateParams, SystemParams, _two_hop
-from .specfun import _ein, ei_diff, upper_gamma
+from .specfun import _ein, _gauss_legendre, ei_diff, upper_gamma
 
 __all__ = [
     "ThroughputOutcome",
@@ -169,16 +169,6 @@ _ENDS = np.array([[-1.0], [1.0]])
 _ONES = np.ones(_TABLE_NODES - 1)
 
 
-def _golub_welsch(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], from the
-    # eigenvalues and eigenvectors of its Jacobi matrix: the table's build
-    # then imports no numpy.polynomial, about 5 ms at a process's start.
-    k = np.arange(1, n)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    return nodes, 2.0 * vectors[0] ** 2
-
-
 @dataclass(frozen=True)
 class _OutageTable:
     """ln H and K of one antenna pair, piecewise polynomial in v = ln(gain).
@@ -236,7 +226,9 @@ class _OutageTable:
         by_k = 1.0 + diff[:, 1] / two_ln_rho
         # K where the outage passes 1/2, or where b leaves the table on the right.
         use_k = (by_h > 0.5) | (pos[1] > self.hi - self.lo)
-        return np.minimum(np.maximum(np.where(use_k, by_k, by_h), 0.0), 1.0)
+        # Clamped to [0, 1], and to exactly 0 at y = 0 and 1 at y = inf: the
+        # thresholds clamped into the floats above need not read 0 and 1.
+        return np.minimum(np.maximum(np.where(use_k, by_k, by_h), y == np.inf), np.sign(y))
 
 
 def _chord_slope(coef: np.ndarray, x: np.ndarray, shift: np.ndarray, panel: np.ndarray,
@@ -282,7 +274,7 @@ def _outage_table(n_t: int, n_r: int) -> _OutageTable:
     theta = np.pi * np.arange(nodes_per) / (nodes_per - 1)
     nodes = edges[first - 1 : last + 1, None] + width / 2 * (1.0 - np.cos(theta))
     start, stop = nodes[:, :-1], nodes[:, 1:]
-    s, w = _golub_welsch(_SEGMENT_NODES)
+    s, w = _gauss_legendre(_SEGMENT_NODES)
     half = (stop - start) / 2
     seg_cdf, seg_sf = _tas_mrc_gain_cdf_sf(
         n_t, n_r, np.exp(((start + stop) / 2)[..., None] + half[..., None] * s))
@@ -325,7 +317,8 @@ def _tas_mrc_outage(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray:
     """E_s[F(y sigma^2 rho^s)] for each threshold y >= 0, s uniform on [-1, 1].
 
     F is `tas_mrc_gain_cdf(n_t, n_r, .)`, so at y = kappa / p this is the
-    hop outage at power p, read from the pair's table for every rho > 1.
+    hop outage at power p, read from the pair's table for every rho > 1:
+    exactly 0 at y = 0 (rate 0) and 1 at y = inf (kappa past the floats).
     Raises ValueError for a negative or NaN y.
     """
     y = np.asarray(y, dtype=float)
@@ -339,17 +332,6 @@ def _tas_mrc_outage(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-def _outages_multi(ps: tuple[float, ...], rate: RateParams, params: SystemParams, n_t: int,
-                   n_r: int) -> list[float]:
-    # TAS/MRC hop outages at the powers ps, from one _tas_mrc_outage call.
-    if rate.t == 0.0:
-        return [0.0] * len(ps)
-    kappa = rate.kappa
-    if kappa == math.inf:
-        return [1.0] * len(ps)
-    return _tas_mrc_outage(n_t, n_r, [kappa / p for p in ps], params).tolist()
-
-
 def outage_hop_multi_reference(
     p: float, rate: RateParams, params: SystemParams, n_t: int, n_r: int
 ) -> float:
@@ -361,8 +343,7 @@ def outage_hop_multi_reference(
     """
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
-    (value,) = _outages_multi((p,), rate, params, n_t, n_r)
-    return value
+    return float(_tas_mrc_outage(n_t, n_r, rate.kappa / p, params))
 
 
 def outage_hop_multi_paper(
@@ -444,12 +425,13 @@ def throughput_multi(params: SystemParams, rate: RateParams) -> ThroughputOutcom
     Each distinct antenna pair costs one kernel call: both hops share one
     when the relay is symmetric, (n_s, n_rr) = (n_rt, n_d).
     """
-    ant = params.antennas
+    ant, kappa = params.antennas, rate.kappa
+    y1, y2 = kappa / params.p_s, kappa / params.p_r
     if (ant.n_s, ant.n_rr) == (ant.n_rt, ant.n_d):
-        hop1, hop2 = _outages_multi((params.p_s, params.p_r), rate, params, ant.n_s, ant.n_rr)
+        hop1, hop2 = _tas_mrc_outage(ant.n_s, ant.n_rr, [y1, y2], params).tolist()
     else:
-        (hop1,) = _outages_multi((params.p_s,), rate, params, ant.n_s, ant.n_rr)
-        (hop2,) = _outages_multi((params.p_r,), rate, params, ant.n_rt, ant.n_d)
+        hop1 = float(_tas_mrc_outage(ant.n_s, ant.n_rr, y1, params))
+        hop2 = float(_tas_mrc_outage(ant.n_rt, ant.n_d, y2, params))
     return ThroughputOutcome.combine(hop1, hop2, rate.t)
 
 

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 import covertrelay
+from covertrelay import cli
 from covertrelay.cli import main
 from covertrelay.detection import min_dep_two_hop
+from covertrelay.errors import NumericError
 from covertrelay.model import AntennaConfig, RateParams, SystemParams, dbm_to_watts
 from covertrelay.optimize import covert_power_limit
 from covertrelay.throughput import throughput_multi, throughput_single
+from covertrelay.validation import ValidationCheck
 from oracles import oracle_tas_mrc_outage
 
 
@@ -336,6 +339,14 @@ class TestFlagContract:
         keys = [field.split("=")[0] for field in read_csv(out)[0].split()[2:]]
         assert keys == ["sigma_n2_w", "rho", "nt", "nr", "epsilon", "delta", "p_max"]
 
+    def test_numeric_failure_exits_4(self, monkeypatch, capsys):
+        def fail(p, params):
+            raise NumericError("min_dep_slot = -3e-09 leaves [0, 1]")
+
+        monkeypatch.setattr(cli, "min_dep_slot", fail)
+        assert main(["dep"]) == 4
+        assert "numeric failure: min_dep_slot" in capsys.readouterr().err
+
     def test_exit_codes_reach_the_shell(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -403,6 +414,16 @@ class TestValidateAndFigures:
                                 "reference_value", "abs_diff"]
         assert len(disc_rows) > 100
 
+    def test_failed_check_is_reported_and_exits_4(self, tmp_path, monkeypatch, capsys):
+        # The report and the discrepancies are still written.
+        failed = ValidationCheck("dep_slot", 0.5, 0.4, 0.01, 10.0, False)
+        monkeypatch.setattr(cli, "run_validation", lambda samples, seed: [failed])
+        out = tmp_path / "validation.csv"
+        assert main(["validate", "--out", str(out)]) == 4
+        assert "analytic-vs-MC checks failed" in capsys.readouterr().err
+        assert [(row[0], row[5]) for row in read_csv(out)[2]] == [("dep_slot", "FAIL")]
+        assert (tmp_path / "discrepancies.csv").exists()
+
     def test_figures_single(self, tmp_path):
         assert main(["figures", "--which", "6", "--outdir", str(tmp_path)]) == 0
         fig6 = tmp_path / "fig6.csv"
@@ -448,3 +469,17 @@ class TestNumpyOnlyRuntime:
         proc = self.run_python(code, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_gauss_legendre_rules_load_no_numpy_polynomial(self, tmp_path):
+        # The slot-DEP reference and the outage tables build their rules in
+        # specfun, without numpy.polynomial's import.
+        code = ("import sys\n"
+                "from covertrelay.detection import dep_slot_reference\n"
+                "from covertrelay.model import SystemParams\n"
+                "from covertrelay.throughput import _outage_table\n"
+                "dep_slot_reference(1e-3, 1.2e-3, SystemParams(1.0, 1.0, 1e-3, 1.5))\n"
+                "_outage_table(2, 8)\n"
+                "print('numpy.polynomial' in sys.modules)\n")
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -189,3 +189,8 @@ class TestMonteCarlo:
             mc_dep_slot(1.0, 1e-3, BASE, 10, RngSpec(0))
         with pytest.raises(ValueError):
             mc_dep_two_hop(BASE, 1e-3, 999, RngSpec(0))
+
+    def test_rejects_nonpositive_power(self):
+        for p in (0.0, -1.0):
+            with pytest.raises(ValueError, match="p and tau must be > 0"):
+                mc_dep_slot(p, 1e-3, BASE, 10_000, RngSpec(0))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertrelay.errors import CLAMP_SLACK, NumericError, clamp_unit_interval
 from covertrelay.model import (
     AntennaConfig,
     ConstraintSet,
@@ -114,6 +115,20 @@ class TestBudgetsAndRate:
             McEstimate(mean=0.5, stderr=-1.0, n=10, seed=0)
         with pytest.raises(ValueError):
             McEstimate(mean=0.5, stderr=0.0, n=0, seed=0)
+
+
+class TestClampUnitInterval:
+    def test_clamps_float_noise(self):
+        assert clamp_unit_interval(-CLAMP_SLACK, "x") == 0.0
+        assert clamp_unit_interval(1.0 + CLAMP_SLACK, "x") == 1.0
+        assert clamp_unit_interval(0.25, "x") == 0.25
+
+    def test_rejects_nan_and_values_past_the_slack(self):
+        with pytest.raises(NumericError, match="x evaluated to NaN"):
+            clamp_unit_interval(math.nan, "x")
+        for value in (-2.0 * CLAMP_SLACK, 1.0 + 2.0 * CLAMP_SLACK):
+            with pytest.raises(NumericError, match=r"leaves \[0, 1\]"):
+                clamp_unit_interval(value, "x")
 
 
 class TestConfigFile:

@@ -18,8 +18,9 @@ from covertrelay.model import (
     SystemParams,
     dbm_to_watts,
 )
-from covertrelay.detection import _dep_gap_dp, min_dep_slot, min_dep_two_hop
+from covertrelay.detection import _dep_single, min_dep_slot, min_dep_two_hop
 from covertrelay.optimize import (
+    Optimum,
     covert_power_limit,
     lagrangian_gradient,
     optimize_multi,
@@ -49,6 +50,19 @@ def assert_gradient_matches_central_difference(p_s, p_r, t, mult):
         scale = max(abs(a), abs(fd), 1e-9)
         assert abs(a - fd) <= 1e-4 * scale + 1e-7, (i, a, fd)
     return analytic
+
+
+class TestOptimum:
+    def test_rejects_bad_fields(self):
+        Optimum(1.0, 1.0, 0.0, 0.0)
+        for fields in ((0.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, 1.0), (1.0, 1.0, -1.0, 1.0),
+                       (1.0, 1.0, 1.0, -1.0)):
+            with pytest.raises(ValueError, match="optimum fields must be positive"):
+                Optimum(*fields)
+        with pytest.raises(ValueError, match="unknown active constraints"):
+            Optimum(1.0, 1.0, 1.0, 1.0, frozenset({"covertness", "latency"}))
+        with pytest.raises(ValueError, match="method must be 'kkt' or 'grid'"):
+            Optimum(1.0, 1.0, 1.0, 1.0, method="bisect")
 
 
 class TestGradient:
@@ -86,16 +100,23 @@ class TestGradient:
         # mpmath; e^(v - u) - 1 formed without expm1 was 72 % off.
         params = SystemParams(1.0, 1.0, 1e-13, 1.5)
         limit = params.mu2 / 1e3**2 * (2.0 * math.log(1.5) - 1.0 + 1.5**-2)
-        assert _dep_gap_dp(1e3, params) == pytest.approx(limit, rel=1e-12, abs=0)
+        assert _dep_single(1e3, params)[2] == pytest.approx(limit, rel=1e-12, abs=0)
 
     def test_dep_gap_slope_where_p_squared_leaves_the_floats(self):
         # B depends on p / sigma^2 alone, so dB/dp scales as 1 / sigma^2.
         # At p = 1e-3 * 2^-600 or 2^600, p**2 under- or overflows.
-        ref = _dep_gap_dp(1e-3, SystemParams(1.0, 1.0, 1e-3, 1.5))
+        ref = _dep_single(1e-3, SystemParams(1.0, 1.0, 1e-3, 1.5))[2]
         for k in (-600, 600):
             p = math.ldexp(1e-3, k)
-            assert _dep_gap_dp(p, SystemParams(1.0, 1.0, p, 1.5)) == pytest.approx(
+            assert _dep_single(p, SystemParams(1.0, 1.0, p, 1.5))[2] == pytest.approx(
                 math.ldexp(ref, -k), rel=1e-12, abs=0)
+
+    def test_finite_where_the_closed_form_dep_leaves_the_unit_interval(self):
+        # At rho = 1 + 1e-7 the DEP 1 - B / (2 ln rho) cancels past the clamp's
+        # slack, so min_dep_slot raises; the gradient reads only B and dB/dp.
+        params = SystemParams(1.0, 1.0, SIGMA_N2, 1.0 + 1e-7)
+        grad = lagrangian_gradient(1.0, 1.0, 1.5, (1.0, 0.0, 0.0, 0.0), params)
+        assert all(math.isfinite(g) for g in grad) and grad[0] < 0.0
 
     def test_rejects_boundary_point(self):
         with pytest.raises(ValueError):
@@ -195,7 +216,7 @@ class TestOptimizeSingle:
         # The frontier search steps by Newton and the secant inside its
         # brackets; bisecting at every level, it made 6255 of these calls.
         calls = []
-        for name in ("min_dep_slot", "_scaled_ei_gap", "_dep_gap_dp", "_hop_single"):
+        for name in ("min_dep_slot", "_dep_single", "_hop_single"):
             def counted(*args, kernel=getattr(optimize, name)):
                 calls.append(kernel)
                 return kernel(*args)

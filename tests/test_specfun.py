@@ -7,6 +7,7 @@ import pytest
 
 from covertrelay.specfun import (
     _ein,
+    _gauss_legendre,
     ei_diff,
     expint_ei,
     expint_ei_scaled,
@@ -147,6 +148,26 @@ class TestEiDiff:
             ei_diff(-1.0, 2.0)
         with pytest.raises(ValueError):
             ei_diff(1.0, 0.0)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [8, 32, 64, 128, 1024])
+    def test_rule_integrates_even_powers(self, n):
+        # Positive, exactly symmetric, and exact for x^2k up to degree 2n - 1
+        # (capped at 78) to within rounding.
+        s, w = _gauss_legendre(n)
+        assert s.shape == w.shape == (n,)
+        assert np.all(w > 0) and np.all(np.diff(s) > 0)
+        assert np.array_equal(s, -s[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(w.sum() - 2.0) <= 1e-15
+        for k in range(1, min(2 * n - 1, 78) // 2 + 1):
+            assert abs(w @ s ** (2 * k) - 2.0 / (2 * k + 1)) <= 2e-15, k
+
+    def test_rule_is_cached_and_read_only(self):
+        s, w = _gauss_legendre(16)
+        assert _gauss_legendre(16)[0] is s
+        with pytest.raises(ValueError):
+            w[0] = 1.0
 
 
 class TestUpperGamma:

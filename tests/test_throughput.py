@@ -64,6 +64,14 @@ class TestOutcome:
         with pytest.raises(ValueError):
             ThroughputOutcome(-0.1, 0.2, 0.28, 1.08, 1.5)
 
+    def test_rejects_eta_that_is_not_t_times_success(self):
+        p_out = 1.0 - 0.9 * 0.8
+        with pytest.raises(ValueError, match="eta = "):
+            ThroughputOutcome(0.1, 0.2, p_out, 1.0, 1.5)
+        # Consistent with a negative rate, but negative.
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            ThroughputOutcome(0.1, 0.2, p_out, -1.0 * (1.0 - p_out), -1.0)
+
 
 class TestSingleAntenna:
     def test_zero_rate(self):
@@ -75,6 +83,11 @@ class TestSingleAntenna:
         assert outage_hop_single(1.0, RateParams(1.5), BASE) == pytest.approx(
             0.002272022894214243, rel=1e-9
         )
+
+    def test_rejects_nonpositive_power(self):
+        for p in (0.0, -1.0):
+            with pytest.raises(ValueError, match="p must be > 0"):
+                outage_hop_single(p, RateParams(1.5), BASE)
 
     def test_huge_rate_saturates(self):
         assert outage_hop_single(1.0, RateParams(30.0), BASE) >= 1.0 - 1e-9
@@ -331,6 +344,13 @@ class TestMultiAntenna:
         params = SystemParams(1.0, 1.0, 1.0, 269.0)
         assert outage_hop_multi_reference(1e-6, RateParams(498.0), params, 1, 1) == 1.0
 
+    def test_rejects_nonpositive_power(self):
+        for p in (0.0, -1.0):
+            with pytest.raises(ValueError, match="p must be > 0"):
+                outage_hop_multi_reference(p, RateParams(1.5), BASE, 2, 8)
+            with pytest.raises(ValueError, match="p must be > 0"):
+                outage_hop_multi_paper(p, RateParams(1.5), BASE, 2, 8)
+
     def test_verbatim_form_rejects_unknown_interpretation(self):
         with pytest.raises(ValueError):
             outage_hop_multi_paper(1.0, RateParams(1.5), BASE, 2, 2, "something")
@@ -396,6 +416,16 @@ class TestOutageTable:
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
             with pytest.raises(ValueError, match="thresholds must be >= 0"):
                 _tas_mrc_outage(2, 8, [1.0, math.nan], params)
+        # Thresholds 0 and inf give exactly 0 and 1 for every pair and noise,
+        # also where the outage at the smallest positive threshold is not 0
+        # (1.07e-310 at rho = 1e10, sigma^2 = 1e5) or the largest finite one
+        # is not 1 (0.99 at rho = 1e300, sigma^2 = 1e-13).
+        for rho in (1.0 + 1e-7, 1.5, 1e10, 1e300):
+            for sigma2 in (1e-13, 1.0, 1e5):
+                params = SystemParams(1.0, 1.0, sigma2, rho)
+                for n_t, n_r in ((1, 1), (2, 8), (4, 16), (1, 400)):
+                    got = _tas_mrc_outage(n_t, n_r, [0.0, math.inf], params)
+                    assert got.tolist() == [0.0, 1.0], (n_t, n_r, rho, sigma2)
 
     def test_oracle_resolves_the_step_at_huge_rho(self):
         # At rho ~ 1e146 the Gamma(100) step is a sliver of the oracle's
