@@ -22,8 +22,9 @@ import numpy as np
 
 from .channel import RngSpec, _mc_count, sample_noise_power, sample_rayleigh_gain
 from .errors import NumericError, clamp_unit_interval
-from .model import McEstimate, SystemParams, _require_finite, _two_hop
-from .specfun import _POS_SERIES_CUTOFF, _ei_asymptotic_excess, _gauss_legendre, expint_ei_scaled
+from .model import McEstimate, SystemParams, _two_hop
+from .specfun import (EULER_GAMMA, _POS_SERIES_CUTOFF, _ei_asymptotic_excess, _ei_sum,
+                      _gauss_legendre, expint_ei_scaled)
 
 __all__ = [
     "DetectionOutcome",
@@ -216,26 +217,34 @@ def optimal_threshold(params: SystemParams) -> float:
 def _dep_single(p: float, params: SystemParams) -> tuple[float, float, float]:
     """(Pe*, B, dB/dp): the minimum slot DEP Pe* = 1 - B / (2 ln rho) at power p > 0.
 
-    B(p) = e^{-u} [Ei(u) - Ei(v)] with u = mu2 / p and v = mu1 / p.  B and
-    its slope share e^{v-u} and S(v) = e^{-v} Ei(v), and past u = 40 also
-    the asymptotic excess u S(u) - 1, summed directly because it cancels.
+    B(p) = e^{-u} [Ei(u) - Ei(v)], u = mu2 / p, v = mu1 / p.  Up to u = 40 the
+    logs of Ei(x) = gamma + ln x + Sigma(x) cancel on paper, as u / v = rho^2:
+    B = e^{-u} [2 ln rho + Sigma(u) - Sigma(v)].  Past it, B and its slope share
+    e^{v-u}, S(v) = e^{-v} Ei(v) and the excess u S(u) - 1, summed as it cancels.
     Pe* is not clamped: a caller that reads it as a probability clamps it,
     and one that reads only B and its slope gets them where Pe* leaves
     [0, 1] by more than the clamp's slack.
     """
-    u, v = _require_finite("mu2 / p", params.mu2 / p), params.mu1 / p
-    ratio, s_v = math.exp(v - u), expint_ei_scaled(v)
+    two_ln_rho = 2.0 * math.log(params.rho)
+    u, v = params.mu2 / p, params.mu1 / p
     if u <= _POS_SERIES_CUTOFF:
-        b = expint_ei_scaled(u) - ratio * s_v
+        b = math.exp(-u) * (two_ln_rho + _ei_sum(u) - _ei_sum(v))
         # u / p, not mu2 / p**2: p**2 leaves the floats for p past ~1e154 or
         # below ~1e-154 where the slope itself does not.
         slope = (u / p) * b + math.expm1((params.mu1 - params.mu2) / p) / p
     else:
         excess = _ei_asymptotic_excess(u)
-        b = (1.0 + excess) / u - ratio * s_v
-        # dB/dp = [(u S(u) - 1) - e^{v-u} (u S(v) - 1)] / p.
-        slope = (excess - ratio * (u * s_v - 1.0)) / p
-    return 1.0 - b / (2.0 * math.log(params.rho)), b, slope
+        b, slope = (1.0 + excess) / u, excess / p
+        # The terms in e^{v-u} vanish where it underflows, u = inf included;
+        # where v underflows to 0, S(v) = gamma + ln v comes from logs.
+        ratio = math.exp(v - u) if u < math.inf else 0.0
+        if ratio:
+            s_v = (expint_ei_scaled(v) if v else EULER_GAMMA + math.log(params.sigma_n2)
+                   - math.log(params.rho) - math.log(p))
+            b -= ratio * s_v
+            # dB/dp = [(u S(u) - 1) - e^{v-u} (u S(v) - 1)] / p.
+            slope = (excess - ratio * (u * s_v - 1.0)) / p
+    return 1.0 - b / two_ln_rho, b, slope
 
 
 def min_dep_slot(p: float, params: SystemParams) -> float:

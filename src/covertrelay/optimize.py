@@ -414,9 +414,16 @@ def optimize_single(constraints: ConstraintSet, params_template: SystemParams) -
         return d > 0.0, step
 
     # On the half p_s >= p_r: the end p_s = P_max if eta still rises there,
-    # else the last point at which it rises, searched from next to p_cov.
-    cap = p_cov == p_max or rises(p_max)[0]
-    p_s = p_max if cap else _search(rises, p_cov, p_max, 1e-10, p_cov)
+    # else the last point at which it rises.  Next to p_cov, d is rounding
+    # noise where the frontier is flat, so the first side test is a factor
+    # 1 + 1e-6 above it: where eta falls there, p_cov is taken.
+    near = p_cov * (1.0 + 1e-6)
+    if p_cov == p_max or rises(p_max)[0]:
+        p_s = p_max
+    elif near < p_max and (side := rises(near))[0]:
+        p_s = _search(rises, near, p_max, 1e-10, near, side[1])
+    else:
+        p_s = p_cov
     best = point(p_s)
     if best is None:
         raise InfeasibleError("no rate t >= 1e-3 is reliable at covert powers", "reliability")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -27,10 +28,8 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286061
 
 
-# Convergence control of the iterative kernels: relative and absolute
-# tolerance on the last term, and the most terms summed.
-_REL_TOL = 1e-12
-_ABS_TOL = 1e-15
+# The iterative kernels stop where the next term, or Lentz factor, no
+# longer changes the result; the most terms they take.
 _MAX_ITER = 500
 
 # Switch points between the series / continued-fraction / asymptotic
@@ -49,26 +48,24 @@ def _ei_sum(x: float) -> float:
     term = 1.0
     for k in range(1, _MAX_ITER + 1):
         term *= x / k
-        contrib = term / k
-        total += contrib
-        if abs(contrib) < _REL_TOL * abs(total) + _ABS_TOL:
+        nxt = total + term / k
+        if nxt == total:
             return total
+        total = nxt
     raise ArithmeticError(f"Ei power series did not converge for x={x}")
 
 
 def _ei_asymptotic_excess(x: float) -> float:
     # x e^{-x} Ei(x) - 1 ~ sum_{k>=1} k!/x^k, summed directly because the
     # difference cancels for large x; truncated at the smallest term or once
-    # a term falls below _REL_TOL of the sum.
+    # a term no longer changes the sum.
     total = 0.0
     term = 1.0
     for k in range(1, _MAX_ITER + 1):
         nxt = term * k / x
-        if nxt >= term:
+        if nxt >= term or total + nxt == total:
             break
         total += nxt
-        if nxt < _REL_TOL * total:
-            break
         term = nxt
     return total
 
@@ -103,7 +100,7 @@ def _e1_continued_fraction(z: float) -> float:
             c = tiny
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < _REL_TOL:
+        if abs(delta - 1.0) <= sys.float_info.epsilon:
             return math.exp(-z) * h
     raise ArithmeticError(f"E1 continued fraction did not converge for z={z}")
 

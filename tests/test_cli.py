@@ -82,6 +82,17 @@ class TestDep:
     def test_invalid_rho(self):
         assert main(["dep", "--rho", "0.9"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--rho", "1.0000001"],
+        ["--ps", "5e-324"],
+        ["--rho", "1e300", "--sigma-n-dbm", "-300"],
+        ["--ps", "1e300", "--sigma-n-dbm", "-1000"],
+    ], ids=["rho-near-one", "subnormal-power", "mu1-underflows", "v-underflows"])
+    def test_valid_inputs_at_the_ends_of_the_domain(self, tmp_path, argv):
+        out = tmp_path / "dep.csv"
+        assert main(["dep", *argv, "--out", str(out)]) == 0
+        assert all(0.0 <= v <= 1.0 for v in values(read_csv(out)[2])[0][1:])
+
     def test_rho_in_db(self, tmp_path):
         out = tmp_path / "dep.csv"
         assert main(["dep", "--rho-db", "3", "--out", str(out)]) == 0
@@ -145,6 +156,12 @@ class TestSweep:
               "--steps", "20", "--out", str(out)])
         xis = [float(r[1]) for r in read_csv(out)[2]]
         assert all(b <= a for a, b in zip(xis, xis[1:]))
+
+    def test_rho_sweep_from_next_to_one(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--variable", "rho", "--from", "1.0000001", "--to", "1.5",
+                     "--steps", "5", "--out", str(out)]) == 0
+        assert all(0.0 <= v <= 1.0 for row in values(read_csv(out)[2]) for v in row[1:3])
 
     def test_requires_range(self):
         assert main(["sweep", "--variable", "t"]) == 2
@@ -292,8 +309,17 @@ class TestOptimize:
             etas.append(float(rows[0][3]))
         assert etas[1] == pytest.approx(etas[0], rel=1e-9)
 
+    def test_single_on_a_flat_frontier_at_low_noise(self, tmp_path):
+        out = tmp_path / "opt.csv"
+        assert main(["optimize-single", "--epsilon", "0.999999", "--delta", "0.5",
+                     "--p-max", "1e300", "--sigma-n-dbm", "-150", "--out", str(out)]) == 0
+        assert read_csv(out)[2][0][4] == "kkt"
+
     def test_single_infeasible_exit_code(self):
         assert main(["optimize-single", "--epsilon", "1e-6", "--delta", "1e-9"]) == 3
+
+    def test_single_where_mu1_underflows_is_infeasible_not_invalid(self):
+        assert main(["optimize-single", "--rho", "1e300", "--sigma-n-dbm", "-300"]) == 3
 
     def test_multi(self, tmp_path):
         out = tmp_path / "opt.csv"

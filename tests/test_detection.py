@@ -144,6 +144,25 @@ class TestSlotDep:
         # Independently frozen via the quadrature arbiter.
         assert min_dep_slot(3.0, BASE) == pytest.approx(4.979098727542208e-5, rel=1e-9)
 
+    def test_min_dep_slot_as_rho_tends_to_one(self):
+        # mpmath, 50 digits, with mu2 / mu1 = rho^2 exactly:
+        # 9.9983349983227087e-12.  The gap takes 2 ln rho for ln(mu2 / mu1);
+        # what is left is the cancellation of 1 - B / (2 ln rho).
+        assert min_dep_slot(2.6, SystemParams(1, 1, 2.6e-8, 1.001)) == pytest.approx(
+            9.99833499832271e-12, rel=1e-6, abs=0)
+
+    def test_min_dep_slot_at_the_ends_of_the_floats(self):
+        # mu2 / p overflows: the DEP is 1, as it is at p = 1e-310.
+        assert min_dep_slot(5e-324, SystemParams(1, 1, 1e-3, 1.5)) == 1.0
+        # mpmath, 700 digits: 4.7237355734315347e-319.
+        assert min_dep_slot(1e300, SystemParams(1, 1, 1e-18, 1.5)) <= 1e-300
+        # mu1 = sigma^2 / rho underflows to 0; at u = 50, S(v) is formed from
+        # logs (mpmath, 60 digits: 0.99998522164963047703).
+        params = SystemParams(1, 1, 1e-33, 1e300)
+        assert min_dep_slot(1.0, params) == 1.0
+        assert min_dep_slot(2e265, params) == pytest.approx(
+            0.99998522164963047703, rel=1e-15, abs=0)
+
     def test_optimal_threshold_value(self):
         assert optimal_threshold(BASE) == pytest.approx(4.743416490252569e-4, rel=1e-12)
 

@@ -54,8 +54,8 @@ class TestExpintEi:
         assert expint_ei(717.0) == math.inf
         assert expint_ei(1e300) == math.inf
         # Below the overflow of e^x the values are those of e^x times the
-        # scaled series, unchanged; each is within 4.2e-16 of 40-digit mpmath.
-        assert expint_ei(100.0) == 2.7155527448538787e41
+        # scaled series, unchanged; each is within 1.6e-16 of 40-digit mpmath.
+        assert expint_ei(100.0) == 2.7155527448538802e41
         assert expint_ei(709.0) == 1.1607943366572636e305
         assert expint_ei(709.78) == 2.5294539536460707e305
 
@@ -64,6 +64,17 @@ class TestExpintEi:
         # series is summed as its excess over 1/x, so its stopping rule is
         # relative to that excess.
         assert expint_ei_scaled(41.0) == pytest.approx(0.025016506856911832092, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("f, x, want", [
+        (expint_ei_scaled, 10.0, 0.11314702047341077803),
+        (expint_ei_scaled, 30.0, 0.034527121792361846132),
+        (expint_ei, -1.05, -0.20187281322019657889),
+        (expint_ei, -3.0, -0.013048381094197037413),
+    ])
+    def test_series_and_continued_fraction_run_to_double_precision(self, f, x, want):
+        # mpmath, 20 digits.  Each kernel stops where its next term, or its
+        # next Lentz factor, no longer changes the result.
+        assert rel_err(f(x), want) <= 1e-14
 
     def test_monotone_increasing_on_positive_axis(self):
         grid = np.geomspace(1e-8, 200.0, 400)
