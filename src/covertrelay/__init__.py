@@ -5,77 +5,42 @@ Rayleigh-fading outage and covert throughput (single-antenna and
 TAS/MRC), and constrained throughput maximization — each closed form
 backed by an independent quadrature reference and a seeded Monte-Carlo
 estimator.
+
+The exports resolve on first access (PEP 562), so that importing the
+package, or a module that needs only the scalar closed forms, does not
+import numpy.
 """
 
-from .channel import RngSpec, make_generator
-from .errors import InfeasibleError, NumericError
-from .model import (
-    AntennaConfig,
-    ConstraintSet,
-    McEstimate,
-    RateParams,
-    SystemParams,
-    dbm_to_watts,
-    watts_to_dbm,
-)
-from .detection import (
-    DetectionOutcome,
-    dep_slot_paper,
-    dep_slot_reference,
-    mc_dep_slot,
-    mc_dep_two_hop,
-    min_dep_slot,
-    min_dep_two_hop,
-    optimal_threshold,
-)
-from .optimize import Optimum, optimize_multi, optimize_single
-from .specfun import ei_diff, expint_ei, expint_ei_scaled, upper_gamma
-from .throughput import (
-    ThroughputOutcome,
-    capacity_hop,
-    mc_outage_hop,
-    outage_hop_multi_paper,
-    outage_hop_multi_reference,
-    outage_hop_single,
-    throughput_multi,
-    throughput_single,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntennaConfig",
-    "ConstraintSet",
-    "DetectionOutcome",
-    "InfeasibleError",
-    "McEstimate",
-    "NumericError",
-    "Optimum",
-    "RateParams",
-    "RngSpec",
-    "SystemParams",
-    "ThroughputOutcome",
-    "capacity_hop",
-    "dbm_to_watts",
-    "dep_slot_paper",
-    "dep_slot_reference",
-    "ei_diff",
-    "expint_ei",
-    "expint_ei_scaled",
-    "make_generator",
-    "mc_dep_slot",
-    "mc_dep_two_hop",
-    "mc_outage_hop",
-    "min_dep_slot",
-    "min_dep_two_hop",
-    "optimal_threshold",
-    "optimize_multi",
-    "optimize_single",
-    "outage_hop_multi_paper",
-    "outage_hop_multi_reference",
-    "outage_hop_single",
-    "throughput_multi",
-    "throughput_single",
-    "upper_gamma",
-    "watts_to_dbm",
-]
+# Each export, by the module that defines it.
+_HOMES = {
+    "channel": ("RngSpec", "make_generator"),
+    "errors": ("InfeasibleError", "NumericError"),
+    "model": ("AntennaConfig", "ConstraintSet", "McEstimate", "RateParams", "SystemParams",
+              "dbm_to_watts", "watts_to_dbm"),
+    "detection": ("DetectionOutcome", "dep_slot_paper", "dep_slot_reference", "mc_dep_slot",
+                  "mc_dep_two_hop", "min_dep_slot", "min_dep_two_hop", "optimal_threshold"),
+    "optimize": ("Optimum", "optimize_multi", "optimize_single"),
+    "specfun": ("ei_diff", "expint_ei", "expint_ei_scaled", "upper_gamma"),
+    "throughput": ("ThroughputOutcome", "capacity_hop", "mc_outage_hop",
+                   "outage_hop_multi_paper", "outage_hop_multi_reference",
+                   "outage_hop_single", "throughput_multi", "throughput_single"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

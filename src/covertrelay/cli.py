@@ -8,6 +8,10 @@ write to --outdir) with a `# params:` comment line recording the value
 of each of the verb's flags that names the computed point.
 Exit codes: 0 success, 2 invalid parameters, 3 infeasible optimization,
 4 numeric failure.
+
+`optimize`, `report` and `validation` are imported by the commands that
+use them, so that `dep`, single-antenna `throughput` and a linear
+single-antenna `sweep` import no numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import os
 import re
 import sys
 from dataclasses import astuple, replace
-
-import numpy as np
 
 from .detection import DetectionOutcome, min_dep_slot, min_dep_two_hop, optimal_threshold
 from .errors import InfeasibleError, NumericError
@@ -34,10 +36,7 @@ from .model import (
     load_config,
     rho_from_db,
 )
-from .optimize import covert_power_limit, optimize_multi, optimize_single
-from .report import build_discrepancy_report, write_discrepancy_csv
 from .throughput import throughput_multi, throughput_single
-from .validation import run_validation
 
 __all__ = ["main"]
 
@@ -129,6 +128,23 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """`numpy.linspace(lo, hi, n)` for n >= 2, bit for bit, by its arithmetic.
+
+    lo + i step, step = (hi - lo) / (n - 1), or lo + i / (n - 1) (hi - lo)
+    where the step underflows to 0; hi exactly at the end.
+    """
+    div, delta = n - 1, hi - lo
+    step = delta / div
+    return [(i * step if step else i / div * delta) + lo for i in range(div)] + [hi]
+
+
+def _at_power_limit(params: SystemParams, epsilon: float, p_max: float) -> SystemParams:
+    from .optimize import covert_power_limit
+
+    return params.with_powers(*[covert_power_limit(epsilon, params, p_max)] * 2)
+
+
 def _with_antennas(params: SystemParams, n_t: int, n_r: int) -> SystemParams:
     return replace(params, antennas=AntennaConfig(n_t, n_r, n_t, n_r))
 
@@ -143,7 +159,7 @@ _SWEEPS = {
     "rho": lambda s, t, v, cap: (replace(s, rho=v), t),
     "sigma_n2_dbm": lambda s, t, v, cap: (replace(s, sigma_n2=dbm_to_watts(v)), t),
     "t": lambda s, t, v, cap: (s, v),
-    "epsilon": lambda s, t, v, cap: (s.with_powers(*[covert_power_limit(v, s, cap)] * 2), t),
+    "epsilon": lambda s, t, v, cap: (_at_power_limit(s, v, cap), t),
     "n_t": lambda s, t, v, cap: (
         replace(s, antennas=replace(s.antennas, n_s=round(v), n_rt=round(v))), t),
     "n_r": lambda s, t, v, cap: (
@@ -191,20 +207,20 @@ _NOISE_AXIS = ("sigma_n2_dbm", NOISE_GRID_DBM)
 # through the TAS/MRC path.
 _FIGURES = {
     3: lambda: (("sigma_n2_dbm", "P_watts", "xi_star"), _sweep_rows(
-        _FIG_BASE, "p", np.linspace(0.1, 5.0, 50), _xi, outer=_NOISE_AXIS)),
+        _FIG_BASE, "p", _linspace(0.1, 5.0, 50), _xi, outer=_NOISE_AXIS)),
     4: lambda: (("sigma_n2_dbm", "rho", "xi_star"), _sweep_rows(
-        _FIG_BASE.with_powers(3.0, 3.0), "rho", np.linspace(1.01, 3.0, 50), _xi,
+        _FIG_BASE.with_powers(3.0, 3.0), "rho", _linspace(1.01, 3.0, 50), _xi,
         outer=_NOISE_AXIS)),
     5: lambda: (("p_s", "p_r", "xi_star"), _sweep_rows(
-        _FIG_BASE, "p_r", np.linspace(0.25, 5.0, 20), _xi,
-        outer=("p_s", np.linspace(0.25, 5.0, 20)))),
+        _FIG_BASE, "p_r", _linspace(0.25, 5.0, 20), _xi,
+        outer=("p_s", _linspace(0.25, 5.0, 20)))),
     6: lambda: (("t", "eta_single", "eta_multi"), _sweep_rows(
-        _FIG_BASE, "t", np.linspace(0.01, 3.0, 200), _etas)),
+        _FIG_BASE, "t", _linspace(0.01, 3.0, 200), _etas)),
     7: lambda: (("n_t", "n_r", "eta"), [
         (n_t, n_r, throughput_multi(_with_antennas(_FIG_BASE, n_t, n_r), RateParams(1.5)).eta)
         for n_t, n_r in ((1, 1), (1, 2), (2, 2), (2, 4), (2, 8), (4, 4), (4, 8))]),
     8: lambda: (("epsilon", "p_cov_w", "eta_single", "eta_multi"), _sweep_rows(
-        _FIG_BASE, "epsilon", np.linspace(0.05, 0.5, 20), lambda s, t: (s.p_s, *_etas(s, t)))),
+        _FIG_BASE, "epsilon", _linspace(0.05, 0.5, 20), lambda s, t: (s.p_s, *_etas(s, t)))),
 }
 
 
@@ -219,10 +235,12 @@ def _sweep_grid(args: argparse.Namespace):
     if scale == "log":
         if lo <= 0:
             raise ValueError("log scale requires --from > 0")
+        import numpy as np
+
         return np.geomspace(lo, hi, steps)
     if scale != "linear":
         raise ValueError(f"--scale must be linear or log, got {scale!r}")
-    return np.linspace(lo, hi, steps)
+    return _linspace(lo, hi, steps)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -272,6 +290,8 @@ def _optimum(args: argparse.Namespace, solve) -> int:
 
 
 def _cmd_optimize_single(args: argparse.Namespace) -> int:
+    from .optimize import optimize_single
+
     return _optimum(args, optimize_single)
 
 
@@ -281,11 +301,16 @@ def _cmd_optimize_multi(args: argparse.Namespace) -> int:
         if steps != (None, None, None):
             raise ValueError("give all of --h1/--h2/--h3 or none")
         steps = None
+    from .optimize import optimize_multi
+
     return _optimum(args, lambda constraints, params: optimize_multi(
         constraints, params, steps=steps, phi=args.phi, v_max=args.v_max))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .report import build_discrepancy_report, write_discrepancy_csv
+    from .validation import run_validation
+
     checks = run_validation(samples=args.samples, seed=args.seed)
     rows = [
         (c.name, c.analytic, c.mc_mean, c.mc_stderr, c.n_sigma, "pass" if c.passed else "FAIL")

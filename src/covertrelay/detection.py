@@ -17,14 +17,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .channel import RngSpec, _mc_count, sample_noise_power, sample_rayleigh_gain
 from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, SystemParams, _two_hop
 from .specfun import (EULER_GAMMA, _POS_SERIES_CUTOFF, _ei_asymptotic_excess, _ei_sum,
                       _gauss_legendre, expint_ei_scaled)
+
+# numpy, and with it `channel`, is imported inside the functions that build
+# arrays, so that the scalar closed forms load only the standard library.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .channel import RngSpec
 
 __all__ = [
     "DetectionOutcome",
@@ -100,6 +105,8 @@ def _gl_rule(ns: tuple[int, ...], panels: int) -> tuple[np.ndarray, tuple[np.nda
     # The nodes of the n-node Gauss-Legendre rule on each of `panels` equal
     # parts of [-1, 1], concatenated over n in ns, and each rule's weights,
     # scaled to give a mean.
+    import numpy as np
+
     nodes, weights = [], []
     for n in ns:
         s, w = _gauss_legendre(n)
@@ -119,6 +126,8 @@ def _gl_refine(mean, size: int, rho: float, what) -> np.ndarray:
     evaluates the next doubling for the values still unresolved.
     NumericError names what(i) of the first value i still unresolved.
     """
+    import numpy as np
+
     panels = math.ceil(math.log(rho) / math.log(_PANEL_RHO))
     out = np.empty(size)
     todo = np.arange(size)
@@ -169,6 +178,7 @@ def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
     cut = math.inf if x >= 1 else -math.log1p(-x) / ln_rho
     width = min(s_hi + 1.0, cut)
     half = width * ln_rho / 2.0
+    import numpy as np
 
     def mean(s, ws, todo):
         # d = width (1 + s) / 2 on the rules' nodes s.
@@ -271,6 +281,9 @@ def mc_dep_slot(
     """Monte-Carlo per-slot DEP: mean(FA) + mean(MD) on independent draws."""
     if p <= 0 or tau <= 0:
         raise ValueError(f"p and tau must be > 0, got ({p}, {tau})")
+    import numpy as np
+
+    from .channel import _mc_count, sample_noise_power, sample_rayleigh_gain
 
     def count(gen, m):
         noise_fa = sample_noise_power(params, gen, m)
@@ -297,6 +310,8 @@ def mc_dep_two_hop(
     DEP is 1 - (1 - Pe1)(1 - Pe2) with the per-slot estimates plugged in
     and the standard error propagated through the product.
     """
+    from .channel import RngSpec
+
     est1 = mc_dep_slot(params.p_s, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 1))
     est2 = mc_dep_slot(params.p_r, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 2))
     xi = _two_hop(est1.mean, est2.mean)

@@ -310,10 +310,13 @@ def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams
     """(p_s, p_r, t): the frontier partner of p_s and their best rate, or None.
 
     The partner search starts at p_cov, the partner of p_s = p_cov, and the
-    rate search at t where it is given.
+    rate search at t where it is given.  The partner is capped at p_s: at
+    p_s = p_cov the search can land a few ulps above p_cov, off the half
+    p_s >= p_r, and (p_cov, p_cov) is covert by the definition of p_cov.
     """
     probe = _covert_probe(constraints.epsilon, params, min_dep_slot(p_s, params))
     p_r = _largest_power(probe, constraints.p_max, params.mu2, p_cov)
+    p_r = None if p_r is None else min(p_r, p_s)
     t = None if p_r is None else _best_rate(p_s, p_r, constraints.delta, params, t)
     return None if t is None else (p_s, p_r, t)
 

@@ -13,10 +13,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import _require_finite
+
+# numpy is imported inside the functions that build arrays, so that the
+# scalar closed forms load only the standard library.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "expint_ei",
@@ -153,6 +157,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     2 / ((1 - x^2) P_n'(x)^2) at the last step.  The rule is mirrored, so
     exactly symmetric, and read-only: the cache shares its arrays.
     """
+    import numpy as np
+
     k = np.arange(1, (n + 1) // 2 + 1)
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     for _ in range(5):
@@ -175,7 +181,7 @@ def ei_diff(x: float, y: float) -> float:
     Positive whenever x > y.  When the arguments are within ~25% of each
     other the naive difference cancels badly, so the gap is evaluated as
     the integral of e^(-t)/t over [x, y] instead, by the 32-point
-    Gauss-Legendre rule.
+    Gauss-Legendre rule; that branch imports numpy.
     """
     x = _require_finite("x", x)
     y = _require_finite("y", y)
@@ -185,6 +191,8 @@ def ei_diff(x: float, y: float) -> float:
         return 0.0
     lo, hi = (x, y) if x < y else (y, x)
     if hi - lo <= 0.25 * hi:
+        import numpy as np
+
         s, w = _gauss_legendre(32)
         t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * s
         gap = 0.5 * (hi - lo) * float(w @ (np.exp(-t) / t))  # = Ei(-hi) - Ei(-lo)

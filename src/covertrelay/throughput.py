@@ -24,19 +24,18 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .channel import (
-    RngSpec,
-    _mc_count,
-    _tas_mrc_gain_cdf_sf,
-    sample_noise_power,
-    sample_tas_mrc_gain,
-)
 from .errors import NumericError, clamp_unit_interval
 from .model import McEstimate, RateParams, SystemParams, _two_hop
 from .specfun import _ein, _gauss_legendre, ei_diff, upper_gamma
+
+# numpy, and with it `channel`, is imported inside the functions that build
+# arrays, so that the scalar closed forms load only the standard library.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .channel import RngSpec
 
 __all__ = [
     "ThroughputOutcome",
@@ -163,10 +162,6 @@ _TABLE_LOW_GAIN, _TABLE_LOW_CDF, _TABLE_HIGH_SF = 1e-17, 1e-300, 1e-17
 # Thresholds per lookup pass: the (2, n, 2, nodes) coefficient arrays, ~0.5 MB
 # in all, stay small enough to be reused from the allocator.
 _TABLE_BLOCK = 256
-# The signs of the interval ends a, b, and the row the powers x^1 .. x^19 of
-# a panel coordinate x are accumulated along.
-_ENDS = np.array([[-1.0], [1.0]])
-_ONES = np.ones(_TABLE_NODES - 1)
 
 
 @dataclass(frozen=True)
@@ -191,18 +186,21 @@ class _OutageTable:
         # The interval ends a, b in panels from the table's left end: a whole
         # number and each end's offset from it, so that the local coordinates
         # are exact and two nearby ends differ by 2 ln rho / width.
+        import numpy as np
+
         half = math.log(params.rho) / self.width
         c = np.log(np.minimum(np.maximum(y, 5e-324), sys.float_info.max))
         u = (c + math.log(params.sigma_n2)) / self.width
         whole = np.floor(u)
-        ends = (u - whole) + half * _ENDS
+        ends = (u - whole) + np.array([[-half], [half]])
         shift = np.floor(ends)
         frac = ends - shift
         panel = shift + (whole - self.lo)
         coef = self.coef[np.minimum(np.maximum(panel + 1.0, 0.0), self.coef.shape[0] - 1.0)
                          .astype(np.intp)]
         x = 2.0 * frac - 1.0
-        powers = np.cumprod(x[..., None] * _ONES, axis=-1)
+        # x^1 .. x^19 of each panel coordinate.
+        powers = np.cumprod(np.repeat(x[..., None], _TABLE_NODES - 1, axis=-1), axis=-1)
         left_value = coef[..., 0]
         rest = coef[..., 1] + (coef[..., 2:] * powers[:, :, None, :]).sum(axis=-1)
         pos = panel + frac
@@ -240,6 +238,8 @@ def _chord_slope(coef: np.ndarray, x: np.ndarray, shift: np.ndarray, panel: np.n
     # their lengths, so that an error in the weight multiplies only the
     # difference of the two.  Left of the table it is tail / 2, tail being
     # the change per panel and a panel 2 wide in x.
+    import numpy as np
+
     same = shift[0] == shift[1]
     lo = np.stack((x[0], np.where(same, x[0], -1.0)))
     hi = np.stack((np.where(same, x[1], 1.0), x[1]))
@@ -261,6 +261,10 @@ def _outage_table(n_t: int, n_r: int) -> _OutageTable:
     Raises NumericError where a panel's interpolation error estimate passes
     _TABLE_TOL = 1e-14.
     """
+    import numpy as np
+
+    from .channel import _tas_mrc_gain_cdf_sf
+
     nodes_per = _TABLE_NODES
     width = 2.0 ** math.floor(math.log2(min(0.5, 2.0 / math.sqrt(n_t * n_r))))
     # Panel edges k * width, from below the gain _TABLE_LOW_GAIN to past
@@ -321,6 +325,8 @@ def _tas_mrc_outage(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray:
     exactly 0 at y = 0 (rate 0) and 1 at y = inf (kappa past the floats).
     Raises ValueError for a negative or NaN y.
     """
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0):  # also rejects NaN
         raise ValueError("thresholds must be >= 0")
@@ -448,6 +454,9 @@ def mc_outage_hop(
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
     kappa = rate.kappa
+    import numpy as np
+
+    from .channel import _mc_count, sample_noise_power, sample_tas_mrc_gain
 
     def count(gen, m):
         gain = sample_tas_mrc_gain(n_t, n_r, gen, m)

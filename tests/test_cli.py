@@ -8,10 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 import covertrelay
 from covertrelay import cli
-from covertrelay.cli import main
+from covertrelay.cli import _linspace, main
 from covertrelay.detection import min_dep_two_hop
 from covertrelay.errors import NumericError
 from covertrelay.model import AntennaConfig, RateParams, SystemParams, dbm_to_watts
@@ -178,6 +180,19 @@ class TestSweep:
         assert main(["sweep", "--variable", "p", "--scale", "log", "--from", "1e-6", "--to", "5",
                      "--steps", "7", "--nt", "2", "--nr", "8", "--out", str(out)]) == 0
         assert [float(r[0]) for r in read_csv(out)[2]] == np.geomspace(1e-6, 5.0, 7).tolist()
+
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(allow_nan=False, allow_infinity=False),
+           hi=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(2, 500))
+    def test_linear_grid_is_numpys_bit_for_bit(self, lo, hi, n):
+        # Compared as bit patterns: where hi - lo overflows, both grids
+        # start with the same NaN.
+        assume(lo < hi)
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, n)
+        assert np.array(_linspace(lo, hi, n)).view(np.int64).tolist() == want.view(
+            np.int64).tolist()
 
     @pytest.mark.parametrize("grid", [
         ["--from", "2", "--to", "2"],
@@ -443,7 +458,8 @@ class TestValidateAndFigures:
     def test_failed_check_is_reported_and_exits_4(self, tmp_path, monkeypatch, capsys):
         # The report and the discrepancies are still written.
         failed = ValidationCheck("dep_slot", 0.5, 0.4, 0.01, 10.0, False)
-        monkeypatch.setattr(cli, "run_validation", lambda samples, seed: [failed])
+        monkeypatch.setattr(covertrelay.validation, "run_validation",
+                            lambda samples, seed: [failed])
         out = tmp_path / "validation.csv"
         assert main(["validate", "--out", str(out)]) == 4
         assert "analytic-vs-MC checks failed" in capsys.readouterr().err
@@ -489,6 +505,26 @@ class TestNumpyOnlyRuntime:
         assert (tmp_path / "discrepancies.csv").exists()
         assert (tmp_path / "tmp" / "fig8.csv").exists()
 
+    def test_closed_form_verbs_run_without_numpy(self, tmp_path):
+        # dep, single-antenna throughput and linear single-antenna sweeps load
+        # only the standard library, and print what they print with numpy.
+        runs = [["dep"], ["dep", "--rho", "1.0000001"], ["dep", "--ps", "5e-324"],
+                ["dep", "--rho", "1e300", "--sigma-n-dbm", "-300"], ["throughput"],
+                ["sweep", "--variable", "p", "--from", "0.5", "--to", "3", "--steps", "20"],
+                ["sweep", "--variable", "rho", "--from", "1.2", "--to", "3", "--steps", "5"],
+                ["sweep", "--variable", "sigma_n2_dbm", "--from", "-10", "--to", "3",
+                 "--steps", "5"]]
+        code = ("import sys\n"
+                "{}\n"
+                "from covertrelay.cli import main\n"
+                f"print([main(argv) for argv in {runs!r}], file=sys.stderr)\n")
+        blocked = self.run_python(code.format("sys.modules['numpy'] = None"), tmp_path)
+        loaded = self.run_python(code.format("import numpy"), tmp_path)
+        for proc in (blocked, loaded):
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.splitlines()[-1] == str([0] * len(runs))
+        assert blocked.stdout == loaded.stdout
+
     def test_cli_import_loads_no_scipy(self, tmp_path):
         code = ("import sys, covertrelay.cli\n"
                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
@@ -509,3 +545,21 @@ class TestNumpyOnlyRuntime:
         proc = self.run_python(code, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestPackageExports:
+    """The package resolves its exports on first access."""
+
+    def test_each_export_is_its_home_modules_object(self):
+        for name in covertrelay.__all__:
+            value = getattr(covertrelay, name)
+            assert value is getattr(sys.modules[value.__module__], name)
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from covertrelay import *", namespace)
+        assert set(covertrelay.__all__) <= namespace.keys()
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            covertrelay.no_such_name
