@@ -101,30 +101,25 @@ _PANEL_RHO = 1e6
 
 
 @functools.cache
-def _gl_rule(ns: tuple[int, ...], panels: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    # The nodes of the n-node Gauss-Legendre rule on each of `panels` equal
-    # parts of [-1, 1], concatenated over n in ns, and each rule's weights,
-    # scaled to give a mean.
+def _gl_rule(n: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    # The n-node Gauss-Legendre rule on each of `panels` equal parts of
+    # [-1, 1], its weights scaled to give a mean.
     import numpy as np
 
-    nodes, weights = [], []
-    for n in ns:
-        s, w = _gauss_legendre(n)
-        nodes.append(((2 * np.arange(panels) + 1 - panels)[:, None] + s).ravel() / panels)
-        weights.append(np.tile(w, panels) / (2 * panels))
-    return np.concatenate(nodes), tuple(weights)
+    s, w = _gauss_legendre(n)
+    return (((2 * np.arange(panels) + 1 - panels)[:, None] + s).ravel() / panels,
+            np.tile(w, panels) / (2 * panels))
 
 
 def _gl_refine(mean, size: int, rho: float, what) -> np.ndarray:
-    """mean(s, ws, todo) for todo = arange(size), refined by node doubling.
+    """mean(s, w, todo) for todo = arange(size), refined by node doubling.
 
-    (s, ws) is the `_gl_rule` with one panel per factor _PANEL_RHO of rho:
-    s holds the nodes of one or more rules, one after another, and ws the
-    weights of each.  mean returns one row of estimates per rule.  The
-    first call evaluates the _GL_FIRST- and 2 _GL_FIRST-node rules together,
-    so one pass over the thresholds gives both estimates; each later call
-    evaluates the next doubling for the values still unresolved.
-    NumericError names what(i) of the first value i still unresolved.
+    (s, w) is the `_gl_rule` with one panel per factor _PANEL_RHO of rho,
+    and mean returns the estimates of the values todo.  Each value is
+    estimated with _GL_FIRST and 2 _GL_FIRST nodes per panel, and while its
+    last two estimates differ by more than _GL_TOL with twice the nodes,
+    up to _GL_MAX.  NumericError names what(i) of the first value i still
+    unresolved.
     """
     import numpy as np
 
@@ -132,25 +127,17 @@ def _gl_refine(mean, size: int, rho: float, what) -> np.ndarray:
     out = np.empty(size)
     todo = np.arange(size)
     n = _GL_FIRST
-    coarse, fine = mean(*_gl_rule((n, 2 * n), panels), todo)
+    coarse = mean(*_gl_rule(n, panels), todo)
     while True:
+        n *= 2
+        fine = mean(*_gl_rule(n, panels), todo)
         done = np.abs(fine - coarse) <= _GL_TOL
         out[todo[done]] = fine[done]
         todo, coarse = todo[~done], fine[~done]
-        n *= 2
         if not todo.size:
             return out
-        if 2 * n > _GL_MAX:
+        if n >= _GL_MAX:
             raise NumericError(f"{what(todo[0])} unresolved with {n} nodes per panel")
-        (fine,) = mean(*_gl_rule((2 * n,), panels), todo)
-
-
-def _by_rule(f: np.ndarray, ws: tuple[np.ndarray, ...]):
-    # (part, weights) of each rule, its part of the last axis of f.
-    start = 0
-    for w in ws:
-        yield f[..., start : start + w.size], w
-        start += w.size
 
 
 def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
@@ -180,10 +167,10 @@ def dep_slot_reference(p: float, tau: float, params: SystemParams) -> float:
     half = width * ln_rho / 2.0
     import numpy as np
 
-    def mean(s, ws, todo):
-        # d = width (1 + s) / 2 on the rules' nodes s.
+    def mean(s, w, todo):
+        # d = width (1 + s) / 2 on the rule's nodes s.
         u = (gap - top * np.expm1(-half * (1.0 + s))) / p
-        return [np.atleast_1d(w @ part) for part, w in _by_rule(-np.expm1(-u), ws)]
+        return np.atleast_1d(w @ -np.expm1(-u))
 
     layer = float(_gl_refine(mean, 1, params.rho, lambda i: f"slot DEP at p={p}, tau={tau}")[0])
     p_md = (s_hi + 1.0 - width + width * layer) / 2.0

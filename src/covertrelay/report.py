@@ -119,7 +119,7 @@ def build_discrepancy_report() -> list[DiscrepancyRecord]:
 def write_discrepancy_csv(records, path: str) -> None:
     """Write records to `path` in the fixed five-column schema."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow(rec.row())

@@ -13,14 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING
 
 from .model import _require_finite
-
-# numpy is imported inside the functions that build arrays, so that the
-# scalar closed forms load only the standard library.
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "expint_ei",
@@ -149,39 +143,41 @@ def expint_ei_scaled(x: float) -> float:
 
 
 @functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Ascending nodes and the weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Five Newton steps on P_n, evaluated by its three-term recurrence, from
     Tricomi's first guesses for the nonnegative nodes; the weights are
     2 / ((1 - x^2) P_n'(x)^2) at the last step.  The rule is mirrored, so
-    exactly symmetric, and read-only: the cache shares its arrays.
+    exactly symmetric, and built in Python floats as tuples, which the
+    cache can share.
     """
-    import numpy as np
-
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    for _ in range(5):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        sine2 = (1.0 - x) * (1.0 + x)
-        slope = n * (p0 - x * p1) / sine2  # P_n'(x)
-        x = x - p1 / slope
-    w = 2.0 / (sine2 * slope**2)
-    rule = np.concatenate((-x, x[::-1][n % 2 :])), np.concatenate((w, w[::-1][n % 2 :]))
-    for part in rule:
-        part.setflags(write=False)
-    return rule
+    nodes, weights = [], []
+    # j P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2}, its coefficients as floats.
+    steps = [(2.0 * j - 1.0, j - 1.0, float(j)) for j in range(2, n + 1)]
+    for k in range(1, (n + 1) // 2 + 1):
+        x = (1.0 - (n - 1) / (8.0 * n**3)) * math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+        for _ in range(5):
+            p0, p1 = 1.0, x
+            for a, b, j in steps:
+                p0, p1 = p1, (a * x * p1 - b * p0) / j
+            sine2 = (1.0 - x) * (1.0 + x)
+            slope = n * (p0 - x * p1) / sine2  # P_n'(x)
+            x = x - p1 / slope
+        nodes.append(x)
+        weights.append(2.0 / (sine2 * (slope * slope)))
+    return (tuple(-x for x in nodes) + tuple(nodes[::-1][n % 2 :]),
+            tuple(weights) + tuple(weights[::-1][n % 2 :]))
 
 
 def ei_diff(x: float, y: float) -> float:
     """Ei(-x) - Ei(-y) for x, y > 0.
 
     Positive whenever x > y.  When the arguments are within ~25% of each
-    other the naive difference cancels badly, so the gap is evaluated as
-    the integral of e^(-t)/t over [x, y] instead, by the 32-point
-    Gauss-Legendre rule; that branch imports numpy.
+    other and at most 1 apart, the naive difference cancels badly, so the
+    gap is the integral of e^(-t)/t over [x, y] by the 32-point
+    Gauss-Legendre rule.  Further apart, E1(hi) / E1(lo) < e^(-1): the
+    naive difference keeps its digits, and the rule would not.
     """
     x = _require_finite("x", x)
     y = _require_finite("y", y)
@@ -190,12 +186,13 @@ def ei_diff(x: float, y: float) -> float:
     if x == y:
         return 0.0
     lo, hi = (x, y) if x < y else (y, x)
-    if hi - lo <= 0.25 * hi:
-        import numpy as np
-
-        s, w = _gauss_legendre(32)
-        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * s
-        gap = 0.5 * (hi - lo) * float(w @ (np.exp(-t) / t))  # = Ei(-hi) - Ei(-lo)
+    if hi - lo <= min(0.25 * hi, 1.0):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        total = 0.0
+        for s, w in zip(*_gauss_legendre(32)):
+            t = mid + half * s
+            total += w * (math.exp(-t) / t)
+        gap = half * total  # = Ei(-hi) - Ei(-lo)
         return gap if x > y else -gap
     return expint_ei(-x) - expint_ei(-y)
 

@@ -24,7 +24,7 @@ from scipy import integrate
 from scipy.special import gammainc
 
 from covertrelay.channel import tas_mrc_gain_cdf
-from covertrelay.detection import _by_rule, _gl_refine, min_dep_slot, min_dep_two_hop, noise_cdf
+from covertrelay.detection import _gl_refine, min_dep_slot, min_dep_two_hop, noise_cdf
 from covertrelay.errors import InfeasibleError, NumericError, clamp_unit_interval
 from covertrelay.model import ConstraintSet, RateParams, SystemParams
 from covertrelay.optimize import _FIRST_ROWS, _POWER_SPAN, Optimum, _active_set
@@ -154,20 +154,18 @@ def oracle_tas_mrc_outage(p: float, kappa: float, sigma2: float, rho: float,
 _GL_BLOCK = 2**12
 
 
-def _gl_mean(n_t: int, n_r: int, y: np.ndarray, s: np.ndarray, ws: tuple[np.ndarray, ...],
+def _gl_mean(n_t: int, n_r: int, y: np.ndarray, s: np.ndarray, w: np.ndarray,
              params: SystemParams) -> np.ndarray:
     noise = params.sigma_n2 * params.rho**s
     rows = max(1, _GL_BLOCK // s.size)
-    out = np.empty((len(ws), y.size))
+    out = np.empty(y.size)
     for i in range(0, y.size, rows):
         # A gain threshold past the float range is inf, where the CDF is 1.
         with np.errstate(over="ignore"):
             gain = np.multiply.outer(y[i : i + rows], noise)
-        gain_cdf = tas_mrc_gain_cdf(n_t, n_r, gain)
         # Row sums, not matrix products: each value is then independent of
         # the rows computed with it.
-        for k, (part, w) in enumerate(_by_rule(gain_cdf, ws)):
-            out[k, i : i + rows] = (part * w).sum(axis=1)
+        out[i : i + rows] = (tas_mrc_gain_cdf(n_t, n_r, gain) * w).sum(axis=1)
     return out
 
 
@@ -178,8 +176,8 @@ def noise_expectation(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray
     hop outage at power p.  This was the library's TAS/MRC kernel before
     its outage tables, and it is their oracle.  Gauss-Legendre in s (one
     panel per factor 1e6 of rho): each value is computed with 64 and 128
-    nodes per panel in one pass over the thresholds, and any whose two
-    values differ by more than 1e-12 with twice the nodes, up to 1024.
+    nodes per panel, and while its last two values differ by more than
+    1e-12 with twice the nodes, up to 1024.
     Raises NumericError where 512 and 1024 nodes per panel still disagree.
     That happens where F's step from 0 to 1, about 1 / sqrt(n_r) wide in
     ln(gain), is narrow against a panel's 2 ln rho / panels: for n_r = 200

@@ -466,6 +466,15 @@ class TestValidateAndFigures:
         assert [(row[0], row[5]) for row in read_csv(out)[2]] == [("dep_slot", "FAIL")]
         assert (tmp_path / "discrepancies.csv").exists()
 
+    def test_validate_writes_one_line_ending(self, tmp_path, monkeypatch):
+        passed = ValidationCheck("dep_slot", 0.5, 0.5, 0.01, 0.0, True)
+        monkeypatch.setattr(covertrelay.validation, "run_validation",
+                            lambda samples, seed: [passed])
+        out = tmp_path / "validation.csv"
+        assert main(["validate", "--out", str(out)]) == 0
+        for path in (out, tmp_path / "discrepancies.csv"):
+            assert b"\r" not in path.read_bytes(), path.name
+
     def test_figures_single(self, tmp_path):
         assert main(["figures", "--which", "6", "--outdir", str(tmp_path)]) == 0
         fig6 = tmp_path / "fig6.csv"
@@ -508,10 +517,12 @@ class TestNumpyOnlyRuntime:
     def test_closed_form_verbs_run_without_numpy(self, tmp_path):
         # dep, single-antenna throughput and linear single-antenna sweeps load
         # only the standard library, and print what they print with numpy.
+        # throughput at rho = 1.1 takes ei_diff's close branch.
         runs = [["dep"], ["dep", "--rho", "1.0000001"], ["dep", "--ps", "5e-324"],
                 ["dep", "--rho", "1e300", "--sigma-n-dbm", "-300"], ["throughput"],
+                ["throughput", "--rho", "1.1", "--ps", "0.001", "--pr", "0.001", "--t", "2"],
                 ["sweep", "--variable", "p", "--from", "0.5", "--to", "3", "--steps", "20"],
-                ["sweep", "--variable", "rho", "--from", "1.2", "--to", "3", "--steps", "5"],
+                ["sweep", "--variable", "rho", "--from", "1.01", "--to", "3", "--steps", "5"],
                 ["sweep", "--variable", "sigma_n2_dbm", "--from", "-10", "--to", "3",
                  "--steps", "5"]]
         code = ("import sys\n"
@@ -524,6 +535,15 @@ class TestNumpyOnlyRuntime:
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr.splitlines()[-1] == str([0] * len(runs))
         assert blocked.stdout == loaded.stdout
+
+    def test_specfun_runs_without_numpy(self, tmp_path):
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "from covertrelay.specfun import _gauss_legendre, ei_diff\n"
+                "print(len(_gauss_legendre(1024)[0]), ei_diff(1.1, 1.0) > 0)\n")
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1024 True"
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
         code = ("import sys, covertrelay.cli\n"

@@ -8,6 +8,7 @@ import pytest
 from covertrelay.channel import RngSpec
 from covertrelay.detection import (
     DetectionOutcome,
+    _gl_refine,
     dep_slot_paper,
     dep_slot_reference,
     mc_dep_slot,
@@ -17,6 +18,7 @@ from covertrelay.detection import (
     noise_cdf,
     optimal_threshold,
 )
+from covertrelay.errors import NumericError
 from covertrelay.model import SystemParams, dbm_to_watts
 from oracles import oracle_dep_slot
 
@@ -181,6 +183,29 @@ class TestSlotDep:
             dep_slot_paper(1.0, 0.0, BASE)
         with pytest.raises(ValueError):
             min_dep_slot(-1.0, BASE)
+
+
+class TestRefinement:
+    # At rho = 1.5 the rule has one panel, so s.size is the node count.
+    def refine(self, agree):
+        sizes = []
+
+        def mean(s, w, todo):
+            sizes.append(s.size)
+            return np.zeros(todo.size) if agree else np.full(todo.size, float(s.size))
+
+        return sizes, lambda: _gl_refine(mean, 3, 1.5, lambda i: f"value {i}")
+
+    def test_agreeing_estimates_stop_after_two_rules(self):
+        sizes, run = self.refine(agree=True)
+        assert np.array_equal(run(), np.zeros(3))
+        assert sizes == [64, 128]
+
+    def test_disagreeing_estimates_raise_after_1024_nodes(self):
+        sizes, run = self.refine(agree=False)
+        with pytest.raises(NumericError, match=r"^value 0 unresolved with 1024 nodes per panel$"):
+            run()
+        assert sizes == [64, 128, 256, 512, 1024]
 
 
 class TestMonteCarlo:
