@@ -15,8 +15,8 @@ from `throughput`'s hop model).  All three levels are one search,
 by the level's test, else the search bisects, so each result passes its
 test exactly.  The rate domain is t >= 1e-3 bit/s/Hz.  Method "kkt"
 certifies the result: the active multipliers, fitted to `_gradients` by
-least squares, are nonnegative and leave a stationarity residual below
-1e-6 eta.
+least squares (Gram–Schmidt in Python floats), are nonnegative
+and leave a stationarity residual below 1e-6 eta.
 
 Multi-antenna: a grid scan over log-spaced power grids (a tight
 covertness budget puts the feasible powers decades below P_max).  The
@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .detection import _dep_single, min_dep_slot, min_dep_two_hop
 from .errors import InfeasibleError, NumericError, clamp_unit_interval
@@ -101,7 +99,7 @@ class Optimum:
 # ---------------------------------------------------------------------------
 
 
-def _gradients(p_s: float, p_r: float, t: float, params: SystemParams) -> np.ndarray:
+def _gradients(p_s: float, p_r: float, t: float, params: SystemParams) -> list[list[float]]:
     """Rows of gradients in (p_s, p_r, t): -eta, then the constraints in _CONSTRAINTS order.
 
     Covertness enters as (1 - Pe_s)(1 - Pe_r) = B_s B_r / (4 ln^2 rho).  A
@@ -116,13 +114,9 @@ def _gradients(p_s: float, p_r: float, t: float, params: SystemParams) -> np.nda
               (slope_s * ok_r + ok_s * slope_r) * dlnk_dt]
     c = 4.0 * math.log(params.rho) ** 2
     (_, b_s, db_s), (_, b_r, db_r) = (_dep_single(p, params) for p in (p_s, p_r))
-    return np.array([
-        [t * dp_out[0], t * dp_out[1], t * dp_out[2] - ok_s * ok_r],
-        [db_s * b_r / c, b_s * db_r / c, 0.0],
-        dp_out,
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-    ])
+    return [[t * dp_out[0], t * dp_out[1], t * dp_out[2] - ok_s * ok_r],
+            [db_s * b_r / c, b_s * db_r / c, 0.0],
+            dp_out, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
 
 def lagrangian_gradient(
@@ -136,8 +130,9 @@ def lagrangian_gradient(
     """
     if p_s <= 0 or p_r <= 0 or t <= 0:
         raise ValueError("lagrangian_gradient needs a strictly interior point")
-    g = _gradients(p_s, p_r, t, params)
-    return tuple((g[0] + np.asarray(multipliers, dtype=float) @ g[1:]).tolist())
+    grad, *rows = _gradients(p_s, p_r, t, params)
+    return tuple(g + sum(m * r[i] for m, r in zip(multipliers, rows, strict=True))
+                 for i, g in enumerate(grad))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +328,8 @@ def _rises(point, p_cov: float, params: SystemParams) -> float:
     optimum's root.  Frontier points have p_s > p_cov, so the denominator
     is positive and d has the slope's sign.
     """
-    (e_s, e_r), (c_s, c_r) = (_gradients(*point, params)[:2, :2] * np.array(point[:2])).tolist()
+    (e_s, e_r), (c_s, c_r) = ([g * x for g, x in zip(row, point[:2])]
+                              for row in _gradients(*point, params)[:2])
     return ((e_r * c_s - e_s * c_r)
             / (math.hypot(e_s, e_r) * math.hypot(c_s, c_r) * math.log(point[0] / p_cov)))
 
@@ -350,32 +346,46 @@ def _active_set(p_s, p_r, p_out, constraints, params) -> frozenset:
     return frozenset(n for n, (gap, scale) in slacks.items() if abs(gap) <= _ACTIVITY_TOL * scale)
 
 
+def _least_squares(cols, base) -> list[float]:
+    """k minimizing |base + sum_j k[j] cols[j]|, by Gram–Schmidt on the columns.
+
+    A column that the columns before it span, all but less than sqrt(eps)
+    of its norm, gets k = 0; numpy's `lstsq` spreads the fit over it at
+    minimum norm instead, with the same residual.
+    """
+    cut, basis = math.sqrt(sys.float_info.epsilon), []
+    for j, v in enumerate([*cols, base]):  # basis: (q, u), orthonormal q = sum_i u[i] cols[i]
+        u, size = [float(i == j) for i in range(len(cols))], math.hypot(*v)
+        for q, w in basis * 2:  # twice, so that the basis stays orthonormal to rounding
+            c = sum(a * b for a, b in zip(q, v))
+            v, u = [a - c * b for a, b in zip(v, q)], [a - c * b for a, b in zip(u, w)]
+        if j < len(cols) and (left := math.hypot(*v)) > cut * size:
+            basis.append(([a / left for a in v], [a / left for a in u]))
+    return u  # base's remainder, base + sum_i k[i] cols[i], has u = k
+
+
 def _kkt_certificate(p_s, p_r, t, eta, active, params) -> None:
     """Certify the optimum by the multipliers of its active constraints.
 
-    They are fitted by least squares to stationarity of the elasticity-
+    They are fitted by `_least_squares` to stationarity of the elasticity-
     scaled gradient x * dL/dx, which is affine in them, with the scaled
     rows of `_gradients` as its columns.  At the rate floor, the bound of
-    the rate domain, stationarity in t relaxes to dL/dt >= 0.
-    Raises NumericError unless the residual is below _CERT_TOL eta and no
-    multiplier is negative beyond that tolerance.
+    the rate domain, stationarity in t relaxes to dL/dt >= 0.  Raises
+    NumericError, with the multipliers by name, unless the residual is
+    below _CERT_TOL eta and no multiplier is negative beyond that tolerance.
     """
-    idx = [i for i, name in enumerate(_CONSTRAINTS) if name in active]
-    scaled = _gradients(p_s, p_r, t, params) * np.array([p_s, p_r, t])
-    base, cols = scaled[0], scaled[[1 + i for i in idx]].T
+    base, *grads = ([g * x for g, x in zip(row, (p_s, p_r, t))]
+                    for row in _gradients(p_s, p_r, t, params))
+    cols = {name: col for name, col in zip(_CONSTRAINTS, grads) if name in active}
     rows = 2 if t == _T_FLOOR else 3
-    k = np.linalg.lstsq(cols[:rows], -base[:rows], rcond=None)[0]
-    stationarity = base + cols @ k
-    residual = float(np.max(np.abs(stationarity[:rows])))
+    k = dict(zip(cols, _least_squares([c[:rows] for c in cols.values()], base[:rows])))
+    stationarity = [b + sum(k[n] * cols[n][i] for n in cols) for i, b in enumerate(base)]
+    residual = max(map(abs, stationarity[:rows]))
     tol = _CERT_TOL * eta
-    mult = np.zeros(4)
-    mult[idx] = k
     if (residual > tol or stationarity[2] < -tol
-            or np.any(k * np.max(np.abs(cols), axis=0, initial=0.0) < -tol)):
-        raise NumericError(
-            f"no KKT certificate at (p_s, p_r, t) = ({p_s}, {p_r}, {t}): "
-            f"residual {residual}, multipliers {mult.tolist()}"
-        )
+            or any(k[n] * max(map(abs, cols[n])) < -tol for n in cols)):
+        raise NumericError(f"no KKT certificate at (p_s, p_r, t) = ({p_s}, {p_r}, {t}): "
+                           f"residual {residual}, multipliers {k}")
 
 
 def optimize_single(constraints: ConstraintSet, params_template: SystemParams) -> Optimum:
@@ -463,6 +473,8 @@ def optimize_multi(
     evaluations and the kernel values are those of a scan of one point at
     a time, except where v_max cuts a block.
     """
+    import numpy as np
+
     if phi <= 0:
         raise ValueError(f"phi must be > 0, got {phi}")
     if v_max < 1:

@@ -515,16 +515,22 @@ class TestNumpyOnlyRuntime:
         assert (tmp_path / "tmp" / "fig8.csv").exists()
 
     def test_closed_form_verbs_run_without_numpy(self, tmp_path):
-        # dep, single-antenna throughput and linear single-antenna sweeps load
-        # only the standard library, and print what they print with numpy.
-        # throughput at rho = 1.1 takes ei_diff's close branch.
+        # dep, single-antenna throughput, linear single-antenna sweeps and
+        # optimize-single load only the standard library, and print what they
+        # print with numpy.  throughput at rho = 1.1 takes ei_diff's close
+        # branch; the epsilon sweep solves for the covert power limit.
         runs = [["dep"], ["dep", "--rho", "1.0000001"], ["dep", "--ps", "5e-324"],
                 ["dep", "--rho", "1e300", "--sigma-n-dbm", "-300"], ["throughput"],
                 ["throughput", "--rho", "1.1", "--ps", "0.001", "--pr", "0.001", "--t", "2"],
                 ["sweep", "--variable", "p", "--from", "0.5", "--to", "3", "--steps", "20"],
                 ["sweep", "--variable", "rho", "--from", "1.01", "--to", "3", "--steps", "5"],
                 ["sweep", "--variable", "sigma_n2_dbm", "--from", "-10", "--to", "3",
-                 "--steps", "5"]]
+                 "--steps", "5"],
+                ["optimize-single"], ["optimize-single", "--sigma-n-dbm", "-80"],
+                ["optimize-single", "--rho", "3", "--epsilon", "0.5", "--delta", "0.001"],
+                ["optimize-single", "--epsilon", "0.999", "--delta", "0.5"],
+                ["sweep", "--variable", "epsilon", "--from", "0.05", "--to", "0.5", "--steps", "5",
+                 "--sigma-n-dbm", "-80"]]
         code = ("import sys\n"
                 "{}\n"
                 "from covertrelay.cli import main\n"
@@ -535,6 +541,13 @@ class TestNumpyOnlyRuntime:
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr.splitlines()[-1] == str([0] * len(runs))
         assert blocked.stdout == loaded.stdout
+
+    def test_optimize_import_loads_no_numpy(self, tmp_path):
+        # numpy is imported by optimize_multi's grid scan alone.
+        code = "import sys, covertrelay.optimize\nprint('numpy' in sys.modules)\n"
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_specfun_runs_without_numpy(self, tmp_path):
         code = ("import sys\n"

@@ -125,6 +125,58 @@ class TestGradient:
             lagrangian_gradient(1.0, 1.0, 0.0, (0, 0, 0, 0), BASE)
 
 
+class TestLeastSquares:
+    """The certificate's Gram–Schmidt fit against numpy's lstsq."""
+
+    @staticmethod
+    def draw(rng, rows, n):
+        # Singular values in [1, 10]: two backward-stable solvers agree to
+        # about cond^2 eps, far below 1e-12 here.
+        u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return u[:, :n] * rng.uniform(1.0, 10.0, n) @ v
+
+    @staticmethod
+    def assert_fit_matches_lstsq(a, base, independent):
+        k = np.array(optimize._least_squares(a.T.tolist(), base.tolist()))
+        expected = np.linalg.lstsq(a, -base, rcond=None)[0]
+        np.testing.assert_allclose(base + a @ k, base + a @ expected, rtol=1e-12,
+                                   atol=1e-12 * np.linalg.norm(base))
+        np.testing.assert_allclose(k[:independent], expected[:independent], rtol=1e-12, atol=0)
+        return k
+
+    @pytest.mark.parametrize("rows, n", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)])
+    def test_independent_columns_match_lstsq(self, rows, n):
+        rng = np.random.default_rng(10 * rows + n)
+        for _ in range(50):
+            self.assert_fit_matches_lstsq(self.draw(rng, rows, n), rng.standard_normal(rows), n)
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_a_dependent_column_gets_zero(self, rows):
+        # Two rows and three columns, as at the rate floor with three active
+        # budgets; or three columns in a plane, as for covertness and both
+        # power budgets.  lstsq spreads the fit over the third column at
+        # minimum norm; the residual is the same.
+        rng = np.random.default_rng(rows)
+        for _ in range(50):
+            a = np.zeros((rows, 3))
+            a[:2, :2], a[:2, 2] = self.draw(rng, 2, 2), rng.standard_normal(2)
+            k = self.assert_fit_matches_lstsq(a, rng.standard_normal(rows), 0)
+            assert k[2] == 0.0
+
+    def test_nearly_parallel_columns_still_leave_one_at_zero(self):
+        # Three columns in a plane, the first two 1.6e-8 rad apart, just wide
+        # enough for both to be kept: only a basis projected out twice stays
+        # orthonormal enough for the third's remainder to fall under the cut.
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            c, turn = rng.standard_normal(2), rng.choice([-1.6e-8, 1.6e-8])
+            a = np.zeros((3, 3))
+            a[:2, 0], a[:2, 2] = c, rng.standard_normal(2)
+            a[:2, 1] = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]] @ c
+            assert 0.0 in optimize._least_squares(a.T.tolist(), rng.standard_normal(3).tolist())
+
+
 class TestCovertPowerLimit:
     def test_limit_is_tight(self):
         p_cov = covert_power_limit(0.15, BASE, 5.0)
@@ -273,7 +325,8 @@ class TestOptimizeSingle:
         opt = optimize_single(BUDGETS, BASE)
         args = (opt.t, opt.eta, opt.active_constraints, BASE)
         optimize._kkt_certificate(opt.p_s, opt.p_r, *args)
-        with pytest.raises(NumericError, match="no KKT certificate"):
+        # The message names each fitted multiplier by its constraint.
+        with pytest.raises(NumericError, match=r"no KKT certificate .* \{'covertness': "):
             optimize._kkt_certificate(opt.p_s, 0.5 * opt.p_r, *args)
 
     def test_frontier_below_the_first_bracket(self):
