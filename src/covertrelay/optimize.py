@@ -20,12 +20,13 @@ and leave a stationarity residual below 1e-6 eta.
 
 Multi-antenna: a grid scan over log-spaced power grids (a tight
 covertness budget puts the feasible powers decades below P_max).  The
-covert (p_s, p_r) pairs are scanned in blocks, in scan order: a block's
-rate loops run side by side in passes of 16, 16, 32, 64, ... rates over
-arrays of at most _SCAN_CELLS cells, each stopping at the outage budget
-or once past its peak, and the first v_max points count.  Hop outages
-come from a store per antenna pair with a row per power, filled by
-`throughput._tas_mrc_outage`, one call per antenna pair and pass.
+rate loops of all covert (p_s, p_r) pairs run side by side in passes of
+16, 16, 32, 64, ... rates over arrays of at most _SCAN_CELLS cells, each
+stopping at the outage budget or once past its peak, and count their
+points; the first v_max points are read back in scan order, in windows
+of _SCAN_CELLS points.  Hop outages come from a store per antenna pair
+with a row per power, filled by `throughput._tas_mrc_outage`, one call
+per antenna pair and pass.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ _CERT_TOL = 1e-6
 _CONSTRAINTS = ("covertness", "reliability", "power_s", "power_r")
 # Rates of a multi-antenna rate loop's first pass; each next pass doubles them.
 _FIRST_ROWS = 16
-# Cells (loops x rates) of a pass's arrays; a block's loops fill the first pass.
+# Cells (loops x rates) of a pass's arrays, and points of a read-back window.
 _SCAN_CELLS = 8192
 
 
@@ -246,8 +247,12 @@ def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> fl
 
     Newton steps on the covertness term, safeguarded by its bracket, as
     `_search` takes them; returns p_max itself when even full power stays
-    covert.
+    covert.  Raises ValueError for epsilon outside (0, 1) or p_max outside (0, inf).
     """
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if not 0 < p_max < math.inf:
+        raise ValueError(f"p_max must be in (0, inf), got {p_max}")
     p_cov = _largest_power(_covert_probe(epsilon, params), p_max, params.mu2)
     if p_cov is None:
         raise InfeasibleError(
@@ -470,12 +475,12 @@ def optimize_multi(
     appended to it as (p_s, p_r, t, eta).
 
     The optimum (ties go to the smallest p_s, then p_r, then t), the
-    evaluations and the kernel values are those of a scan of one point at
-    a time, except where v_max cuts a block.
+    evaluations and, unless v_max cuts the scan, the kernel values are
+    those of a scan of one point at a time.
     """
     import numpy as np
 
-    if phi <= 0:
+    if not phi > 0:
         raise ValueError(f"phi must be > 0, got {phi}")
     if v_max < 1:
         raise ValueError(f"v_max must be >= 1, got {v_max}")
@@ -503,82 +508,76 @@ def optimize_multi(
     stores = {pair: np.full((powers.size, _FIRST_ROWS), np.nan) for pair in (hop1, hop2)}
     kappas: list[float] = []
 
-    def scan(i: np.ndarray, j: np.ndarray):
-        # Points of each loop of the pairs (i, j), each loop's first point and
-        # every point's eta, in scan order; loops run in passes of doubling width.
-        run, peak, points = np.arange(i.size), np.full(i.size, -np.inf), np.zeros(i.size, int)
-        parts = []  # (loops, start, points kept, their eta) of each array
-        start, width = 0, _FIRST_ROWS
-        while run.size:
-            kappas.extend(RateParams(k * h3).kappa for k in range(len(kappas) + 1, width + 1))
-            a, b = ps_id[i[run]], pr_id[j[run]]
-            # One kernel call per antenna pair fills its rows up to `width`, so
-            # a row ends, as in a scan of one point at a time, at a doubling.
-            for pair, need in ({hop1: a, hop2: b} if hop1 != hop2
-                               else {hop1: np.concatenate((a, b))}).items():
-                values = stores[pair]
-                if values.shape[1] < width:  # by one doubling
-                    values = stores[pair] = np.pad(values, [(0, 0), (0, width // 2)],
-                                                   constant_values=np.nan)
-                short = np.unique(need[np.isnan(values[need, width - 1])])
-                rows, cols = np.nonzero(np.isnan(values[short, :width]))
-                if rows.size:
-                    y = np.array(kappas)[cols] / powers[short[rows]]
-                    values[short[rows], cols] = _tas_mrc_outage(*pair, y, params)
-            # k * h3, not a running sum, so every rate lies on the grid.
-            rates = np.arange(start + 1, width + 1) * h3
-            step = max(1, _SCAN_CELLS // rates.size)
-            going = []
-            for c in range(0, run.size, step):
-                loop = run[c : c + step]
-                p_out = _two_hop(stores[hop1][a[c : c + step], start:width],
-                                 stores[hop2][b[c : c + step], start:width])
-                eta = rates * (1.0 - p_out)
-                # A loop stops before its first rate over the outage budget,
-                # or after its first eta phi below the peak so far.
-                peaks = np.maximum(np.maximum.accumulate(eta, axis=1), peak[loop, None])
-                over, fall = p_out > constraints.delta, eta + phi < peaks
-                any_over, any_fall = over.any(axis=1), fall.any(axis=1)
-                ends = np.minimum(np.where(any_over, over.argmax(axis=1), rates.size),
-                                  np.where(any_fall, fall.argmax(axis=1) + 1, rates.size))
-                parts.append((loop, start, ends, eta[np.arange(rates.size) < ends[:, None]]))
-                points[loop] += ends
-                peak[loop] = peaks[:, -1]
-                going.append(loop[~(any_over | any_fall)])
-            run = np.concatenate(going)
-            start, width = width, 2 * width
-        first, eta = np.cumsum(points) - points, np.empty(points.sum())
-        for loop, start, ends, kept in parts:
-            # Each loop keeps its rates start + 1 .. start + ends here.
-            eta[np.repeat(first[loop] + start - np.cumsum(ends) + ends, ends)
-                + np.arange(kept.size)] = kept
-        return points, first, eta
+    # The rate loops of all covert pairs, in scan order, run side by side in
+    # passes of doubling width and only count their points.
+    i, j = np.nonzero(_covert(dep_s[:, None], dep_r, constraints.epsilon))
+    run, peak, points = np.arange(i.size), np.full(i.size, -np.inf), np.zeros(i.size, int)
+    start, width = 0, _FIRST_ROWS
+    while run.size:
+        kappas.extend(RateParams(k * h3).kappa for k in range(len(kappas) + 1, width + 1))
+        a, b = ps_id[i[run]], pr_id[j[run]]
+        # One kernel call per antenna pair fills its rows up to `width`, so
+        # a row ends, as in a scan of one point at a time, at a doubling.
+        for pair, need in ({hop1: a, hop2: b} if hop1 != hop2
+                           else {hop1: np.concatenate((a, b))}).items():
+            values = stores[pair]
+            if values.shape[1] < width:  # by one doubling
+                values = stores[pair] = np.pad(values, [(0, 0), (0, width // 2)],
+                                               constant_values=np.nan)
+            short = np.unique(need[np.isnan(values[need, width - 1])])
+            rows, cols = np.nonzero(np.isnan(values[short, :width]))
+            if rows.size:
+                y = np.array(kappas)[cols] / powers[short[rows]]
+                values[short[rows], cols] = _tas_mrc_outage(*pair, y, params)
+        # k * h3, not a running sum, so every rate lies on the grid.
+        rates = np.arange(start + 1, width + 1) * h3
+        step = max(1, _SCAN_CELLS // rates.size)
+        going = []
+        for c in range(0, run.size, step):
+            loop = run[c : c + step]
+            p_out = _two_hop(stores[hop1][a[c : c + step], start:width],
+                             stores[hop2][b[c : c + step], start:width])
+            eta = rates * (1.0 - p_out)
+            # A loop stops before its first rate over the outage budget,
+            # or after its first eta phi below the peak so far.
+            peaks = np.maximum(np.maximum.accumulate(eta, axis=1), peak[loop, None])
+            over, fall = p_out > constraints.delta, eta + phi < peaks
+            any_over, any_fall = over.any(axis=1), fall.any(axis=1)
+            points[loop] += np.minimum(np.where(any_over, over.argmax(axis=1), rates.size),
+                                       np.where(any_fall, fall.argmax(axis=1) + 1, rates.size))
+            peak[loop] = peaks[:, -1]
+            going.append(loop[~(any_over | any_fall)])
+        run = np.concatenate(going)
+        # A loop whose first point lies past the v_max-th has none to count.
+        run = run[(np.cumsum(points) - points)[run] < v_max]
+        start, width = width, 2 * width
 
-    best, budget = None, v_max  # best: (eta, i, j, k) of the best point so far
-    pairs = np.nonzero(_covert(dep_s[:, None], dep_r, constraints.epsilon))
-    for b in range(0, pairs[0].size, _SCAN_CELLS // _FIRST_ROWS):
-        i, j = (a[b : b + _SCAN_CELLS // _FIRST_ROWS] for a in pairs)
-        points, first, eta = scan(i, j)
-        # The block's first `budget` points in scan order: the v_max cut.
-        eta = eta[:budget]
-        budget -= eta.size
+    # The first v_max points, read back in scan order in windows of
+    # _SCAN_CELLS points: each point's loop and rate k from the counts,
+    # and its eta from the stores.
+    ends = np.cumsum(points)
+    t_list = (np.arange(points.max(initial=0) + 1) * h3).tolist()  # floats the evaluations share
+    best = None  # (eta, loop, k, p_out) of the best point so far
+    stop = min(v_max, int(points.sum()))
+    for x0 in range(0, stop, _SCAN_CELLS):
+        x1 = min(x0 + _SCAN_CELLS, stop)
+        lo, hi = np.searchsorted(ends, [x0, x1 - 1], side="right")  # loops of x0, x1 - 1
+        loop = np.repeat(np.arange(lo, hi + 1), np.diff(np.minimum(ends[lo : hi + 1], x1),
+                                                        prepend=x0))
+        k = np.arange(x0 + 1, x1 + 1) - ends[loop] + points[loop]
+        p_out = _two_hop(stores[hop1][ps_id[i[loop]], k - 1], stores[hop2][pr_id[j[loop]], k - 1])
+        eta = k * h3 * (1.0 - p_out)
         # Ties go to the first in scan order: the smallest p_s, p_r and t.
-        if eta.size and (best is None or eta.max() > best[0]):
+        if best is None or eta.max() > best[0]:
             x = int(eta.argmax())
-            loop = int(np.searchsorted(first, x, side="right")) - 1
-            best = float(eta[x]), int(i[loop]), int(j[loop]), x - int(first[loop]) + 1
+            best = float(eta[x]), int(loop[x]), int(k[x]), float(p_out[x])
         if evaluations is not None:
-            loop = np.repeat(np.arange(points.size), points)[: eta.size]
-            ks = np.arange(eta.size) - first[loop] + 1
-            rates = (np.arange(points.max() + 1) * h3).tolist()
             evaluations.extend(zip(map(ps_list.__getitem__, i[loop].tolist()),
                                    map(pr_list.__getitem__, j[loop].tolist()),
-                                   map(rates.__getitem__, ks.tolist()), eta.tolist()))
-        if not budget:
-            break
+                                   map(t_list.__getitem__, k.tolist()), eta.tolist()))
 
     if best is None:
-        if pairs[0].size:
+        if i.size:
             raise InfeasibleError(
                 "no grid point satisfies the constraints (tightest: reliability)", "reliability"
             )
@@ -596,8 +595,7 @@ def optimize_multi(
         raise InfeasibleError(
             f"no grid point satisfies the constraints (tightest: covertness): {why}", "covertness"
         )
-    eta, i, j, k = best
-    p_out = float(_two_hop(stores[hop1][ps_id[i], k - 1], stores[hop2][pr_id[j], k - 1]))
-    p_s, p_r = ps_list[i], pr_list[j]
+    eta, loop, k, p_out = best
+    p_s, p_r = ps_list[i[loop]], pr_list[j[loop]]
     return Optimum(p_s, p_r, k * h3, eta, _active_set(p_s, p_r, p_out, constraints, params),
                    method="grid")

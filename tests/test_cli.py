@@ -203,6 +203,31 @@ class TestSweep:
     def test_bad_grid_is_invalid(self, grid):
         assert main(["sweep", "--variable", "t", *grid]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--from", "0.1", "--to", "0.5", "--p-max", "0"],
+        ["--from", "0.1", "--to", "0.5", "--p-max", "-1"],
+        ["--from", "0.1", "--to", "0.5", "--p-max", "nan"],
+        ["--from", "0.1", "--to", "1.5"],
+        ["--from", "0", "--to", "0.5"],
+        ["--from", "-0.1", "--to", "0.5"],
+    ], ids=["p-max-0", "p-max-negative", "p-max-nan", "epsilon-1.5", "epsilon-0",
+            "epsilon-negative"])
+    def test_epsilon_sweep_outside_the_domain_is_invalid(self, capsys, flags):
+        assert main(["sweep", "--variable", "epsilon", "--steps", "2", *flags]) == 2
+        assert "must be in (0, " in capsys.readouterr().err
+
+    def test_epsilon_sweep_at_infinite_p_max_is_invalid(self):
+        # A search down from P_max = inf would never end, so a child process
+        # runs it: the timeout fails the test instead of hanging the suite.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-m", "covertrelay.cli", "sweep", "--variable",
+                               "epsilon", "--from", "0.1", "--to", "0.5", "--steps", "2",
+                               "--p-max", "inf"], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "p_max must be in (0, inf), got inf" in proc.stderr
+
 
 SWEEP_RANGES = {
     "p": (0.1, 5.0), "p_s": (0.1, 5.0), "p_r": (0.1, 5.0), "rho": (1.01, 3.0),
@@ -356,6 +381,10 @@ class TestOptimize:
 
     def test_multi_partial_steps_rejected(self):
         assert main(["optimize-multi", "--h1", "0.05"]) == 2
+
+    def test_multi_nan_phi_rejected(self, capsys):
+        assert main(["optimize-multi", "--phi", "nan"]) == 2
+        assert "phi must be > 0, got nan" in capsys.readouterr().err
 
 
 class TestFlagContract:

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -200,6 +204,30 @@ class TestCovertPowerLimit:
     def test_returns_p_max_when_unconstrained(self):
         # With epsilon near 1 the covertness budget never binds.
         assert covert_power_limit(0.99999, BASE, 5.0) == 5.0
+
+    @pytest.mark.parametrize("epsilon,p_max,bad", [
+        (0.0, 5.0, "epsilon"), (-0.1, 5.0, "epsilon"), (1.0, 5.0, "epsilon"),
+        (1.5, 5.0, "epsilon"), (math.nan, 5.0, "epsilon"),
+        (0.15, 0.0, "p_max"), (0.15, -1.0, "p_max"), (0.15, math.nan, "p_max"),
+    ])
+    def test_rejects_values_outside_the_domain(self, epsilon, p_max, bad):
+        value = epsilon if bad == "epsilon" else p_max
+        with pytest.raises(ValueError, match=re.escape(f"{bad} must be in (0, ")
+                           + f".*got {re.escape(str(value))}$"):
+            covert_power_limit(epsilon, BASE, p_max)
+
+    def test_rejects_an_infinite_p_max(self):
+        # A search down from P_max = inf would never end, so a child process
+        # runs it: the timeout fails the test instead of hanging the suite.
+        src = os.path.dirname(os.path.dirname(optimize.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        code = ("import math; from covertrelay.model import SystemParams; "
+                "from covertrelay.optimize import covert_power_limit; "
+                "covert_power_limit(0.15, SystemParams(1.0, 1.0, 1e-3, 1.5), math.inf)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.stderr.endswith("ValueError: p_max must be in (0, inf), got inf\n")
 
 
 class TestOptimizeSingle:
@@ -463,18 +491,20 @@ class TestOptimizeMulti:
         ((2, 8, 2, 8), BUDGETS, {"v_max": 1}),
         ((2, 8, 2, 8), BUDGETS, {"v_max": 500}),
         ((2, 8, 2, 8), BUDGETS, {"v_max": 777}),
+        ((2, 8, 2, 8), BUDGETS, {"v_max": 8192}),
+        ((2, 8, 2, 8), BUDGETS, {"v_max": 8193}),
         ((2, 2, 2, 2), BUDGETS, {"phi": 1e-2}),
         ((2, 8, 2, 8), ConstraintSet(1e-6, 0.1, 5.0), {}),
         ((1, 1, 1, 1), ConstraintSet(0.15, 1e-12, 5.0), {}),
     ], ids=["1x1", "2x2", "2x8", "4x4", "2-8-4-4", "1-3-2-1", "linear-steps", "v_max-1",
-            "v_max-500", "v_max-777", "phi-1e-2", "covertness-infeasible",
-            "reliability-infeasible"])
+            "v_max-500", "v_max-777", "v_max-8192", "v_max-8193", "phi-1e-2",
+            "covertness-infeasible", "reliability-infeasible"])
     def test_matches_the_per_point_scan(self, monkeypatch, antennas, budgets, options):
-        # The row-array scan against the earlier generator scan: an equal
+        # The pass scan against the earlier generator scan: an equal
         # optimum (or the same InfeasibleError), equal evaluations, and as
-        # many kernel values computed.  Where v_max cuts a row, the row's
-        # loops past the cut run too: at least as many kernel values as the
-        # point scan, and at most as many as the same problem without a cut.
+        # many kernel values computed.  Where v_max cuts the scan, loops past
+        # the cut run until the counts rule them out: at least as many kernel
+        # values as the point scan, and at most as many as without a cut.
         params = SystemParams(1.0, 1.0, SIGMA_N2, 1.5, AntennaConfig(*antennas))
         uncut = {k: v for k, v in options.items() if k != "v_max"}
         values = {}
@@ -519,9 +549,9 @@ class TestOptimizeMulti:
                                                        antennas, p_max_over_p_cov, n_s, n_r,
                                                        h3, phi, v_max, cells):
         # Linear grids of up to 30 powers per axis up to a P_max near the
-        # largest covert equal power, asymmetric relays included: the block
-        # scan, also in blocks of 4 pairs and passes split into arrays of 64
-        # cells, against the generator scan, compared as in
+        # largest covert equal power, asymmetric relays included: the pass
+        # scan, also with pass arrays of 64 cells and read-back windows of
+        # 64 points, against the generator scan, compared as in
         # test_matches_the_per_point_scan.
         params = SystemParams(1.0, 1.0, sigma2, 1.0 + rho_excess, AntennaConfig(*antennas))
         p_max = covert_power_limit(epsilon, params, 1e3) * p_max_over_p_cov
@@ -556,8 +586,9 @@ class TestOptimizeMulti:
             assert points[2] <= blocks[2] <= run(optimize, optimize_multi, 10**6)[2]
 
     def test_ties_across_blocks(self, monkeypatch):
-        # In blocks of one pair, the mirrored pair (p_r, p_s), whose eta is
-        # equal bit for bit, lies in a later block and does not win the tie.
+        # With pass arrays of one loop and read-back windows of 16 points,
+        # the mirrored pair (p_r, p_s), whose eta is equal bit for bit, lies
+        # in a later window and does not win the tie.
         monkeypatch.setattr(optimize, "_SCAN_CELLS", optimize._FIRST_ROWS)
         opt = optimize_multi(BUDGETS, self.PARAMS)
         assert (opt.p_s, opt.p_r, opt.t) == (1.2385381779958556e-4, 1.4240179342179008e-4, 0.81)
@@ -671,6 +702,8 @@ class TestOptimizeMulti:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             optimize_multi(BUDGETS, self.PARAMS, phi=0.0)
+        with pytest.raises(ValueError, match="phi must be > 0, got nan"):
+            optimize_multi(BUDGETS, self.PARAMS, phi=math.nan)
         with pytest.raises(ValueError):
             optimize_multi(BUDGETS, self.PARAMS, v_max=0)
         with pytest.raises(ValueError):
