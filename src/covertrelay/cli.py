@@ -6,8 +6,8 @@ validate, figures.  Each verb accepts only the flags it reads (`_VERBS`);
 the verb's flag defaults.  All outputs are CSV (stdout or --out; figures
 write to --outdir) with a `# params:` comment line recording the value
 of each of the verb's flags that names the computed point.
-Exit codes: 0 success, 2 invalid parameters, 3 infeasible optimization,
-4 numeric failure.
+Exit codes: 0 success, 2 invalid parameters or an unwritable output path,
+3 infeasible optimization, 4 numeric failure.
 
 `optimize`, `report` and `validation` are imported by the commands that
 use them: `report` and `validation` import numpy, and compiling `optimize`
@@ -22,7 +22,7 @@ import csv
 import os
 import re
 import sys
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 from .detection import DetectionOutcome, min_dep_slot, min_dep_two_hop, optimal_threshold
 from .errors import InfeasibleError, NumericError
@@ -101,12 +101,12 @@ def _params_line(args: argparse.Namespace, params: SystemParams, **extra) -> str
 def _cmd_dep(args: argparse.Namespace) -> int:
     params = _system_params(args)
     pe1, pe2 = (min_dep_slot(p, params) for p in (params.p_s, params.p_r))
-    outcome = DetectionOutcome.combine(optimal_threshold(params), pe1, pe2)
+    out = DetectionOutcome(optimal_threshold(params), pe1, pe2)
     _write_csv(
         args.out,
         _params_line(args, params),
         ["tau_star_w", "pe1_star", "pe2_star", "xi_star"],
-        [astuple(outcome)],
+        [(out.tau, out.pe1, out.pe2, out.xi)],
     )
     return EXIT_OK
 
@@ -430,10 +430,7 @@ def _parse_with_config(parser: argparse.ArgumentParser, verb: argparse.ArgumentP
     sweep_from for --from); that flag's type converts the value, and the
     command line still wins. A key the verb has no flag for is an error.
     """
-    try:
-        entries = load_config(args.config)
-    except OSError as exc:
-        raise ValueError(exc) from exc
+    entries = load_config(args.config)
     unknown = sorted(set(entries) - (set(vars(args)) - {"command", "config"}))
     if unknown:
         raise ValueError(f"{args.config}: {args.command} has no flag for key(s) "
@@ -455,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

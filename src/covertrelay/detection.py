@@ -46,25 +46,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectionOutcome:
-    """Threshold, per-slot DEPs and the combined two-hop DEP."""
+    """Threshold and per-slot DEPs; the combined two-hop DEP follows."""
 
     tau: float
     pe1: float
     pe2: float
-    xi: float
 
     def __post_init__(self) -> None:
-        for name in ("pe1", "pe2", "xi"):
+        for name in ("pe1", "pe2"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a probability, got {v}")
-        expected = _two_hop(self.pe1, self.pe2)
-        if self.xi != expected:
-            raise ValueError(f"xi = {self.xi!r} does not equal 1-(1-pe1)(1-pe2) = {expected!r}")
 
-    @classmethod
-    def combine(cls, tau: float, pe1: float, pe2: float) -> "DetectionOutcome":
-        return cls(tau, pe1, pe2, _two_hop(pe1, pe2))
+    @property
+    def xi(self) -> float:
+        return _two_hop(self.pe1, self.pe2)
 
 
 def _log_noise_ratio(x: float, params: SystemParams) -> float:

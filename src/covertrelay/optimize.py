@@ -217,18 +217,20 @@ def _covert_probe(epsilon: float, params: SystemParams, pe_s: float | None = Non
     return probe
 
 
-def _largest_power(probe, p_max: float, mu2: float, start: float | None = None) -> float | None:
-    """Largest p <= p_max where probe(p) holds; None before mu2 / p leaves the floats.
+def _largest_power(probe, p_max: float, start: float | None = None) -> float | None:
+    """Largest p <= p_max where probe(p) holds; None once the lower end underflows to 0.
 
     Probes p_max first.  While the lower end fails, it becomes the upper
     end, and the next lower end is `start` (once, where it lies below),
     else the failing end's Newton target (once, where it lies less than a
     factor _POWER_FLOOR below), else a factor _POWER_FLOOR lower.  The
     search from the first end that holds starts with that end's step.
+    Where mu2 / p overflows the DEP is exactly 1, so a covertness probe
+    holds there at the latest.
     """
     hi = lo = p_max
     newton = True
-    while lo * sys.float_info.max >= mu2:
+    while lo > 0.0:
         holds, step = probe(lo)
         if holds:
             return _search(probe, lo, hi, 1e-14, lo, step)
@@ -253,7 +255,7 @@ def covert_power_limit(epsilon: float, params: SystemParams, p_max: float) -> fl
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0 < p_max < math.inf:
         raise ValueError(f"p_max must be in (0, inf), got {p_max}")
-    p_cov = _largest_power(_covert_probe(epsilon, params), p_max, params.mu2)
+    p_cov = _largest_power(_covert_probe(epsilon, params), p_max)
     if p_cov is None:
         raise InfeasibleError(
             "covertness constraint unsatisfiable even at vanishing power", "covertness"
@@ -315,7 +317,7 @@ def _frontier_point(p_s: float, constraints: ConstraintSet, params: SystemParams
     p_s >= p_r, and (p_cov, p_cov) is covert by the definition of p_cov.
     """
     probe = _covert_probe(constraints.epsilon, params, min_dep_slot(p_s, params))
-    p_r = _largest_power(probe, constraints.p_max, params.mu2, p_cov)
+    p_r = _largest_power(probe, constraints.p_max, p_cov)
     p_r = None if p_r is None else min(p_r, p_s)
     t = None if p_r is None else _best_rate(p_s, p_r, constraints.delta, params, t)
     return None if t is None else (p_s, p_r, t)
@@ -506,7 +508,6 @@ def optimize_multi(
     ps_id, pr_id = ids[: ps_grid.size], ids[ps_grid.size :]
     hop1, hop2 = (ant.n_s, ant.n_rr), (ant.n_rt, ant.n_d)
     stores = {pair: np.full((powers.size, _FIRST_ROWS), np.nan) for pair in (hop1, hop2)}
-    kappas: list[float] = []
 
     # The rate loops of all covert pairs, in scan order, run side by side in
     # passes of doubling width and only count their points.
@@ -514,21 +515,19 @@ def optimize_multi(
     run, peak, points = np.arange(i.size), np.full(i.size, -np.inf), np.zeros(i.size, int)
     start, width = 0, _FIRST_ROWS
     while run.size:
-        kappas.extend(RateParams(k * h3).kappa for k in range(len(kappas) + 1, width + 1))
+        kappa = np.array([RateParams(k * h3).kappa for k in range(start + 1, width + 1)])
         a, b = ps_id[i[run]], pr_id[j[run]]
-        # One kernel call per antenna pair fills its rows up to `width`, so
-        # a row ends, as in a scan of one point at a time, at a doubling.
+        # One kernel call per antenna pair adds this pass's rates to the rows its
+        # loops read, which hold every earlier rate (loops only leave the passes),
+        # so a row ends, as in a scan of one point at a time, at a doubling.
         for pair, need in ({hop1: a, hop2: b} if hop1 != hop2
                            else {hop1: np.concatenate((a, b))}).items():
             values = stores[pair]
             if values.shape[1] < width:  # by one doubling
                 values = stores[pair] = np.pad(values, [(0, 0), (0, width // 2)],
                                                constant_values=np.nan)
-            short = np.unique(need[np.isnan(values[need, width - 1])])
-            rows, cols = np.nonzero(np.isnan(values[short, :width]))
-            if rows.size:
-                y = np.array(kappas)[cols] / powers[short[rows]]
-                values[short[rows], cols] = _tas_mrc_outage(*pair, y, params)
+            rows = np.unique(need)
+            values[rows, start:width] = _tas_mrc_outage(*pair, kappa / powers[rows, None], params)
         # k * h3, not a running sum, so every rate lies on the grid.
         rates = np.arange(start + 1, width + 1) * h3
         step = max(1, _SCAN_CELLS // rates.size)

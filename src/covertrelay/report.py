@@ -34,35 +34,20 @@ CSV_COLUMNS = ("formula_id", "params", "paper_value_or_violation", "reference_va
 
 @dataclass(frozen=True)
 class DiscrepancyRecord:
-    """One verbatim-vs-reference comparison."""
+    """One verbatim-vs-reference comparison: the verbatim value, or its violation text."""
 
     formula_id: str
     params: str
-    paper_value_or_violation: str
+    paper_value_or_violation: float | str
     reference_value: float
-    abs_diff: float | None  # None when the verbatim form could not be evaluated
 
     def row(self) -> tuple:
-        diff = "" if self.abs_diff is None else f"{self.abs_diff:.17g}"
-        return (
-            self.formula_id,
-            self.params,
-            self.paper_value_or_violation,
-            f"{self.reference_value:.17g}",
-            diff,
-        )
-
-
-def _record(formula_id, params_desc, paper_value, reference_value) -> DiscrepancyRecord:
-    if isinstance(paper_value, str):
-        return DiscrepancyRecord(formula_id, params_desc, paper_value, reference_value, None)
-    return DiscrepancyRecord(
-        formula_id,
-        params_desc,
-        f"{paper_value:.17g}",
-        reference_value,
-        abs(paper_value - reference_value),
-    )
+        paper, ref = self.paper_value_or_violation, self.reference_value
+        if isinstance(paper, str):  # the verbatim form could not be evaluated
+            paper_cell, diff = paper, ""
+        else:
+            paper_cell, diff = f"{paper:.17g}", f"{abs(paper - ref):.17g}"
+        return (self.formula_id, self.params, paper_cell, f"{ref:.17g}", diff)
 
 
 # The validation grid of the report.
@@ -86,7 +71,7 @@ def build_discrepancy_report() -> list[DiscrepancyRecord]:
                 ref = dep_slot_reference(p, tau, params)
                 paper = dep_slot_paper(p, tau, params)
                 records.append(
-                    _record(
+                    DiscrepancyRecord(
                         "dep_slot_above_upper_bound",
                         f"p={p};sigma_n2_dbm={sigma_dbm};rho={_RHO};tau={tau:.6g}",
                         paper,
@@ -105,7 +90,7 @@ def build_discrepancy_report() -> list[DiscrepancyRecord]:
                 for interp in ("ln_rho_sq_arg", "ln_rho_sq_whole"):
                     value = outage_hop_multi_paper(p, rate, params, n_t, n_r, interp)
                     records.append(
-                        _record(
+                        DiscrepancyRecord(
                             f"outage_multi_combinatorial[{interp}]",
                             f"p={p};sigma_n2_dbm={sigma_dbm};rho={_RHO};T={_T};"
                             f"n_t={n_t};n_r={n_r}",

@@ -52,31 +52,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThroughputOutcome:
-    """Per-hop outages, end-to-end outage, and covert throughput."""
+    """Per-hop outages at rate t; the end-to-end outage and covert throughput follow."""
 
     p_out_hop1: float
     p_out_hop2: float
-    p_out: float
-    eta: float
     t: float
 
     def __post_init__(self) -> None:
-        for name in ("p_out_hop1", "p_out_hop2", "p_out"):
+        for name in ("p_out_hop1", "p_out_hop2"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a probability, got {v}")
-        expected_out = _two_hop(self.p_out_hop1, self.p_out_hop2)
-        if self.p_out != expected_out:
-            raise ValueError(f"p_out = {self.p_out!r} != combined per-hop value {expected_out!r}")
-        if self.eta != self.t * (1.0 - self.p_out):
-            raise ValueError(f"eta = {self.eta!r} != t*(1 - p_out)")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not self.t >= 0:  # also rejects NaN
+            raise ValueError(f"t must be >= 0, got {self.t}")
 
-    @classmethod
-    def combine(cls, hop1: float, hop2: float, t: float) -> "ThroughputOutcome":
-        p_out = _two_hop(hop1, hop2)
-        return cls(hop1, hop2, p_out, t * (1.0 - p_out), t)
+    @property
+    def p_out(self) -> float:
+        return _two_hop(self.p_out_hop1, self.p_out_hop2)
+
+    @property
+    def eta(self) -> float:
+        return self.t * (1.0 - self.p_out)
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ def throughput_single(params: SystemParams, rate: RateParams) -> ThroughputOutco
     """Covert throughput of the two-hop link with single antennas."""
     hop1 = outage_hop_single(params.p_s, rate, params)
     hop2 = outage_hop_single(params.p_r, rate, params)
-    return ThroughputOutcome.combine(hop1, hop2, rate.t)
+    return ThroughputOutcome(hop1, hop2, rate.t)
 
 
 # The hop outage at threshold y is E(y) = (H(b) - H(a)) / (2 ln rho) with
@@ -438,7 +434,7 @@ def throughput_multi(params: SystemParams, rate: RateParams) -> ThroughputOutcom
     else:
         hop1 = float(_tas_mrc_outage(ant.n_s, ant.n_rr, y1, params))
         hop2 = float(_tas_mrc_outage(ant.n_rt, ant.n_d, y2, params))
-    return ThroughputOutcome.combine(hop1, hop2, rate.t)
+    return ThroughputOutcome(hop1, hop2, rate.t)
 
 
 def mc_outage_hop(

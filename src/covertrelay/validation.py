@@ -31,16 +31,17 @@ class ValidationCheck:
     mc_mean: float
     mc_stderr: float
     n_sigma: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.analytic - self.mc_mean) <= self.n_sigma * self.mc_stderr
 
 
 def _check(name, analytic, estimate, n_sigma) -> ValidationCheck:
     # For rare events the empirical stderr collapses to 0 (zero hits);
     # fall back to the binomial standard error under the analytic value.
     floor = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / estimate.n)
-    stderr = max(estimate.stderr, floor)
-    passed = abs(analytic - estimate.mean) <= n_sigma * stderr
-    return ValidationCheck(name, analytic, estimate.mean, stderr, n_sigma, passed)
+    return ValidationCheck(name, analytic, estimate.mean, max(estimate.stderr, floor), n_sigma)
 
 
 def run_validation(

@@ -194,6 +194,14 @@ class TestSweep:
         assert np.array(_linspace(lo, hi, n)).view(np.int64).tolist() == want.view(
             np.int64).tolist()
 
+    def test_epsilon_sweep_where_mu2_over_p_max_overflows(self, tmp_path):
+        # Both powers sit at P_max, where the DEP is exactly 1 and every hop
+        # is in outage.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--variable", "epsilon", "--from", "0.1", "--to", "0.5",
+                     "--steps", "2", "--p-max", "1e-320", "--out", str(out)]) == 0
+        assert values(read_csv(out)[2]) == [[0.1, 1.0, 1.0, 0.0], [0.5, 1.0, 1.0, 0.0]]
+
     @pytest.mark.parametrize("grid", [
         ["--from", "2", "--to", "2"],
         ["--from", "3", "--to", "1"],
@@ -361,6 +369,15 @@ class TestOptimize:
     def test_single_where_mu1_underflows_is_infeasible_not_invalid(self):
         assert main(["optimize-single", "--rho", "1e300", "--sigma-n-dbm", "-300"]) == 3
 
+    @pytest.mark.parametrize("flags", [["--sigma-n-dbm", "3000", "--p-max", "5e-12"],
+                                       ["--p-max", "1e-320"]], ids=["hot-noise", "subnormal-cap"])
+    def test_single_where_mu2_over_p_max_overflows_names_reliability(self, capsys, flags):
+        # mu2 / P_max leaves the floats, so the DEP at P_max is exactly 1 and
+        # P_max is covert; no rate is reliable there.
+        assert main(["optimize-single", *flags]) == 3
+        err = capsys.readouterr().err
+        assert "is reliable at covert powers" in err and "covertness" not in err
+
     def test_multi(self, tmp_path):
         out = tmp_path / "opt.csv"
         argv = ["optimize-multi", "--nt", "2", "--nr", "8", "--out", str(out)]
@@ -416,6 +433,14 @@ class TestFlagContract:
         monkeypatch.setattr(cli, "min_dep_slot", fail)
         assert main(["dep"]) == 4
         assert "numeric failure: min_dep_slot" in capsys.readouterr().err
+
+    def test_unwritable_output_is_invalid(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for argv in (["dep", "--out", str(tmp_path / "missing" / "x.csv")],
+                     ["figures", "--outdir", str(blocker / "figs")]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
 
     def test_exit_codes_reach_the_shell(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -485,8 +510,10 @@ class TestValidateAndFigures:
         assert len(disc_rows) > 100
 
     def test_failed_check_is_reported_and_exits_4(self, tmp_path, monkeypatch, capsys):
-        # The report and the discrepancies are still written.
-        failed = ValidationCheck("dep_slot", 0.5, 0.4, 0.01, 10.0, False)
+        # The report and the discrepancies are still written.  0.1 is 10
+        # standard errors off, past n_sigma = 3.
+        failed = ValidationCheck("dep_slot", 0.5, 0.4, 0.01, 3.0)
+        assert not failed.passed
         monkeypatch.setattr(covertrelay.validation, "run_validation",
                             lambda samples, seed: [failed])
         out = tmp_path / "validation.csv"
@@ -496,7 +523,7 @@ class TestValidateAndFigures:
         assert (tmp_path / "discrepancies.csv").exists()
 
     def test_validate_writes_one_line_ending(self, tmp_path, monkeypatch):
-        passed = ValidationCheck("dep_slot", 0.5, 0.5, 0.01, 0.0, True)
+        passed = ValidationCheck("dep_slot", 0.5, 0.5, 0.01, 0.0)
         monkeypatch.setattr(covertrelay.validation, "run_validation",
                             lambda samples, seed: [passed])
         out = tmp_path / "validation.csv"

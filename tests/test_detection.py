@@ -50,18 +50,14 @@ class TestNoiseCdf:
 
 class TestOutcome:
     def test_combine(self):
-        out = DetectionOutcome.combine(1e-3, 0.1, 0.2)
+        out = DetectionOutcome(1e-3, 0.1, 0.2)
         assert out.xi == pytest.approx(1.0 - 0.9 * 0.8, rel=1e-15)
-
-    def test_rejects_inconsistent_xi(self):
-        with pytest.raises(ValueError):
-            DetectionOutcome(1e-3, 0.1, 0.2, 0.5)
 
     def test_rejects_nonprobability(self):
         with pytest.raises(ValueError):
-            DetectionOutcome.combine(1e-3, -0.1, 0.2)
+            DetectionOutcome(1e-3, -0.1, 0.2)
         with pytest.raises(ValueError):
-            DetectionOutcome.combine(1e-3, 0.1, 1.5)
+            DetectionOutcome(1e-3, 0.1, 1.5)
 
 
 class TestSlotDep:

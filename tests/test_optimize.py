@@ -201,6 +201,11 @@ class TestCovertPowerLimit:
         assert 0.0 < p_cov < 1e-312
         assert min_dep_two_hop(params.with_powers(p_cov, p_cov)) >= 1.0 - 1e-12
 
+    def test_covert_where_mu2_over_p_max_overflows(self):
+        # Below mu2 / float_max the DEP is exactly 1: P_max itself is covert.
+        params = SystemParams(1.0, 1.0, dbm_to_watts(-5.0), 1.5)
+        assert covert_power_limit(0.15, params, 1e-320) == 1e-320
+
     def test_returns_p_max_when_unconstrained(self):
         # With epsilon near 1 the covertness budget never binds.
         assert covert_power_limit(0.99999, BASE, 5.0) == 5.0

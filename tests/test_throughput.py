@@ -52,25 +52,20 @@ class TestCapacity:
 
 class TestOutcome:
     def test_combine_identities(self):
-        out = ThroughputOutcome.combine(0.1, 0.2, 1.5)
+        out = ThroughputOutcome(0.1, 0.2, 1.5)
         assert out.p_out == pytest.approx(1.0 - 0.9 * 0.8, rel=1e-15)
         assert out.eta == pytest.approx(1.5 * 0.9 * 0.8, rel=1e-15)
 
-    def test_rejects_inconsistent_fields(self):
-        with pytest.raises(ValueError):
-            ThroughputOutcome(0.1, 0.2, 0.5, 0.75, 1.5)
-        with pytest.raises(ValueError):
-            ThroughputOutcome(0.1, 0.2, 0.28, 0.5, 1.5)
-        with pytest.raises(ValueError):
-            ThroughputOutcome(-0.1, 0.2, 0.28, 1.08, 1.5)
+    def test_rejects_nonprobability_hops(self):
+        with pytest.raises(ValueError, match="p_out_hop1 must be a probability"):
+            ThroughputOutcome(-0.1, 0.2, 1.5)
+        with pytest.raises(ValueError, match="p_out_hop2 must be a probability"):
+            ThroughputOutcome(0.1, 1.5, 1.5)
 
-    def test_rejects_eta_that_is_not_t_times_success(self):
-        p_out = 1.0 - 0.9 * 0.8
-        with pytest.raises(ValueError, match="eta = "):
-            ThroughputOutcome(0.1, 0.2, p_out, 1.0, 1.5)
-        # Consistent with a negative rate, but negative.
-        with pytest.raises(ValueError, match="eta must be >= 0"):
-            ThroughputOutcome(0.1, 0.2, p_out, -1.0 * (1.0 - p_out), -1.0)
+    def test_rejects_negative_or_nan_rate(self):
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                ThroughputOutcome(0.1, 0.2, t)
 
 
 class TestSingleAntenna:
@@ -285,7 +280,7 @@ class TestMultiAntenna:
         rate = RateParams(t)
         hop1 = outage_hop_multi_reference(params.p_s, rate, params, ant.n_s, ant.n_rr)
         hop2 = outage_hop_multi_reference(params.p_r, rate, params, ant.n_rt, ant.n_d)
-        assert throughput_multi(params, rate) == ThroughputOutcome.combine(hop1, hop2, t)
+        assert throughput_multi(params, rate) == ThroughputOutcome(hop1, hop2, t)
         if t != 1.5:
             assert hop1 == hop2 == (0.0 if t == 0.0 else 1.0)
 
