@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 
 # Each export, by the module that defines it.
 _HOMES = {
-    "channel": ("RngSpec", "make_generator"),
+    "channel": ("make_generator",),
     "errors": ("InfeasibleError", "NumericError"),
-    "model": ("AntennaConfig", "ConstraintSet", "McEstimate", "RateParams", "SystemParams",
-              "dbm_to_watts", "watts_to_dbm"),
+    "model": ("AntennaConfig", "ConstraintSet", "McEstimate", "RateParams", "RngSpec",
+              "SystemParams", "dbm_to_watts", "watts_to_dbm"),
     "detection": ("DetectionOutcome", "dep_slot_paper", "dep_slot_reference", "mc_dep_slot",
                   "mc_dep_two_hop", "min_dep_slot", "min_dep_two_hop", "optimal_threshold"),
     "optimize": ("Optimum", "optimize_multi", "optimize_single"),

@@ -14,34 +14,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams
+from .model import RngSpec, SystemParams
 
 __all__ = [
-    "RngSpec",
     "make_generator",
     "sample_noise_power",
     "sample_rayleigh_gain",
     "sample_tas_mrc_gain",
     "tas_mrc_gain_cdf",
 ]
-
-
-@dataclass(frozen=True)
-class RngSpec:
-    """Seed plus substream index identifying one reproducible stream."""
-
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.stream < 0:
-            raise ValueError(f"stream index must be >= 0, got {self.stream}")
 
 
 def make_generator(spec: RngSpec) -> np.random.Generator:

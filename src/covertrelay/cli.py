@@ -311,22 +311,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from .report import build_discrepancy_report, write_discrepancy_csv
     from .validation import run_validation
 
+    report = os.path.join(os.path.dirname(args.out or ""), "discrepancies.csv")
+    # Both outputs are opened for appending before the campaign, so that a path
+    # that cannot be written fails at once; an existing file is left as it is.
+    for path in filter(None, (args.out, report)):
+        open(path, "a", encoding="utf-8").close()
     checks = run_validation(samples=args.samples, seed=args.seed)
     rows = [
         (c.name, c.analytic, c.mc_mean, c.mc_stderr, c.n_sigma, "pass" if c.passed else "FAIL")
         for c in checks
     ]
-    out = args.out
     _write_csv(
-        out,
+        args.out,
         f"samples={args.samples} seed={args.seed}",
         ["check", "analytic", "mc_mean", "mc_stderr", "n_sigma", "status"],
         rows,
     )
-    report_dir = os.path.dirname(out) if out else "."
-    write_discrepancy_csv(
-        build_discrepancy_report(), os.path.join(report_dir or ".", "discrepancies.csv")
-    )
+    write_discrepancy_csv(build_discrepancy_report(), report)
     if not all(c.passed for c in checks):
         raise NumericError("one or more analytic-vs-MC checks failed (see report)")
     return EXIT_OK

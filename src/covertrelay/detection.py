@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NumericError, clamp_unit_interval
-from .model import McEstimate, SystemParams, _two_hop
+from .model import McEstimate, RngSpec, SystemParams, _two_hop
 from .specfun import (EULER_GAMMA, _POS_SERIES_CUTOFF, _ei_asymptotic_excess, _ei_sum,
                       _gauss_legendre, expint_ei_scaled)
 
@@ -28,8 +28,6 @@ from .specfun import (EULER_GAMMA, _POS_SERIES_CUTOFF, _ei_asymptotic_excess, _e
 # arrays, so that the scalar closed forms load only the standard library.
 if TYPE_CHECKING:
     import numpy as np
-
-    from .channel import RngSpec
 
 __all__ = [
     "DetectionOutcome",
@@ -293,8 +291,6 @@ def mc_dep_two_hop(
     DEP is 1 - (1 - Pe1)(1 - Pe2) with the per-slot estimates plugged in
     and the standard error propagated through the product.
     """
-    from .channel import RngSpec
-
     est1 = mc_dep_slot(params.p_s, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 1))
     est2 = mc_dep_slot(params.p_r, tau, params, n, RngSpec(rng.seed, 2 * rng.stream + 2))
     xi = _two_hop(est1.mean, est2.mean)

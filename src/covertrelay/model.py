@@ -16,6 +16,7 @@ __all__ = [
     "ConstraintSet",
     "RateParams",
     "McEstimate",
+    "RngSpec",
     "dbm_to_watts",
     "watts_to_dbm",
     "rho_from_db",
@@ -174,6 +175,20 @@ class McEstimate:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
         if self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
+
+
+@dataclass(frozen=True)
+class RngSpec:
+    """Seed plus substream index identifying one reproducible stream."""
+
+    seed: int
+    stream: int = 0
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if self.stream < 0:
+            raise ValueError(f"stream index must be >= 0, got {self.stream}")
 
 
 def load_config(path: str) -> dict[str, str]:

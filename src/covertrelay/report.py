@@ -58,47 +58,33 @@ _T = 1.5
 
 
 def build_discrepancy_report() -> list[DiscrepancyRecord]:
-    """Evaluate both suspect formula families across the validation grid."""
-    records: list[DiscrepancyRecord] = []
+    """Evaluate both suspect formula families across the validation grid.
 
-    # Above-threshold DEP branch: tau > mu2 on a per-parameter tau grid.
-    for sigma_dbm in NOISE_GRID_DBM:
-        sigma_n2 = dbm_to_watts(sigma_dbm)
-        for p in _POWERS:
-            params = SystemParams(p, p, sigma_n2, _RHO)
-            for tau in np.geomspace(params.mu2 * 1.001, params.mu2 + 20.0 * p, 10):
-                tau = float(tau)
-                ref = dep_slot_reference(p, tau, params)
-                paper = dep_slot_paper(p, tau, params)
-                records.append(
-                    DiscrepancyRecord(
-                        "dep_slot_above_upper_bound",
-                        f"p={p};sigma_n2_dbm={sigma_dbm};rho={_RHO};tau={tau:.6g}",
-                        paper,
-                        ref,
-                    )
-                )
-
-    # Combinatorial TAS/MRC outage, both readings of the ambiguous log factor.
+    One pass over (sigma_n^2, p) fills both lists; the DEP rows come first.
+    """
+    dep: list[DiscrepancyRecord] = []
+    outage: list[DiscrepancyRecord] = []
     rate = RateParams(_T)
     for sigma_dbm in NOISE_GRID_DBM:
         sigma_n2 = dbm_to_watts(sigma_dbm)
         for p in _POWERS:
             params = SystemParams(p, p, sigma_n2, _RHO)
+            point = f"p={p};sigma_n2_dbm={sigma_dbm};rho={_RHO}"
+            # Above-threshold DEP branch: tau > mu2 on a per-parameter tau grid.
+            for tau in np.geomspace(params.mu2 * 1.001, params.mu2 + 20.0 * p, 10):
+                tau = float(tau)
+                dep.append(DiscrepancyRecord(
+                    "dep_slot_above_upper_bound", f"{point};tau={tau:.6g}",
+                    dep_slot_paper(p, tau, params), dep_slot_reference(p, tau, params)))
+            # Combinatorial TAS/MRC outage, both readings of the ambiguous log factor.
             for n_t, n_r in _ANTENNAS:
                 ref = outage_hop_multi_reference(p, rate, params, n_t, n_r)
                 for interp in ("ln_rho_sq_arg", "ln_rho_sq_whole"):
-                    value = outage_hop_multi_paper(p, rate, params, n_t, n_r, interp)
-                    records.append(
-                        DiscrepancyRecord(
-                            f"outage_multi_combinatorial[{interp}]",
-                            f"p={p};sigma_n2_dbm={sigma_dbm};rho={_RHO};T={_T};"
-                            f"n_t={n_t};n_r={n_r}",
-                            value.value if value.ok else value.violation,
-                            ref,
-                        )
-                    )
-    return records
+                    outage.append(DiscrepancyRecord(
+                        f"outage_multi_combinatorial[{interp}]",
+                        f"{point};T={_T};n_t={n_t};n_r={n_r}",
+                        outage_hop_multi_paper(p, rate, params, n_t, n_r, interp), ref))
+    return dep + outage
 
 
 def write_discrepancy_csv(records, path: str) -> None:

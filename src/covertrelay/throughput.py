@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NumericError, clamp_unit_interval
-from .model import McEstimate, RateParams, SystemParams, _two_hop
+from .model import McEstimate, RateParams, RngSpec, SystemParams, _two_hop
 from .specfun import _ein, _gauss_legendre, ei_diff, upper_gamma
 
 # numpy, and with it `channel`, is imported inside the functions that build
@@ -35,11 +35,8 @@ from .specfun import _ein, _gauss_legendre, ei_diff, upper_gamma
 if TYPE_CHECKING:
     import numpy as np
 
-    from .channel import RngSpec
-
 __all__ = [
     "ThroughputOutcome",
-    "PaperFormulaValue",
     "capacity_hop",
     "outage_hop_single",
     "throughput_single",
@@ -73,18 +70,6 @@ class ThroughputOutcome:
     @property
     def eta(self) -> float:
         return self.t * (1.0 - self.p_out)
-
-
-@dataclass(frozen=True)
-class PaperFormulaValue:
-    """Verbatim-formula evaluation: either a value or a domain violation."""
-
-    value: float | None
-    violation: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
 
 
 def capacity_hop(p: float, gain: float, sigma2: float) -> float:
@@ -355,17 +340,19 @@ def outage_hop_multi_paper(
     n_t: int,
     n_r: int,
     interpretation: str = "ln_rho_sq_arg",
-) -> PaperFormulaValue:
-    """Verbatim published combinatorial TAS/MRC outage form.
+) -> float | str:
+    """Verbatim published combinatorial TAS/MRC outage form: its value, or its violation text.
 
     Evaluated exactly as printed, for the discrepancy report only.  Its
     defects are surfaced, never repaired, and every input meets one, so it
-    never returns a value: the gamma order n_r - 1 degenerates at n_r = 1,
-    kappa = 0 is raised to a negative power, and otherwise the inner sum's
-    (j-1) factor gives a negative incomplete-gamma argument at its first
-    term, j = 0, so the loop past j = 0 never runs.  `interpretation`, which
-    thus never reaches a value, reads the ambiguous trailing log factor as
-    ln(rho^2) ("ln_rho_sq_arg") or as (ln rho)^2 ("ln_rho_sq_whole").
+    returns the violation's text, never a value: the gamma order n_r - 1
+    degenerates at n_r = 1, kappa = 0 is raised to a negative power, and
+    otherwise the inner sum's (j-1) factor gives a negative incomplete-gamma
+    argument at its first term, j = 0, so the loop past j = 0 never runs;
+    it stays as the transcription of the printed expansion.
+    `interpretation`, which thus never reaches a value, reads the ambiguous
+    trailing log factor as ln(rho^2) ("ln_rho_sq_arg") or as (ln rho)^2
+    ("ln_rho_sq_whole").
     """
     if interpretation not in ("ln_rho_sq_arg", "ln_rho_sq_whole"):
         raise ValueError(f"unknown interpretation {interpretation!r}")
@@ -382,11 +369,9 @@ def outage_hop_multi_paper(
     else:
         log_term = math.log(rho) ** 2
     if n_r == 1:
-        return PaperFormulaValue(None, "formula-domain-violation: incomplete gamma of order 0")
+        return "formula-domain-violation: incomplete gamma of order 0"
     if kappa == 0.0:
-        return PaperFormulaValue(
-            None, "formula-domain-violation: zero SNR threshold raised to a negative power"
-        )
+        return "formula-domain-violation: zero SNR threshold raised to a negative power"
     total = 0.0
     for s in range(n_t):
         sign = -1.0 if s % 2 else 1.0
@@ -398,11 +383,7 @@ def outage_hop_multi_paper(
                 # The gamma argument (j - 1) kappa mu / p is negative at j = 0 (kappa > 0
                 # here): tested on j, before a coefficient that can overflow there.
                 if j < 1:
-                    return PaperFormulaValue(
-                        None,
-                        "formula-domain-violation: negative incomplete-gamma "
-                        f"argument at j={j}",
-                    )
+                    return f"formula-domain-violation: negative incomplete-gamma argument at j={j}"
                 if j == 1:
                     continue  # the (j - 1) factor is exactly zero
                 coeff = (
@@ -418,7 +399,7 @@ def outage_hop_multi_paper(
             inner += omega * log_term / (s + 1) ** (n_r + k)
             total += outer * inner
     prefactor = n_t / (2.0 * math.log(rho) * math.factorial(n_r - 1))
-    return PaperFormulaValue(prefactor * total)
+    return prefactor * total
 
 
 def throughput_multi(params: SystemParams, rate: RateParams) -> ThroughputOutcome:

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import RngSpec
 from .detection import mc_dep_two_hop, min_dep_slot, min_dep_two_hop, mc_dep_slot, optimal_threshold
-from .model import NOISE_GRID_DBM, RateParams, SystemParams, dbm_to_watts
+from .model import NOISE_GRID_DBM, RateParams, RngSpec, SystemParams, dbm_to_watts
 from .throughput import (
     mc_outage_hop,
     outage_hop_multi_reference,

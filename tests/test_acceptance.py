@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from covertrelay.channel import RngSpec
 from covertrelay.detection import (
     dep_slot_paper,
     dep_slot_reference,
@@ -26,6 +25,7 @@ from covertrelay.model import (
     AntennaConfig,
     ConstraintSet,
     RateParams,
+    RngSpec,
     SystemParams,
     dbm_to_watts,
 )

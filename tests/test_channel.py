@@ -9,14 +9,13 @@ from scipy import special, stats
 from covertrelay import channel
 from covertrelay.channel import (
     _LOG_SPACE_GAIN,
-    RngSpec,
     make_generator,
     sample_noise_power,
     sample_rayleigh_gain,
     sample_tas_mrc_gain,
     tas_mrc_gain_cdf,
 )
-from covertrelay.model import SystemParams
+from covertrelay.model import RngSpec, SystemParams
 from oracles import oracle_lower_series
 
 PARAMS = SystemParams(1.0, 1.0, 3.1622776601683794e-4, 1.5)

@@ -396,6 +396,11 @@ class TestOptimize:
         assert "the grids start at 5e-06 W" in err
         assert f"the largest covert equal power is {p_cov:.6g} W" in err
 
+    def test_multi_says_when_no_power_is_covert(self, capsys):
+        # At -3200 dBm no float power is covert, so there is no covert power to name.
+        assert main(["optimize-multi", "--sigma-n-dbm", "-3200"]) == 3
+        assert "unsatisfiable even at vanishing power" in capsys.readouterr().err
+
     def test_multi_partial_steps_rejected(self):
         assert main(["optimize-multi", "--h1", "0.05"]) == 2
 
@@ -434,11 +439,17 @@ class TestFlagContract:
         assert main(["dep"]) == 4
         assert "numeric failure: min_dep_slot" in capsys.readouterr().err
 
-    def test_unwritable_output_is_invalid(self, tmp_path, capsys):
+    def test_unwritable_output_is_invalid(self, tmp_path, capsys, monkeypatch):
+        # validate fails on its output path before the campaign runs.
+        def campaign(**kwargs):
+            pytest.fail("run_validation ran before its output was checked")
+
+        monkeypatch.setattr(covertrelay.validation, "run_validation", campaign)
         blocker = tmp_path / "file"
         blocker.write_text("")
         for argv in (["dep", "--out", str(tmp_path / "missing" / "x.csv")],
-                     ["figures", "--outdir", str(blocker / "figs")]):
+                     ["figures", "--outdir", str(blocker / "figs")],
+                     ["validate", "--out", str(tmp_path / "missing" / "v.csv")]):
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("error: "), argv
 
@@ -521,6 +532,10 @@ class TestValidateAndFigures:
         assert "analytic-vs-MC checks failed" in capsys.readouterr().err
         assert [(row[0], row[5]) for row in read_csv(out)[2]] == [("dep_slot", "FAIL")]
         assert (tmp_path / "discrepancies.csv").exists()
+
+    def test_validate_accepts_one_worker_only(self):
+        with pytest.raises(ValueError, match="workers must be 1, got 2"):
+            covertrelay.validation.run_validation(workers=2)
 
     def test_validate_writes_one_line_ending(self, tmp_path, monkeypatch):
         passed = ValidationCheck("dep_slot", 0.5, 0.5, 0.01, 0.0)
@@ -605,6 +620,13 @@ class TestNumpyOnlyRuntime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_validation_import_loads_no_numpy(self, tmp_path):
+        # numpy is imported by the Monte-Carlo estimators when they run.
+        code = "import sys, covertrelay.validation\nprint('numpy' in sys.modules)\n"
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_specfun_runs_without_numpy(self, tmp_path):
         code = ("import sys\n"
                 "sys.modules['numpy'] = None\n"
@@ -648,6 +670,9 @@ class TestPackageExports:
         namespace = {}
         exec("from covertrelay import *", namespace)
         assert set(covertrelay.__all__) <= namespace.keys()
+
+    def test_dir_lists_every_export(self):
+        assert set(covertrelay.__all__) <= set(dir(covertrelay))
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from covertrelay.channel import RngSpec
 from covertrelay.detection import (
     DetectionOutcome,
     _gl_refine,
@@ -19,7 +18,7 @@ from covertrelay.detection import (
     optimal_threshold,
 )
 from covertrelay.errors import NumericError
-from covertrelay.model import SystemParams, dbm_to_watts
+from covertrelay.model import RngSpec, SystemParams, dbm_to_watts
 from oracles import oracle_dep_slot
 
 SIGMA_N2 = dbm_to_watts(-5.0)

@@ -206,6 +206,12 @@ class TestCovertPowerLimit:
         params = SystemParams(1.0, 1.0, dbm_to_watts(-5.0), 1.5)
         assert covert_power_limit(0.15, params, 1e-320) == 1e-320
 
+    def test_infeasible_when_no_float_power_is_covert(self):
+        # At a noise level of 1e-323 W even the smallest float power is detected.
+        with pytest.raises(InfeasibleError, match="unsatisfiable even at vanishing power") as err:
+            covert_power_limit(0.15, SystemParams(1.0, 1.0, 1e-323, 1.5), 5.0)
+        assert err.value.tightest_constraint == "covertness"
+
     def test_returns_p_max_when_unconstrained(self):
         # With epsilon near 1 the covertness budget never binds.
         assert covert_power_limit(0.99999, BASE, 5.0) == 5.0

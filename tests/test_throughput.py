@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from covertrelay import throughput
-from covertrelay.channel import RngSpec, tas_mrc_gain_cdf
+from covertrelay.channel import tas_mrc_gain_cdf
 from covertrelay.errors import NumericError
 from covertrelay.model import (
     AntennaConfig,
     RateParams,
+    RngSpec,
     SystemParams,
     dbm_to_watts,
 )
@@ -315,16 +316,15 @@ class TestMultiAntenna:
         rate = RateParams(1.5)
         # Single receive antenna: incomplete gamma of order zero.
         v = outage_hop_multi_paper(1.0, rate, BASE, 2, 1)
-        assert not v.ok and "violation" in v.violation
+        assert v == "formula-domain-violation: incomplete gamma of order 0"
         # Zero rate: zero raised to a negative power.
         v = outage_hop_multi_paper(1.0, RateParams(0.0), BASE, 2, 2)
-        assert not v.ok
+        assert v == "formula-domain-violation: zero SNR threshold raised to a negative power"
         # General case: the j = 0 term demands a negative gamma argument.
         for n_t, n_r in ((2, 2), (2, 8), (4, 4)):
             for interp in ("ln_rho_sq_arg", "ln_rho_sq_whole"):
                 v = outage_hop_multi_paper(1.0, rate, BASE, n_t, n_r, interp)
-                assert not v.ok
-                assert "negative incomplete-gamma" in v.violation
+                assert v == "formula-domain-violation: negative incomplete-gamma argument at j=0"
         # Also where (kappa / p) ** omega overflows (t = 100), where
         # kappa / p underflows to 0 and the j = 0 argument with it, and
         # where rho ** 2 overflows (rho > ~1.34e154).
@@ -332,7 +332,7 @@ class TestMultiAntenna:
                                   (4.0, 5e-324, SystemParams(1.0, 1.0, 1.0, 2.0), 2),
                                   (1.0, 1.5, SystemParams(1.0, 1.0, 1e-3, 1e160), 2)):
             v = outage_hop_multi_paper(p, RateParams(t), params, 2, n_r)
-            assert "negative incomplete-gamma argument at j=0" in v.violation
+            assert v == "formula-domain-violation: negative incomplete-gamma argument at j=0"
 
     def test_threshold_past_the_float_range_is_certain_outage(self):
         # kappa / p times the noise overflows; the outage is 1, without a warning.
