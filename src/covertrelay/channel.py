@@ -84,7 +84,11 @@ def sample_tas_mrc_gain(n_t: int, n_r: int, rng: np.random.Generator, size: int 
     if n_t < 1 or n_r < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({n_t}, {n_r})")
     n = 1 if size is None else int(size)
-    gain = rng.standard_gamma(n_r, (n, n_t)).max(axis=1)
+    draws = rng.standard_gamma(n_r, (n, n_t))
+    # The maximum column by column: `.max(axis=1)` over rows of n_t is slower.
+    gain = draws[:, 0].copy()
+    for column in draws.T[1:]:
+        np.maximum(gain, column, out=gain)
     return gain[0] if size is None else gain
 
 

@@ -69,6 +69,13 @@ def _write_csv(out: str | None, params_line: str, header, rows) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def _check_writable(*paths: str | None) -> None:
+    # Each output is opened for appending before any computing, so that a path
+    # that cannot be written fails at once; an existing file is left as it is.
+    for path in filter(None, paths):
+        open(path, "a", encoding="utf-8").close()
+
+
 def _system_params(args: argparse.Namespace) -> SystemParams:
     """The point named by the verb's flags.
 
@@ -247,8 +254,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.variable not in _SWEEPS:
         raise ValueError(f"--variable must be one of {tuple(_SWEEPS)}, got {args.variable!r}")
     base = _system_params(args)
-    rows = _sweep_rows(base, args.variable, _sweep_grid(args), _xi_outage_eta, t=args.t,
-                       p_max=args.p_max)
+    grid = _sweep_grid(args)
+    _check_writable(args.out)
+    rows = _sweep_rows(base, args.variable, grid, _xi_outage_eta, t=args.t, p_max=args.p_max)
     _write_csv(
         args.out,
         _params_line(args, base, variable=args.variable, t=args.t),
@@ -312,10 +320,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from .validation import run_validation
 
     report = os.path.join(os.path.dirname(args.out or ""), "discrepancies.csv")
-    # Both outputs are opened for appending before the campaign, so that a path
-    # that cannot be written fails at once; an existing file is left as it is.
-    for path in filter(None, (args.out, report)):
-        open(path, "a", encoding="utf-8").close()
+    _check_writable(args.out, report)
     checks = run_validation(samples=args.samples, seed=args.seed)
     rows = [
         (c.name, c.analytic, c.mc_mean, c.mc_stderr, c.n_sigma, "pass" if c.passed else "FAIL")

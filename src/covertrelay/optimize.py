@@ -526,7 +526,8 @@ def optimize_multi(
             if values.shape[1] < width:  # by one doubling
                 values = stores[pair] = np.pad(values, [(0, 0), (0, width // 2)],
                                                constant_values=np.nan)
-            rows = np.unique(need)
+            # The sorted distinct rows; np.unique of integers would load numpy.ma.
+            rows = np.flatnonzero(np.bincount(need, minlength=powers.size))
             values[rows, start:width] = _tas_mrc_outage(*pair, kappa / powers[rows, None], params)
         # k * h3, not a running sum, so every rate lies on the grid.
         rates = np.arange(start + 1, width + 1) * h3

@@ -7,12 +7,15 @@ cancels, and the outage is taken as (Ein(x2) - Ein(x1)) / (2 ln rho).
 The TAS/MRC outage is the mean of the exact composite-gain CDF F over
 the log-uniform noise (the reference path), a difference of two values
 of an antiderivative of F in the log gain divided by 2 ln rho.  That
-antiderivative depends on the antenna pair alone: `_tas_mrc_outage`
-reads each outage from the pair's table, built once per process (see
-`_outage_table`), for every rho > 1.  Where 2 ln rho spans a panel or
-more, the difference is two lookups; below that it is the table
-polynomial's divided difference times the interval's exact length, so
-it does not cancel as rho -> 1.  The published combinatorial expansion
+antiderivative depends on the antenna pair alone: each outage is read
+from the pair's table, built once per process (see `_outage_table`),
+for every rho > 1.  Where 2 ln rho spans a panel or more, the difference
+is two lookups; below that it is the table polynomial's divided
+difference times the interval's exact length, so it does not cancel as
+rho -> 1.  The grid scan reads arrays of thresholds (`_tas_mrc_outage`);
+a point evaluation reads one threshold in Python floats
+(`_OutageTable.outage_at`), with the same bits at a fraction of an
+array call's cost.  The published combinatorial expansion
 of the integral is also evaluated verbatim, solely to feed the
 discrepancy report, because it contains sub-terms that are undefined or
 inconsistent as printed.
@@ -24,6 +27,8 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import NumericError, clamp_unit_interval
@@ -162,6 +167,7 @@ class _OutageTable:
     slope: float
     coef: np.ndarray  # (panels + 2, 2, 1 + _TABLE_NODES): left value, powers of x
     error: float
+    rows: list  # coef as nested lists of floats, for `outage_at`
 
     def outage(self, y: np.ndarray, params: SystemParams) -> np.ndarray:
         # The interval ends a, b in panels from the table's left end: a whole
@@ -208,6 +214,83 @@ class _OutageTable:
         # Clamped to [0, 1], and to exactly 0 at y = 0 and 1 at y = inf: the
         # thresholds clamped into the floats above need not read 0 and 1.
         return np.minimum(np.maximum(np.where(use_k, by_k, by_h), y == np.inf), np.sign(y))
+
+    def outage_at(self, y: float, params: SystemParams) -> float:
+        """`outage` of one threshold y >= 0, bit for bit, in Python floats.
+
+        The same operations in the same order: powers of x as sequential
+        products, each 19-term sum in numpy's pairwise order
+        (`_pairwise_dot`), numpy's log, exp and expm1, and numpy's tie rule
+        for maximum and minimum (the second argument), so each max and min
+        is written with its arguments swapped.  K is read only where the
+        outage passes 1/2 or b leaves the table.  Raises ValueError for a
+        negative or NaN y.
+        """
+        import numpy as np
+
+        if not y >= 0:  # also rejects NaN
+            raise ValueError("thresholds must be >= 0")
+        half = math.log(params.rho) / self.width
+        c = float(np.log(min(sys.float_info.max, max(5e-324, y))))
+        u = (c + math.log(params.sigma_n2)) / self.width
+        whole = float(math.floor(u))
+        (shift_a, pos_a, panel_a, x_a, row_a), (shift_b, pos_b, panel_b, x_b, row_b) = (
+            self._end((u - whole) + side, whole) for side in (-half, half))
+        powers_b = list(accumulate(repeat(x_b, _TABLE_NODES - 1), mul))
+        rest_b = row_b[0][1] + _pairwise_dot(row_b[0], powers_b)  # ln H at b, less its left value
+        tail = (self.slope, -self.width)
+        if 2.0 * half < 1.0:
+            # `_chord_slope`: within one panel both of its ends read a's row
+            # over [x_a, x_b], and the weight is 1.
+            same = shift_a == shift_b
+            spans = ([(panel_a, row_a, x_a, x_b)] if same
+                     else [(panel_a, row_a, x_a, 1.0), (panel_b, row_b, -1.0, x_b)])
+            terms = []
+            for _, _, lo, hi in spans:
+                terms.append([1.0])
+                power = 1.0
+                for _ in range(_TABLE_NODES - 2):
+                    power = power * lo
+                    terms[-1].append(hi * terms[-1][-1] + power)
+            w = 1.0 if same else (1.0 - x_a) / ((1.0 - x_a) + (x_b + 1.0))
+
+            def diff(f: int) -> float:
+                slope = [0.5 * tail[f] if panel < 0.0 else _pairwise_dot(row[f], h)
+                         for (panel, row, _, _), h in zip(spans, terms)]
+                return 4.0 * half * (slope[0] if same else w * slope[0] + (1.0 - w) * slope[1])
+        else:
+            powers_a = list(accumulate(repeat(x_a, _TABLE_NODES - 1), mul))
+            left = min(2.0 * half, max(0.0, -pos_a))
+
+            def diff(f: int) -> float:
+                at_b = rest_b if f == 0 else row_b[1][1] + _pairwise_dot(row_b[1], powers_b)
+                at_a = row_a[f][1] + _pairwise_dot(row_a[f], powers_a)
+                return ((row_b[f][0] - row_a[f][0]) + (at_b - at_a)) + left * tail[f]
+        two_ln_rho = 2.0 * math.log(params.rho)
+        ln_h_b = row_b[0][0] + rest_b + self.slope * min(0.0, pos_b)
+        value = float(np.exp(ln_h_b)) * -float(np.expm1(-diff(0))) / two_ln_rho
+        if value > 0.5 or pos_b > self.hi - self.lo:
+            value = 1.0 + diff(1) / two_ln_rho
+        return min(float(y > 0.0), max(float(y == math.inf), value))
+
+    def _end(self, end: float, whole: float) -> tuple:
+        # (shift, pos, panel, x, coefficient row) of one end of [a, b], as
+        # `outage` forms them.
+        shift = float(math.floor(end))
+        frac = end - shift
+        panel = shift + (whole - self.lo)
+        row = self.rows[int(min(len(self.rows) - 1.0, max(0.0, panel + 1.0)))]
+        return shift, panel + frac, panel, 2.0 * frac - 1.0, row
+
+
+def _pairwise_dot(row: list, powers: list) -> float:
+    # sum_k row[k + 2] powers[k] over the _TABLE_NODES - 1 = 19 terms, rounded
+    # as numpy's pairwise sum rounds a contiguous row: eight partial sums over
+    # terms 0-15, combined in pairs, then terms 16, 17 and 18 one at a time.
+    t = list(map(mul, row[2:], powers))
+    return ((((t[0] + t[8]) + (t[1] + t[9])) + ((t[2] + t[10]) + (t[3] + t[11])))
+            + (((t[4] + t[12]) + (t[5] + t[13])) + ((t[6] + t[14]) + (t[7] + t[15])))
+            + t[16] + t[17] + t[18])
 
 
 def _chord_slope(coef: np.ndarray, x: np.ndarray, shift: np.ndarray, panel: np.ndarray,
@@ -295,7 +378,7 @@ def _outage_table(n_t: int, n_r: int) -> _OutageTable:
     coef.setflags(write=False)  # shared by every caller through the cache
     slope = cdf[first] / h[nodes_per - 1]  # d ln H / dv at the table's left end
     return _OutageTable(width, float(k0 + first), float(k0 + last), slope * width, coef,
-                        error)
+                        error, coef.tolist())
 
 
 def _tas_mrc_outage(n_t: int, n_r: int, y, params: SystemParams) -> np.ndarray:
@@ -330,7 +413,7 @@ def outage_hop_multi_reference(
     """
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
-    return float(_tas_mrc_outage(n_t, n_r, rate.kappa / p, params))
+    return _outage_table(n_t, n_r).outage_at(rate.kappa / p, params)
 
 
 def outage_hop_multi_paper(
@@ -405,16 +488,12 @@ def outage_hop_multi_paper(
 def throughput_multi(params: SystemParams, rate: RateParams) -> ThroughputOutcome:
     """Covert throughput of the two-hop link under TAS/MRC.
 
-    Each distinct antenna pair costs one kernel call: both hops share one
-    when the relay is symmetric, (n_s, n_rr) = (n_rt, n_d).
+    Each hop's outage is one scalar read of its antenna pair's table, the
+    value `outage_hop_multi_reference` gives.
     """
     ant, kappa = params.antennas, rate.kappa
-    y1, y2 = kappa / params.p_s, kappa / params.p_r
-    if (ant.n_s, ant.n_rr) == (ant.n_rt, ant.n_d):
-        hop1, hop2 = _tas_mrc_outage(ant.n_s, ant.n_rr, [y1, y2], params).tolist()
-    else:
-        hop1 = float(_tas_mrc_outage(ant.n_s, ant.n_rr, y1, params))
-        hop2 = float(_tas_mrc_outage(ant.n_rt, ant.n_d, y2, params))
+    hop1 = _outage_table(ant.n_s, ant.n_rr).outage_at(kappa / params.p_s, params)
+    hop2 = _outage_table(ant.n_rt, ant.n_d).outage_at(kappa / params.p_r, params)
     return ThroughputOutcome(hop1, hop2, rate.t)
 
 

@@ -113,6 +113,17 @@ class TestTasMrcGain:
         plain = sample_rayleigh_gain(rng, (1000, 1, 1)).reshape(1000)
         np.testing.assert_array_equal(single, plain)
 
+    @pytest.mark.parametrize("n_t", [1, 2, 4])
+    def test_gains_are_the_row_maxima_of_the_draws(self, n_t):
+        # Bit for bit the maximum over each row of the (n, n_t) Gamma(n_r)
+        # draws of the same stream, for an array and for one gain.
+        spec = RngSpec(7, 3)
+        for size in (10_000, None):
+            got = sample_tas_mrc_gain(n_t, 8, make_generator(spec), size)
+            rows = 1 if size is None else size
+            want = make_generator(spec).standard_gamma(8, (rows, n_t)).max(axis=1)
+            np.testing.assert_array_equal(got, want[0] if size is None else want)
+
     def test_cdf_properties(self):
         x = np.linspace(0.0, 40.0, 400)
         for n_t, n_r in ((1, 1), (2, 2), (3, 5), (4, 8)):

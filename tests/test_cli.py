@@ -440,16 +440,22 @@ class TestFlagContract:
         assert "numeric failure: min_dep_slot" in capsys.readouterr().err
 
     def test_unwritable_output_is_invalid(self, tmp_path, capsys, monkeypatch):
-        # validate fails on its output path before the campaign runs.
+        # validate and sweep fail on their output paths before they compute.
         def campaign(**kwargs):
             pytest.fail("run_validation ran before its output was checked")
 
+        def sweep_rows(*args, **kwargs):
+            pytest.fail("_sweep_rows ran before its output was checked")
+
         monkeypatch.setattr(covertrelay.validation, "run_validation", campaign)
+        monkeypatch.setattr(cli, "_sweep_rows", sweep_rows)
         blocker = tmp_path / "file"
         blocker.write_text("")
         for argv in (["dep", "--out", str(tmp_path / "missing" / "x.csv")],
                      ["figures", "--outdir", str(blocker / "figs")],
-                     ["validate", "--out", str(tmp_path / "missing" / "v.csv")]):
+                     ["validate", "--out", str(tmp_path / "missing" / "v.csv")],
+                     ["sweep", "--variable", "t", "--from", "0.1", "--to", "3",
+                      "--out", str(tmp_path / "missing" / "s.csv")]):
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("error: "), argv
 

@@ -45,6 +45,16 @@ BASE = SystemParams(1.0, 1.0, SIGMA_N2, 1.5)
 BUDGETS = ConstraintSet(0.15, 0.1, 5.0)
 
 
+def run_child(code: str) -> subprocess.CompletedProcess:
+    # A fresh interpreter, for what one process can show only once: its
+    # imports, or a call that must not hang the suite.
+    src = os.path.dirname(os.path.dirname(optimize.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 def assert_gradient_matches_central_difference(p_s, p_r, t, mult):
     analytic = lagrangian_gradient(p_s, p_r, t, mult, BASE)
     numeric = oracle_lagrangian_gradient((p_s, p_r, t), mult, BUDGETS, BASE)
@@ -230,14 +240,10 @@ class TestCovertPowerLimit:
     def test_rejects_an_infinite_p_max(self):
         # A search down from P_max = inf would never end, so a child process
         # runs it: the timeout fails the test instead of hanging the suite.
-        src = os.path.dirname(os.path.dirname(optimize.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         code = ("import math; from covertrelay.model import SystemParams; "
                 "from covertrelay.optimize import covert_power_limit; "
                 "covert_power_limit(0.15, SystemParams(1.0, 1.0, 1e-3, 1.5), math.inf)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
+        proc = run_child(code)
         assert proc.stderr.endswith("ValueError: p_max must be in (0, inf), got inf\n")
 
 
@@ -658,12 +664,23 @@ class TestOptimizeMulti:
         assert len(evals) == evaluated
 
     def test_evaluations_match_throughput_multi(self):
-        # The outage tables against the scalar path, on a 5 % sample.
+        # The array read of the outage tables against the scalar read that
+        # throughput_multi makes, bit for bit, on a 5 % sample.
         evals = []
         optimize_multi(BUDGETS, self.PARAMS, evaluations=evals)
         for p_s, p_r, t, eta in evals[::20]:
             out = throughput_multi(self.PARAMS.with_powers(p_s, p_r), RateParams(t))
-            assert abs(eta - out.eta) <= 1e-12
+            assert eta == out.eta, (p_s, p_r, t)
+
+    def test_solve_loads_no_numpy_ma(self):
+        # np.unique of integers imports numpy.ma, 15 ms or more of a cold solve.
+        code = ("import sys; from covertrelay.model import ConstraintSet, SystemParams; "
+                "from covertrelay.optimize import optimize_multi; "
+                "optimize_multi(ConstraintSet(0.15, 0.1, 5.0), SystemParams(1.0, 1.0, 1e-3, 1.5)); "
+                "print('numpy.ma' in sys.modules)")
+        proc = run_child(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_linear_steps(self):
         # Linear power grids with steps h1 and h2 up to P_max = 1 mW.

@@ -422,6 +422,30 @@ class TestOutageTable:
                     got = _tas_mrc_outage(n_t, n_r, [0.0, math.inf], params)
                     assert got.tolist() == [0.0, 1.0], (n_t, n_r, rho, sigma2)
 
+    def test_scalar_read_is_the_array_read(self):
+        # One threshold read in Python floats gives the array read's bits:
+        # two lookups and divided differences (rho -> 1), thresholds that put
+        # an end of [a, b] on either end of the table, and those clamped into
+        # the floats.  A negative or NaN threshold raises the same error.
+        rng = np.random.default_rng(31)
+        for n_t, n_r in ((1, 1), (2, 2), (2, 8), (4, 4), (4, 16), (1, 32), (3, 100), (1, 400)):
+            table = _outage_table(n_t, n_r)
+            for rho in (1.0 + 1e-9, 1.0 + 1e-7, 1.0 + 1e-5, 1.0 + 1e-3, 1.01, 1.5, 3.0, 1e10,
+                        1e100):
+                sigma2 = 10.0 ** rng.uniform(-13, 5)
+                params = SystemParams(1.0, 1.0, sigma2, rho)
+                ends = np.exp(np.add.outer([table.lo, table.hi], [-1.0, 0.0, 1.0]).ravel()
+                              * table.width) / sigma2
+                y = np.concatenate((10.0 ** rng.uniform(-10, 10, 40), ends,
+                                    [0.0, math.inf, 5e-324, 1e308]))
+                want = _tas_mrc_outage(n_t, n_r, y, params)
+                got = np.array([table.outage_at(v, params) for v in y.tolist()])
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                              err_msg=f"{(n_t, n_r, rho, sigma2)}")
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="thresholds must be >= 0"):
+                table.outage_at(bad, BASE)
+
     def test_oracle_resolves_the_step_at_huge_rho(self):
         # At rho ~ 1e146 the Gamma(100) step is a sliver of the oracle's
         # range; unsplit, its quadrature gave 0.5000000000000001.  The value
